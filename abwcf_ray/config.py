@@ -47,7 +47,9 @@ class CrawlConfig:
     Wave-model additions (SURVEY.md §2 D2, §3.4):
       - wave_duration_s: the politeness window; per-wave per-host fetch budget
         k_h = max(1, floor(wave_duration_s / crawl_delay_h)).
-      - seen_shards / corpus_buckets: partitioning knobs.
+      - seen_shards / corpus_buckets: partitioning knobs (seen_shards=None:
+        one seen-set shard actor per cluster CPU, or the checkpoint's count
+        on resume).
     """
 
     # Scope / filtering
@@ -76,8 +78,11 @@ class CrawlConfig:
     max_waves: int = 1_000_000
     max_pages: int = 2**63 - 1  # total fetched-page budget
 
-    # Partitioning / parallelism (derive from cluster size where possible)
-    seen_shards: int = 8
+    # Partitioning / parallelism (derive from cluster size where possible).
+    # Seen-set shard actors; None = the cluster's CPU count at run start
+    # (on resume: the count stored in the seen checkpoint, whose files are
+    # partitioned by url_hash % shards).
+    seen_shards: int | None = None
     # URL-seen membership backend: "exact" (sorted uint64 hash + wave per
     # url, 12 B/url, zero error) or "cuckoo" (the north star's sharded
     # cuckoo-filter seen set, state/cuckoo.py: ~2.4 B/url — ~24 GB vs
@@ -88,11 +93,6 @@ class CrawlConfig:
     # per-SHARD cuckoo capacity: size to expected_seen_urls / seen_shards
     # (e.g. 10^10 urls / 256 shards -> 40M; the table is ~2.8 B x capacity)
     seen_cuckoo_capacity: int = 4_000_000
-    # side-channel accumulator pools (reject set / new-host counts): shard
-    # count for state.seen.RejectSink / HostCountSink — sized so a
-    # reject-heavy wave (a large frontier slice flipping Disallowed) never
-    # serializes through one actor queue
-    accum_shards: int = 8
     corpus_buckets: int = 32
     # above this many eligible rows the wave's selected set is ranked with
     # a distributed Ray sort (stages/schedule.rank_selected_ds) instead of

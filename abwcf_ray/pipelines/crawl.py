@@ -4,8 +4,9 @@ Each wave is one Ray Data round over the frontier:
 
     eligible  = frontier.filter(status == 'Discovered')
     host-prep : unknown/expired hosts -> robots fetch-sim -> hosts table
-    strict    : broadcast hosts join (C2, fail-close) + reject side-channel
-    select    : shuffle-free partial top-k_h per host (politeness, D1/D2)
+    strict    : broadcast hosts join (C2, fail-close); rejects stay flagged rows
+    select    : shuffle-free partial top-k_h per host (politeness, D1/D2);
+                the flagged rejects split off as the wave's Disallowed set
     fetch     : broadcast semi-join — wave url-hashes ray.put once, the
                 corpus scanned in parallel (A2)
     process   : extract text (A7) + links (B1-B3) in one html pass
@@ -82,7 +83,7 @@ from abwcf_ray.stages.transform import (
 )
 from abwcf_ray.stages.transform import partial_host_counts
 from abwcf_ray.state.hosts import HostsState, RobotsFetchSim
-from abwcf_ray.state.seen import HostCountSink, RejectSink, SeenSet
+from abwcf_ray.state.seen import SeenSet
 
 # Hosts fetched per wave below this threshold are resolved on the driver
 # (measured: 20k sim-lookups+parses take ~0.5 s, while spinning the Ray
@@ -497,13 +498,14 @@ def _claim_chunk(
     token: int,
     seen_set,
     wave: int,
-    host_accum,
     cfg: CrawlConfig,
     delta_dir: str,
     *blocks: pa.Table,
-) -> int:
+) -> tuple[int, dict[str, int]]:
     """Claim + prioritize + WRITE one delta part for one CHUNK of candidate
-    blocks; returns the chunk's claimed-row count. Chunking matters: the
+    blocks; returns the chunk's claimed-row count and its per-host counts
+    (the next wave's host-ledger increments — ``ray.get`` yields one result
+    per task, so a retried chunk cannot count twice). Chunking matters: the
     claim protocol fans one RPC per seen shard per call, so claiming per
     materialized block (hundreds per wave) costs thousands of serialized
     actor round-trips — a measured ~2 s constant per wave at any
@@ -522,9 +524,9 @@ def _claim_chunk(
 
     tables = [b for b in blocks if b.num_rows and "url" in b.schema.names]
     if not tables:
-        return 0
+        return 0, {}
     t = pa.concat_tables(tables, promote_options="default").combine_chunks()
-    out = claim_batch(t, seen_set, wave, token, host_accum)
+    out = claim_batch(t, seen_set, wave, token)
     out = make_prioritize_stage(cfg)(out)
     status = pa.array([STATUS_DISCOVERED] * out.num_rows, pa.string())
     out = out.append_column("status", status).select(
@@ -532,7 +534,7 @@ def _claim_chunk(
     )
     if out.num_rows:
         pq.write_table(out, Path(delta_dir) / f"part-{token:05d}.parquet")
-    return out.num_rows
+    return out.num_rows, out.column("host").to_pandas().value_counts().to_dict()
 
 
 @ray.remote
@@ -559,8 +561,12 @@ def _rank_write_selected(sel_table: pa.Table, wave: int, path: str) -> int:
 
 
 def _collect_arrow(ds: "rd.Dataset") -> pa.Table:
-    """Materialize a SMALL dataset to one arrow table on the driver."""
-    tables = [ray.get(ref) for ref in ds.to_arrow_refs()]
+    """Materialize a SMALL dataset to one arrow table on the driver.
+    ``to_arrow_refs`` on a lazy dataset re-runs it under a limit of one row
+    to fetch the schema; that pass cancels its trailing tasks, and an actor
+    such a task was calling then waits on the caller's missing sequence
+    number (30 s timeouts). Materializing first caches the schema."""
+    tables = [ray.get(ref) for ref in ds.materialize().to_arrow_refs()]
     tables = [t for t in tables if t.num_rows]
     if not tables:
         return None
@@ -579,14 +585,38 @@ def run_crawl(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     prioritize = make_prioritize_stage(cfg)
+    # the cluster's CPUs, read once: the default seen-shard count and the
+    # claim fan-out
+    n_cpu = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    completed = (
+        sorted(
+            (
+                d
+                for d in out.glob("wave_*")
+                if (d / "manifest.json").exists()
+                and json.loads((d / "manifest.json").read_text()).get("completed")
+            ),
+            # numeric sort: lexicographic breaks at wave 10000 ('wave_9999' >
+            # 'wave_10000')
+            key=lambda d: int(d.name.split("_")[1]),
+        )
+        if resume
+        else []
+    )
+    num_shards = cfg.seen_shards
+    if num_shards is None:
+        # a resumed pool keeps its checkpoint's routing (h % num_shards);
+        # an explicit count that disagrees is refused by SeenSet.restore
+        stored = SeenSet.checkpoint_shards(completed[-1] / "seen") if completed else None
+        num_shards = stored or n_cpu
     seen = SeenSet(
-        cfg.seen_shards,
+        num_shards,
         backend=cfg.seen_backend,
         cuckoo_capacity=cfg.seen_cuckoo_capacity,
     )
     content_seen = (
         SeenSet(
-            cfg.seen_shards,
+            num_shards,
             backend=cfg.seen_backend,
             cuckoo_capacity=cfg.seen_cuckoo_capacity,
         )
@@ -600,17 +630,6 @@ def run_crawl(
 
     chain: _FrontierChain | None = None
     if resume:
-        completed = sorted(
-            (
-                d
-                for d in out.glob("wave_*")
-                if (d / "manifest.json").exists()
-                and json.loads((d / "manifest.json").read_text()).get("completed")
-            ),
-            # numeric sort: lexicographic breaks at wave 10000 ('wave_9999' >
-            # 'wave_10000')
-            key=lambda d: int(d.name.split("_")[1]),
-        )
         if completed:
             last = completed[-1]
             manifest = json.loads((last / "manifest.json").read_text())
@@ -683,8 +702,6 @@ def run_crawl(
     normalize = make_normalize_stage(cfg)
     scope = make_scope_filter_stage(cfg)
 
-    reject_accum = RejectSink(cfg.accum_shards)
-    host_accum = HostCountSink(cfg.accum_shards)
     # fetch substrate: prefer the hash-sorted layout (row-group-pruned reads,
     # O(selected) per wave); fall back to the full-corpus broadcast semi-join
     # scan for corpora without it. The fallback read op is created ONCE:
@@ -719,8 +736,6 @@ def run_crawl(
     # run amortizes bring-up over thousands of waves; recorded as
     # summary.warmup_s so single-wave benchmarks see steady-state waves.
     tw = time.perf_counter()
-    reject_accum.drain()
-    host_accum.drain()
     seen.size()
     if content_seen is not None:
         content_seen.size()
@@ -807,19 +822,18 @@ def run_crawl(
         _mark("host_prep")
 
         # ---- strict robots (C2) + politeness selection (D1/D2) ----------
-        # one pass: allowed rows stream into the shuffle-free partial top-k
-        # selection; rejects side-channel into the accumulator
+        # one pass: allowed rows and flagged rejects stream into the
+        # shuffle-free partial top-k selection, which splits the rejects off
         if bucketed:
-            allowed = apply_robots_filter_bucketed(
+            screened = apply_robots_filter_bucketed(
                 eligible,
                 bucket_refs,
                 cfg.hosts_bucket_bits,
                 strict=True,
-                reject_accum=reject_accum,
             )
         else:
-            allowed = eligible.map_batches(
-                make_strict_robots_filter(hosts_ref, reject_accum),
+            screened = eligible.map_batches(
+                make_strict_robots_filter(hosts_ref),
                 batch_format="pyarrow",
             )
         # past rank_distributed_min eligible rows the selected set may be
@@ -835,8 +849,8 @@ def run_crawl(
         # 5.5 s) where a driver rank of <1M rows is cheap. materialize()
         # pins the merge result so neither rank path re-runs the scan.
         as_ds = n_eligible > cfg.rank_distributed_min
-        selected_raw = select_wave(
-            allowed, sched_ref, n_eligible_hint=n_eligible, as_dataset=as_ds
+        selected_raw, rejects = select_wave(
+            screened, sched_ref, n_eligible_hint=n_eligible, as_dataset=as_ds
         )
         rank_distributed = False
         if not isinstance(selected_raw, pd.DataFrame):
@@ -849,7 +863,7 @@ def run_crawl(
                 selected_raw = rank_selected_ds(selected_raw)
             else:
                 selected_raw = selected_raw.to_pandas()
-        disallowed_hashes, disallowed_counts = reject_accum.drain()
+        disallowed_hashes = rejects.column("url_hash").to_numpy()
         n_selected = len(selected_raw)
         budget_left = cfg.max_pages - total_fetched
         metrics["n_disallowed"] = int(len(disallowed_hashes))
@@ -1102,11 +1116,10 @@ def run_crawl(
         delta_dir = wdir / "delta"
         delta_dir.mkdir(parents=True, exist_ok=True)
         block_refs = cand_m.to_arrow_refs()
-        n_cpu = int(ray.cluster_resources().get("CPU", 8))
         n_chunks = max(1, min(len(block_refs), 2 * n_cpu))
         claim_refs = [
             _claim_chunk.remote(
-                tok, seen, wave, host_accum, cfg, str(delta_dir),
+                tok, seen, wave, cfg, str(delta_dir),
                 *block_refs[tok::n_chunks],
             )
             for tok in range(n_chunks)
@@ -1180,11 +1193,10 @@ def run_crawl(
             metrics["ray_stats"] = cand_m.stats()[:4000]
         except Exception:
             pass
-        claim_counts = ray.get(claim_refs)
+        claims = ray.get(claim_refs)
         if not any(delta_dir.glob("*.parquet")):
             # zero-claim wave: keep the dir readable in the chain union
             pq.write_table(FRONTIER_SCHEMA.empty_table(), delta_dir / "part-empty.parquet")
-        new_host_counts = host_accum.drain()
         chain.add_wave(delta_dir, flips_path, sel_sorted, disallowed_hashes)
         _mark("frontier_write")
 
@@ -1193,16 +1205,14 @@ def run_crawl(
         host_ledger.apply(
             sel_counts.index.to_numpy(dtype=object), -sel_counts.to_numpy()
         )
-        if disallowed_counts:
-            host_ledger.apply(
-                list(disallowed_counts),
-                -np.fromiter(disallowed_counts.values(), np.int64),
-            )
-        if new_host_counts:
-            host_ledger.apply(
-                list(new_host_counts),
-                np.fromiter(new_host_counts.values(), np.int64),
-            )
+        # apply() sums repeated hosts: one -1 per reject, and the claim
+        # chunks' per-host counts, which may share hosts
+        host_ledger.apply(
+            rejects.column("host").to_pylist(), np.full(rejects.num_rows, -1)
+        )
+        host_ledger.apply(
+            [h for _, c in claims for h in c], [n for _, c in claims for n in c.values()]
+        )
         if host_ledger.has_negative():
             # defensive: arithmetic drift would starve a host of robots
             # prep forever — drop the ledger and rescan next wave
@@ -1237,7 +1247,7 @@ def run_crawl(
         }
         if (wdir / "frontier").exists():
             lineage["frontier"] = _file_lineage(wdir / "frontier")
-        n_new = sum(claim_counts)  # == lineage["frontier_delta"] rows (footer-checked in tests)
+        n_new = sum(n for n, _ in claims)  # == lineage["frontier_delta"] rows (footer-checked in tests)
         n_frontier = prev_frontier_rows + n_new
         metrics.update(
             n_selected=n_selected,

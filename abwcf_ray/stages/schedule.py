@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 
 _SELECT_COLS = ["url", "host", "depth", "priority"]
@@ -96,6 +97,33 @@ def topk_per_host_arrow(t: pa.Table, payload: dict, default_k: int = 1) -> pa.Ta
     return out.cast(t.schema)
 
 
+def _reject_keys(t: pa.Table) -> pa.Table:
+    """(url_hash, host) of the rows of ``t`` flagged ``rejected``."""
+    from abwcf_ray.functions.hashing import hash64
+
+    rej = t.filter(t.column("rejected"))
+    return pa.table(
+        {"url_hash": pa.array(hash64(rej.column("url")), pa.uint64()),
+         "host": rej.column("host")}
+    )
+
+
+def _unique_rejects(tables: list[pa.Table]) -> pa.Table:
+    """Concatenated reject keys, unique by url hash and sorted by it."""
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return pa.table(
+            {"url_hash": pa.array([], pa.uint64()), "host": pa.array([], pa.string())}
+        )
+    t = pa.concat_tables(tables, promote_options="default")
+    _, first = np.unique(t.column("url_hash").to_numpy(), return_index=True)
+    return t.take(pa.array(first))
+
+
+def _empty_selected() -> pd.DataFrame:
+    return pd.DataFrame({c: pd.Series([], dtype=object) for c in _SELECT_COLS})
+
+
 def select_wave(
     eligible,
     sched_ref: "ray.ObjectRef",
@@ -107,9 +135,14 @@ def select_wave(
     """eligible frontier rows (url, host, depth, priority, ...) -> the wave's
     fetch set with exact per-host top-k under the politeness budget.
     ``sched_ref`` is a ``HostsState.sched_payload`` object ref (sorted host
-    hashes + precomputed budgets, zero-copy numpy). Returns a pandas frame,
-    or a Dataset when the merge ran distributed AND ``as_dataset`` (the
-    huge-wave caller contract) — callers must handle both.
+    hashes + precomputed budgets, zero-copy numpy).
+
+    Returns ``(selected, rejects)``. ``selected`` is a pandas frame, or a
+    Dataset when the merge ran distributed AND ``as_dataset`` (the
+    huge-wave caller contract) — callers must handle both. Rows flagged by
+    an optional bool ``rejected`` column (the strict robots filter's
+    known-rule rejects, C2) bypass the ranking; ``rejects`` is their
+    ``(url_hash, host)`` table, unique by hash and sorted by it.
 
     Two levels: (1) per-block partial top-k (superset of each block's
     contribution), materialized ONCE and counted; then (2) the exact
@@ -126,37 +159,51 @@ def select_wave(
     #hosts). The driver never pulls more than the cap; the partials'
     materialization is shared by both venues, so the choice costs
     nothing extra.
-    Both venues compute the identical exact per-host top-k
+    Both venues compute the identical exact per-host top-k and reject set
     (tests/test_schedule_seen.py::test_select_wave_merge_paths_agree)."""
     from abwcf_ray.functions.hashing import hash64
 
     def partial_topk(batch: pa.Table) -> pa.Table:
-        return topk_per_host_arrow(batch.select(_SELECT_COLS), ray.get(sched_ref))
+        if "rejected" in batch.schema.names:
+            rej = batch.column("rejected")
+        else:
+            rej = pa.array(np.zeros(batch.num_rows, dtype=bool))
+        kept = topk_per_host_arrow(
+            batch.filter(pc.invert(rej)).select(_SELECT_COLS), ray.get(sched_ref)
+        )
+        out = pa.concat_tables([kept, batch.filter(rej).select(_SELECT_COLS)])
+        # the rejects are the tail, passed through unranked
+        flag = np.arange(out.num_rows) >= kept.num_rows
+        return out.append_column("rejected", pa.array(flag))
 
-    # materialize() is load-bearing beyond reuse: pulling refs off the
-    # lazy dataset left the streaming execution non-finalized, and its
-    # cancelled trailing tasks wedged the reject-sink actors' per-caller
-    # sequence numbers (reproducible 30 s seq_no timeouts in the
-    # multi-wave steady bench)
-    partials = (
-        eligible.select_columns(_SELECT_COLS)
-        .map_batches(partial_topk, batch_format="pyarrow")
-        .materialize()
-    )
+    # materialized once: the partials count picks the venue, and both
+    # venues read the same blocks for the merge and the reject split
+    partials = eligible.map_batches(partial_topk, batch_format="pyarrow").materialize()
 
     if partials.count() <= driver_partials_max:
         tables = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
         if not tables:
-            return pd.DataFrame(
-                {c: pd.Series([], dtype=object) for c in _SELECT_COLS}
-            )
+            return _empty_selected(), _unique_rejects([])
+        t = pa.concat_tables(tables, promote_options="default").combine_chunks()
         merged = topk_per_host_arrow(
-            pa.concat_tables(tables, promote_options="default").combine_chunks(),
+            t.filter(pc.invert(t.column("rejected"))).select(_SELECT_COLS),
             ray.get(sched_ref),
         )
-        return merged.to_pandas().reset_index(drop=True)
+        return merged.to_pandas().reset_index(drop=True), _unique_rejects(
+            [_reject_keys(t)]
+        )
+
+    # materialized: to_arrow_refs on a lazy dataset re-runs it for the schema
+    rejects = _unique_rejects(
+        ray.get(
+            partials.map_batches(_reject_keys, batch_format="pyarrow")
+            .materialize()
+            .to_arrow_refs()
+        )
+    )
 
     def add_pkey(t: pa.Table) -> pa.Table:
+        t = t.filter(pc.invert(t.column("rejected"))).select(_SELECT_COLS)
         pkey = (hash64(t.column("host")) % np.uint64(merge_partitions)).astype(
             np.int64
         )
@@ -173,11 +220,11 @@ def select_wave(
     if as_dataset:
         # huge waves: keep the exact selected set distributed so the caller
         # can rank it with rank_selected_ds instead of a driver sort
-        return merged_ds
+        return merged_ds, rejects
     merged = merged_ds.to_pandas()
     if merged.empty:
-        return pd.DataFrame({c: pd.Series([], dtype=object) for c in _SELECT_COLS})
-    return merged.reset_index(drop=True)
+        return _empty_selected(), rejects
+    return merged.reset_index(drop=True), rejects
 
 
 def rank_selected(selected_df: pd.DataFrame) -> pd.DataFrame:

@@ -429,32 +429,27 @@ def make_lenient_robots_filter(hosts_ref):
     return lenient_robots
 
 
-def make_strict_robots_filter(hosts_ref, reject_accum=None):
-    """C2 (StrictRobotsFilter.scala:72-133): evaluated just before fetch;
-    passes allowed rows downstream. Urls rejected BY KNOWN RULES (->
-    status=Disallowed in the frontier, :128-131) are side-channeled to
-    ``reject_accum`` (a RejectAccumulator actor) as (hash, host) pairs in
-    the SAME pass — one scan of the eligible set instead of two. A
-    still-unknown host fails closed TEMPORARILY (:109-113 — the reference
-    ignores the page only for fail-close-duration): the row is excluded
-    from this wave's fetch but NOT rejected, so it stays Discovered and
-    retries next wave. After host-prep every eligible host is known, so
-    this path is a safety net, not steady-state behavior."""
+def make_strict_robots_filter(hosts_ref):
+    """C2 (StrictRobotsFilter.scala:72-133): evaluated just before fetch.
+    Allowed rows pass with ``rejected=False``; urls rejected BY KNOWN RULES
+    (-> status=Disallowed in the frontier, :128-131) pass with
+    ``rejected=True``, so the reject rides the data into selection
+    (``schedule.select_wave`` splits them off) in the SAME pass — one scan
+    of the eligible set instead of two. A still-unknown host fails closed
+    TEMPORARILY (:109-113 — the reference ignores the page only for
+    fail-close-duration): the row is dropped from this wave but NOT
+    rejected, so it stays Discovered and retries next wave. After
+    host-prep every eligible host is known, so this path is a safety net,
+    not steady-state behavior."""
 
     def strict_robots(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return batch
+            return batch.append_column("rejected", pa.array([], pa.bool_()))
         mask, unknown = _allowed_mask(hosts_ref, batch, False, return_unknown=True)
-        rejected_mask = ~mask & ~unknown  # disallowed by known rules only
-        if reject_accum is not None and rejected_mask.any():
-            rej_arr = pa.array(rejected_mask)
-            rejected = hash64(pc.filter(batch.column("url"), rej_arr))
-            rej_hosts = pc.filter(batch.column("host"), rej_arr).to_pylist()
-            # RejectSink.add: parallel hash-sharded adds with one barrier —
-            # applied before the pass completes (hash-keyed, so task
-            # retries are idempotent); see state/seen.RejectSink
-            reject_accum.add(rejected, rej_hosts)
-        return batch.filter(pa.array(mask))
+        keep = mask | ~unknown  # allowed, or disallowed by known rules
+        return batch.filter(pa.array(keep)).append_column(
+            "rejected", pa.array(~mask[keep])
+        )
 
     return strict_robots
 
@@ -465,7 +460,6 @@ def apply_robots_filter_bucketed(
     bits: int,
     *,
     strict: bool,
-    reject_accum=None,
 ):
     """C1/C2 at 10^8-host scale: a hash(host)-bucketed robots JOIN instead
     of a whole-table broadcast (state/hosts.py module docstring; the
@@ -498,14 +492,15 @@ def apply_robots_filter_bucketed(
 
     def filter_buckets(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            return batch.drop_columns(["hbucket"])
+            empty = batch.drop_columns(["hbucket"])
+            return make_strict_robots_filter(None)(empty) if strict else empty
         b = batch.column("hbucket").to_numpy()
         out = []
         for bucket in np.unique(b):
             sub = batch.filter(pa.array(b == bucket)).drop_columns(["hbucket"])
             ref = bucket_refs[int(bucket)]
             if strict:
-                out.append(make_strict_robots_filter(ref, reject_accum)(sub))
+                out.append(make_strict_robots_filter(ref)(sub))
             else:
                 out.append(make_lenient_robots_filter(ref)(sub))
         return pa.concat_tables(out)
@@ -838,25 +833,17 @@ def make_propose(seen_set, wave: int, run_key: str = "", cache_size: int = 2_000
     return propose
 
 
-def claim_batch(
-    batch: pa.Table, seen_set, wave: int, token: int, host_accum=None
-) -> pa.Table:
+def claim_batch(batch: pa.Table, seen_set, wave: int, token: int) -> pa.Table:
     """Phase 2 of the shuffle-free wave-dedup: keep only rows this claimant
     WINS — unseen urls at their wave-minimum depth, first claim token wins.
     ``token`` must be UNIQUE per block and stable across retries (the driver
     enumerates the materialized candidate blocks and passes the block index
     — content-derived tokens would collide for two distinct blocks carrying
     identical candidate sets, double-inserting those urls). Winners are
-    registered as seen by the shard; their per-host counts feed the next
-    wave's host ledger via the token-keyed accumulator (retry-idempotent)."""
+    registered as seen by the shard."""
     if batch.num_rows == 0:
         return batch
     h = hash64(batch.column("url"))
     d = batch.column("depth").to_numpy(zero_copy_only=False)
     mask = seen_set.claim(h, d, wave, token)
-    out = batch.filter(pa.array(mask))
-    if host_accum is not None and out.num_rows:
-        vc = out.column("host").to_pandas().value_counts()
-        # HostCountSink.add: parallel hash(host)-sharded, token-idempotent
-        host_accum.add(token, vc.index.tolist(), [int(x) for x in vc.to_numpy()])
-    return out
+    return batch.filter(pa.array(mask))

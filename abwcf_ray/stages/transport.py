@@ -191,9 +191,12 @@ class HTTPTransport(FetchTransport):
             self._conns[key] = c
         return c
 
-    def _fetch_one(self, url: str):
+    def _fetch_one(self, url: str, truncate_at: int | None = None):
         """-> (status, content_type, location, x_robots_tag, html,
-        length_exceeded)"""
+        length_exceeded). ``content_type`` is the bare media type (the
+        reference compares only that, Fetcher.scala:160). ``truncate_at``
+        stops the read after that many body bytes and keeps them (robots
+        bodies are truncated, not discarded)."""
         from urllib.parse import urlsplit
 
         sp = urlsplit(url)
@@ -208,6 +211,8 @@ class HTTPTransport(FetchTransport):
             resp = conn.getresponse()
             status = int(resp.status)
             ctype = resp.getheader("Content-Type")
+            if ctype is not None:
+                ctype = ctype.split(";", 1)[0].strip()
             location = resp.getheader("Location")
             xrt = resp.getheader("X-Robots-Tag")
             chunks: list[bytes] = []
@@ -232,7 +237,12 @@ class HTTPTransport(FetchTransport):
                     chunks = []
                     break
                 chunks.append(chunk)
-            body = None if exceeded else b"".join(chunks)
+                if truncate_at is not None and total >= truncate_at:
+                    # the rest of the body stays unread: drop the connection
+                    conn.close()
+                    self._conns.pop((sp.scheme, sp.netloc), None)
+                    break
+            body = None if exceeded else b"".join(chunks)[:truncate_at]
             return (status, ctype, location, xrt, body, exceeded)
         except Exception:
             # timeout / refused / protocol error: synthetic failure row;
@@ -283,7 +293,9 @@ class HTTPRobotsFetcher:
         url = host.rstrip("/") + "/robots.txt"
         hops = 0
         while True:
-            status, ctype, location, _, body, _ = self.http._fetch_one(url)
+            status, ctype, location, _, body, _ = self.http._fetch_one(
+                url, truncate_at=self.cfg.robots_max_bytes
+            )
             if status == STATUS_TRANSPORT_ERROR:
                 return (None, hops, None, None)  # unreachable class
             if status in (301, 302, 303, 307, 308):
@@ -294,11 +306,6 @@ class HTTPRobotsFetcher:
                     return (status, hops, None, ctype)
                 url = urljoin(url, location)
                 continue
-            if body is not None and len(body) > self.cfg.robots_max_bytes:
-                body = body[: self.cfg.robots_max_bytes]
-            # strip any content-type parameters ("text/plain; charset=..")
-            if ctype is not None:
-                ctype = ctype.split(";", 1)[0].strip()
             return (status, hops, body, ctype)
 
     def __call__(self, batch: pa.Table) -> pa.Table:

@@ -396,143 +396,6 @@ SeenShard = ray.remote(num_cpus=0)(_ExactSeenShard)
 CuckooSeenShard = ray.remote(num_cpus=0)(_CuckooSeenShard)
 
 
-@ray.remote(num_cpus=0)
-class RejectAccumulator:
-    """ONE SHARD of the side-channel collector for per-wave reject sets
-    (strict robots) — always used behind :class:`RejectSink`, which routes
-    by url hash across a pool of these. Map tasks add (url_hash, host)
-    pairs during their pass; the driver drains once the pass completes.
-    Keyed by url hash -> idempotent under task retries (a retried batch
-    re-adds the same keys). The per-host reject counts drained alongside
-    the hashes keep the driver's Discovered-per-host ledger exact without
-    a frontier rescan (see pipelines/crawl.py host-count bookkeeping)."""
-
-    def __init__(self) -> None:
-        self._by_hash: dict[int, str] = {}
-
-    def add(self, hashes: np.ndarray, hosts: list[str]) -> None:
-        d = self._by_hash
-        for h, host in zip(hashes.tolist(), hosts):
-            d.setdefault(int(h), host)
-
-    def drain(self) -> tuple[np.ndarray, dict[str, int]]:
-        arr = np.fromiter(self._by_hash.keys(), dtype=np.uint64, count=len(self._by_hash))
-        arr.sort()
-        counts: dict[str, int] = {}
-        for host in self._by_hash.values():
-            counts[host] = counts.get(host, 0) + 1
-        self._by_hash = {}
-        return arr, counts
-
-
-@ray.remote(num_cpus=0)
-class TokenHostCountAccumulator:
-    """ONE SHARD of the per-host new-Discovered counter (used behind
-    :class:`HostCountSink`): collects per-host counts of rows that enter
-    the NEXT wave's frontier as Discovered (the claim tasks' output), as a
-    side-channel of the claim pass — saving the next wave a full frontier
-    scan for its host histogram. Contributions are keyed by
-    (claimant block token) so a retried claim task (same token) cannot
-    double-count; with hash-routed sharding each shard sees a disjoint
-    host subset per token, so per-shard setdefault keeps the idempotence."""
-
-    def __init__(self) -> None:
-        self._by_token: dict[int, dict[str, int]] = {}
-
-    def add(self, token: int, hosts: list[str], counts: list[int]) -> None:
-        self._by_token.setdefault(token, dict(zip(hosts, counts)))
-
-    def drain(self) -> dict[str, int]:
-        merged: dict[str, int] = {}
-        for contrib in self._by_token.values():
-            for host, n in contrib.items():
-                merged[host] = merged.get(host, 0) + n
-        self._by_token = {}
-        return merged
-
-
-class RejectSink:
-    """Hash-sharded pool of :class:`RejectAccumulator` actors (round-3
-    VERDICT 'What's wrong' #3: on a wave where a large frontier slice flips
-    Disallowed, all reject traffic serialized through ONE num_cpus=0
-    actor). ``add`` routes a batch's pairs by ``url_hash % shards`` and
-    fires all shard adds in PARALLEL with a single barrier — the blocking
-    ``ray.get`` stays on purpose: it is what guarantees every add has been
-    APPLIED before the pass (and therefore the wave's drain) completes; a
-    fire-and-forget add could still sit unsent in a finished worker's
-    outbox. The funnel fix is the sharding, which divides the single-actor
-    queue by the pool size; the handle is cheap to serialize into
-    map_batches closures (actor refs + count)."""
-
-    def __init__(self, num_shards: int = 8):
-        self.num_shards = int(max(1, num_shards))
-        self.shards = [RejectAccumulator.remote() for _ in range(self.num_shards)]
-
-    def add(self, hashes: np.ndarray, hosts: list[str]) -> None:
-        """Called from inside map tasks; blocks until all shards applied."""
-        if len(hashes) == 0:
-            return
-        sid = hashes % np.uint64(self.num_shards)
-        refs = []
-        for s in range(self.num_shards):
-            ix = np.flatnonzero(sid == s)
-            if len(ix):
-                refs.append(
-                    self.shards[s].add.remote(
-                        hashes[ix], [hosts[i] for i in ix.tolist()]
-                    )
-                )
-        ray.get(refs)
-
-    def drain(self) -> tuple[np.ndarray, dict[str, int]]:
-        parts = ray.get([s.drain.remote() for s in self.shards])
-        arrs = [a for a, _ in parts if len(a)]
-        merged = np.sort(np.concatenate(arrs)) if arrs else np.empty(0, np.uint64)
-        counts: dict[str, int] = {}
-        for _, c in parts:
-            for host, n in c.items():
-                counts[host] = counts.get(host, 0) + n
-        return merged, counts
-
-
-class HostCountSink:
-    """Hash-sharded pool of :class:`TokenHostCountAccumulator` actors; same
-    funnel fix and same applied-before-done barrier rationale as
-    :class:`RejectSink`. Routing is by ``hash64(host) % shards``, so each
-    (token, host) pair always lands on the same shard and retries stay
-    idempotent per shard."""
-
-    def __init__(self, num_shards: int = 8):
-        self.num_shards = int(max(1, num_shards))
-        self.shards = [
-            TokenHostCountAccumulator.remote() for _ in range(self.num_shards)
-        ]
-
-    def add(self, token: int, hosts: list[str], counts: list[int]) -> None:
-        if not hosts:
-            return
-        sid = hash64(hosts) % np.uint64(self.num_shards)
-        refs = []
-        for s in range(self.num_shards):
-            ix = np.flatnonzero(sid == s)
-            if len(ix):
-                refs.append(
-                    self.shards[s].add.remote(
-                        token,
-                        [hosts[i] for i in ix.tolist()],
-                        [counts[i] for i in ix.tolist()],
-                    )
-                )
-        ray.get(refs)
-
-    def drain(self) -> dict[str, int]:
-        merged: dict[str, int] = {}
-        for part in ray.get([s.drain.remote() for s in self.shards]):
-            for host, n in part.items():
-                merged[host] = merged.get(host, 0) + n
-        return merged
-
-
 class SeenSet:
     """Driver-side handle over the shard pool. The handle (actor refs +
     shard count) is cheap to serialize into ``map_batches`` closures."""
@@ -663,6 +526,14 @@ class SeenSet:
             ]
         )
 
+    @staticmethod
+    def checkpoint_shards(ckpt_dir: str | Path) -> int | None:
+        """Shard count a checkpoint was written with (None if unrecorded)."""
+        impl_file = Path(ckpt_dir) / "hash_impl.json"
+        if not impl_file.exists():
+            return None
+        return json.loads(impl_file.read_text()).get("num_shards")
+
     def restore(self, ckpt_dir: str | Path) -> None:
         d = Path(ckpt_dir)
         impl_file = d / "hash_impl.json"
@@ -693,7 +564,7 @@ class SeenSet:
                     f"seen-set checkpoint was written with "
                     f"{stored_shards} shards but this pool has "
                     f"{len(self.shards)} — resume with seen_shards="
-                    f"{stored_shards}"
+                    f"{stored_shards} or seen_shards=None"
                 )
         ray.get(
             [

@@ -570,3 +570,56 @@ def test_resume_rejects_shard_count_change(ray_session, corpus, tmp_path_factory
     bad = CrawlConfig(**{**CFG.__dict__, "max_waves": 3, "seen_shards": 2})
     with _pytest.raises(RuntimeError, match="shards"):
         run_crawl(bad, corpus, out, resume=True, log=lambda *_: None)
+
+
+def test_resume_derives_shard_count_from_checkpoint(
+    ray_session, corpus, tmp_path_factory, oracle
+):
+    """seen_shards=None on resume takes the shard count stored in the seen
+    checkpoint. The checkpoint is written with 3 shards, not the session's
+    4 CPUs, so a count derived from the CPUs would be refused by restore;
+    the resumed crawl must end oracle-exact."""
+    from abwcf_ray.pipelines.crawl import run_crawl
+
+    out = tmp_path_factory.mktemp("derived_shards")
+    run_crawl(
+        CrawlConfig(**{**CFG.__dict__, "max_waves": 2, "seen_shards": 3}),
+        corpus,
+        out,
+        log=lambda *_: None,
+    )
+    summary = run_crawl(
+        CrawlConfig(**{**CFG.__dict__, "seen_shards": None}),
+        corpus,
+        out,
+        resume=True,
+        log=lambda *_: None,
+    )
+    got = _final_frontier(out, summary)
+    exp = sorted((u, s, d, p) for u, (s, d, p) in oracle.frontier.items())
+    assert list(
+        got[["url", "status", "depth", "priority"]].itertuples(index=False, name=None)
+    ) == exp
+    assert summary.seen_size == len(oracle.seen)
+
+
+def test_one_cpu_starts_one_shard_actor(ray_session, corpus, tmp_path, monkeypatch):
+    """With seen_shards=None on a one-CPU cluster, the only actors run_crawl
+    starts before wave 0 are one seen-set shard (two with dedup_content:
+    the content seen set)."""
+    import ray
+    import ray.data as rd
+    from ray._private import state
+
+    from abwcf_ray.pipelines.crawl import run_crawl
+
+    rd.range(1).materialize()  # Ray Data's own once-per-session actors
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    for dedup, n_shards in ((False, 1), (True, 2)):
+        before = set(state.actors())
+        cfg = CrawlConfig(
+            **{**CFG.__dict__, "seen_shards": None, "max_waves": 0, "dedup_content": dedup}
+        )
+        run_crawl(cfg, corpus, tmp_path / f"dedup_{dedup}", log=lambda *_: None)
+        started = [a["ActorClassName"] for k, a in state.actors().items() if k not in before]
+        assert started == ["_ExactSeenShard"] * n_shards, started

@@ -46,7 +46,7 @@ def test_partial_topk_is_exact(ray_session, override_num_blocks):
     cfg = CrawlConfig(wave_duration_s=10.0)
     ds = rd.from_arrow(t).repartition(override_num_blocks)
     got = (
-        select_wave(ds, ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s)))
+        select_wave(ds, ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s)))[0]
         .sort_values(["priority", "url"], ascending=[False, True])
         .reset_index(drop=True)
     )
@@ -70,34 +70,47 @@ def test_partial_topk_is_exact(ray_session, override_num_blocks):
 
 def test_select_wave_merge_paths_agree(ray_session):
     """The driver merge (small-wave latency path) and the distributed
-    partition merge must produce the identical exact selection."""
+    partition merge must produce the identical exact selection, and split
+    off the identical reject set: rows flagged ``rejected`` bypass the
+    ranking and come back as unique-by-hash (url_hash, host) pairs."""
     import ray
     import ray.data as rd
 
+    from abwcf_ray.functions.hashing import hash64
+
     t = _mk_frontier(n=800, hosts=11, seed=7)
+    # every 5th row is a strict-robots reject; host h0's rows all are
+    rejected = np.array(
+        [i % 5 == 0 or h == "https://h0.example" for i, h in enumerate(t.column("host").to_pylist())]
+    )
+    t = t.append_column("rejected", pa.array(rejected))
     delays = {f"https://h{h}.example": 500 * (1 + h % 4) for h in range(11)}
     cfg = CrawlConfig(wave_duration_s=10.0)
     ds = rd.from_arrow(t).repartition(6)
     key = ["priority", "url"]
-    dist = (
-        select_wave(
-            ds,
-            ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s)),
-            # the merge venue is now chosen on the measured partials size;
-            # a zero cap forces the distributed exchange for the parity
-            driver_partials_max=0,
-        )
-        .sort_values(key, ascending=[False, True])
-        .reset_index(drop=True)
+    dist, dist_rej = select_wave(
+        ds,
+        ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s)),
+        # the merge venue is now chosen on the measured partials size;
+        # a zero cap forces the distributed exchange for the parity
+        driver_partials_max=0,
     )
-    driver = (
-        select_wave(ds, ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s)), n_eligible_hint=800)
-        .sort_values(key, ascending=[False, True])
-        .reset_index(drop=True)
+    dist = dist.sort_values(key, ascending=[False, True]).reset_index(drop=True)
+    driver, driver_rej = select_wave(
+        ds, ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s)), n_eligible_hint=800
     )
+    driver = driver.sort_values(key, ascending=[False, True]).reset_index(drop=True)
     pd.testing.assert_frame_equal(
         dist[["url", "host", "priority"]], driver[["url", "host", "priority"]]
     )
+    # no reject is selected, and every host but the all-rejected one is
+    assert not set(driver["url"]) & set(t.filter(pa.array(rejected)).column("url").to_pylist())
+    assert set(driver["host"]) == {f"https://h{h}.example" for h in range(1, 11)}
+
+    assert dist_rej.equals(driver_rej)
+    rej = t.filter(pa.array(rejected))
+    want = sorted(zip(hash64(rej.column("url")).tolist(), rej.column("host").to_pylist()))
+    assert list(zip(driver_rej.column("url_hash").to_pylist(), driver_rej.column("host").to_pylist())) == want
 
 
 def test_rank_selected_deterministic():
@@ -255,32 +268,43 @@ def test_propose_prededup_semantics(ray_session):
     inner.shutdown()
 
 
-def test_sharded_sinks_merge_and_idempotence(ray_session):
-    """RejectSink / HostCountSink (sharded side-channel accumulators):
-    drain merges shard-disjoint slices exactly; hash-keyed re-adds and
-    token-keyed retried contributions cannot double-count."""
-    import numpy as np
+def test_claim_chunk_retry_rewrites_part_and_counts(ray_session, tmp_path):
+    """A claim chunk re-run with the same token (a simulated Ray retry)
+    rewrites the same delta part with the same rows, and both runs return
+    the same per-host counts — that part's host histogram. Returning the
+    counts is what keeps retries from double-counting the host ledger."""
+    import pyarrow.parquet as pq
+    import ray
 
-    from abwcf_ray.state.seen import HostCountSink, RejectSink
+    from abwcf_ray.functions.hashing import hash64
+    from abwcf_ray.pipelines.crawl import _claim_chunk
+    from abwcf_ray.state.seen import SeenSet
 
-    rs = RejectSink(3)
-    h = np.arange(100, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    hosts = [f"https://h{i % 5}" for i in range(100)]
-    rs.add(h, hosts)
-    rs.add(h[:40], hosts[:40])  # retried batch: same keys, no double count
-    arr, counts = rs.drain()
-    assert len(arr) == 100 and (np.diff(arr.astype(np.int64)) != 0).all()
-    assert sum(counts.values()) == 100 and counts["https://h0"] == 20
-    arr2, counts2 = rs.drain()  # drained -> empty
-    assert len(arr2) == 0 and counts2 == {}
+    cand = pa.table(
+        {
+            "url": pa.array([f"https://h{i % 3}.example/p{i}" for i in range(40)]),
+            "host": pa.array([f"https://h{i % 3}.example" for i in range(40)]),
+            "depth": pa.array(np.ones(40, dtype=np.int32), pa.int32()),
+        }
+    )
+    seen = SeenSet(2)
+    seen.propose(hash64(cand.column("url")), np.ones(40, dtype=np.int64), wave=1)
+    cfg = CrawlConfig()
+    part = tmp_path / "part-00003.parquet"
+    blocks = [ray.put(cand.slice(0, 25)), ray.put(cand.slice(25))]
 
-    hs = HostCountSink(3)
-    hs.add(0, ["https://a", "https://b"], [3, 4])
-    hs.add(1, ["https://a"], [5])
-    hs.add(0, ["https://a", "https://b"], [3, 4])  # retried token 0
-    merged = hs.drain()
-    assert merged == {"https://a": 8, "https://b": 4}
-    assert hs.drain() == {}
+    n1, counts1 = ray.get(_claim_chunk.remote(3, seen, 1, cfg, str(tmp_path), *blocks))
+    first = pq.read_table(part)
+    n2, counts2 = ray.get(_claim_chunk.remote(3, seen, 1, cfg, str(tmp_path), *blocks))
+    assert sorted(p.name for p in tmp_path.iterdir()) == [part.name]
+    assert pq.read_table(part).equals(first)
+    assert n1 == n2 == first.num_rows == 40
+    assert counts1 == counts2
+    assert counts1 == first.column("host").to_pandas().value_counts().to_dict()
+    # another token loses every url to the first claimant
+    n3, counts3 = ray.get(_claim_chunk.remote(4, seen, 1, cfg, str(tmp_path), *blocks))
+    assert (n3, counts3) == (0, {})
+    seen.shutdown()
 
 
 def test_rank_selected_distributed_parity(ray_session):

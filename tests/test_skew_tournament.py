@@ -300,7 +300,7 @@ def test_skew_politeness_topk(skew_ds, skew_df, ray_session):
         {h: 1000 for h in hosts}, wave_duration_s=40.0
     )  # k_h = 40 per host
     sched_ref = ray.put(payload)
-    sel = select_wave(frontier, sched_ref, n_eligible_hint=N)
+    sel, _ = select_wave(frontier, sched_ref, n_eligible_hint=N)
     exp = topk_per_host(
         frontier.to_pandas(), payload
     ).sort_values(["host", "url"]).reset_index(drop=True)

@@ -139,14 +139,13 @@ def test_priority_functions_deterministic():
 
 def test_strict_filter_defers_unknown_hosts(ray_session):
     """Fail-close on an unknown host is TEMPORARY (StrictRobotsFilter
-    fail-close-duration): the row is excluded from the wave but NOT sent to
-    the reject accumulator, so it stays Discovered and retries."""
-    import numpy as np
+    fail-close-duration): the row is excluded from the wave but NOT flagged
+    ``rejected``, so it stays Discovered and retries."""
     import pyarrow as pa
+    import pyarrow.compute as pc
     import ray
 
     from abwcf_ray.functions.robots import parse_robots_txt
-    from abwcf_ray.state.seen import RejectSink
     from abwcf_ray.stages.transform import make_strict_robots_filter
     from abwcf_ray.functions.hashing import hash64
 
@@ -157,8 +156,7 @@ def test_strict_filter_defers_unknown_hosts(ray_session):
     payload = rules_payload_from_dict(
         {known: (rules.mode, rules.serialize_rules(), rules.crawl_delay_ms)}
     )
-    accum = RejectSink(2)
-    stage = make_strict_robots_filter(ray.put(payload), accum)
+    stage = make_strict_robots_filter(ray.put(payload))
     batch = pa.table(
         {
             "url": pa.array(
@@ -172,12 +170,15 @@ def test_strict_filter_defers_unknown_hosts(ray_session):
         }
     )
     out = stage(batch)
-    assert out.column("url").to_pylist() == ["https://known.example/ok"]
-    rejected, rej_counts = accum.drain()
-    # only the known-rules reject is in the accumulator; the unknown host
-    # is deferred, not Disallowed
-    assert set(rejected.tolist()) == {int(hash64(["https://known.example/private/x"])[0])}
-    assert rej_counts == {known: 1}
+    allowed = out.filter(pc.invert(out.column("rejected")))
+    assert allowed.column("url").to_pylist() == ["https://known.example/ok"]
+    rej = out.filter(out.column("rejected"))
+    # only the known-rules reject is flagged; the unknown host is deferred,
+    # not Disallowed
+    assert set(hash64(rej.column("url")).tolist()) == {
+        int(hash64(["https://known.example/private/x"])[0])
+    }
+    assert rej.column("host").to_pandas().value_counts().to_dict() == {known: 1}
 
 
 def test_bucketed_robots_filter_matches_broadcast(ray_session):
@@ -191,7 +192,6 @@ def test_bucketed_robots_filter_matches_broadcast(ray_session):
     from abwcf_ray.functions.hashing import hash64
     from abwcf_ray.functions.robots import parse_robots_txt
     from abwcf_ray.state.hosts import HostsState, RobotsFetchSim  # noqa: F401
-    from abwcf_ray.state.seen import RejectSink
     from abwcf_ray.stages.transform import (
         apply_robots_filter_bucketed,
         make_lenient_robots_filter,
@@ -246,21 +246,18 @@ def test_bucketed_robots_filter_matches_broadcast(ray_session):
     )
     assert got == want and len(want) < cand.num_rows
 
-    # strict (fail-close + reject side-channel)
-    acc_a = RejectSink(2)
-    want_s = sorted(
-        make_strict_robots_filter(payload_ref, acc_a)(cand).column("url").to_pylist()
+    # strict (fail-close + flagged rejects)
+    def split(df):
+        allowed = sorted(df.loc[~df["rejected"], "url"])
+        rejected = sorted(hash64(df.loc[df["rejected"], "url"].tolist()).tolist())
+        return allowed, rejected
+
+    want_s, rej_a = split(make_strict_robots_filter(payload_ref)(cand).to_pandas())
+    got_s, rej_b = split(
+        apply_robots_filter_bucketed(ds, bucket_refs, bits, strict=True).to_pandas()
     )
-    rej_a, _ = acc_a.drain()
-    acc_b = RejectSink(2)
-    got_s = sorted(
-        apply_robots_filter_bucketed(ds, bucket_refs, bits, strict=True, reject_accum=acc_b)
-        .to_pandas()["url"]
-        .tolist()
-    )
-    rej_b, _ = acc_b.drain()
     assert got_s == want_s and len(want_s) < len(want)
-    assert sorted(rej_a.tolist()) == sorted(rej_b.tolist()) and len(rej_a)
+    assert rej_a == rej_b and len(rej_a)
 
 
 @given(

@@ -140,6 +140,13 @@ def http_server():
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()
                 self.wfile.write(body)
+            elif self.path == "/charset":
+                body = b"<html><body><p>caf\xc3\xa9</p><a href='/x'>x</a></body></html>"
+                self.send_response(200)
+                self.send_header("Content-Type", "text/html; charset=utf-8")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
             elif self.path == "/redir":
                 self.send_response(301)
                 self.send_header("Location", "/ok")
@@ -211,6 +218,31 @@ def test_http_transport_semantics(http_server):
         "url", "depth", "status", "content_type", "location",
         "x_robots_tag", "html", "length_exceeded",
     ]
+
+
+def test_http_transport_parses_html_with_charset(http_server):
+    """A real server's ``text/html; charset=utf-8`` is still html: the
+    transport reports the bare media type, so the page is parsed and its
+    links reach the candidate chain."""
+    from abwcf_ray.config import CrawlConfig
+    from abwcf_ray.stages.transform import (
+        explode_links,
+        make_normalize_stage,
+        make_process_fetched_stage,
+    )
+    from abwcf_ray.stages.transport import HTTPTransport
+
+    cfg = CrawlConfig()
+    fetched = HTTPTransport(timeout_s=5.0).fetch(
+        [f"{http_server}/charset"], np.zeros(1, dtype=np.int32)
+    )
+    assert fetched.column("content_type").to_pylist() == ["text/html"]
+    processed = make_process_fetched_stage(cfg)(fetched)
+    assert processed.column("is_html").to_pylist() == [True]
+    assert processed.column("text").to_pylist() == ["café"]
+    cand = make_normalize_stage(cfg)(explode_links(processed))
+    assert cand.column("url").to_pylist() == [f"{http_server}/x"]
+    assert cand.column("depth").to_pylist() == [1]
 
 
 def test_http_transport_throttle(http_server):
@@ -379,6 +411,62 @@ def test_http_robots_fetcher_semantics(robots_http_server):
     assert out.loc[f"{base}/nothing"]["outcome"] == "unavailable"
     big = out.loc[f"{base}/big"]
     assert big["outcome"] == "ok"  # truncated, still parsed
+
+
+def test_http_robots_fetcher_bounds_endless_body():
+    """A robots.txt body that never ends is read only up to
+    ``robots_max_bytes`` and truncated (the reference truncates rather
+    than discards): the fetch returns promptly with the rules parsed from
+    the prefix."""
+    import http.server
+
+    from abwcf_ray.config import CrawlConfig
+    from abwcf_ray.stages.transport import HTTPRobotsFetcher
+
+    stop = threading.Event()
+
+    class H(http.server.BaseHTTPRequestHandler):
+        def log_message(self, *a):
+            pass
+
+        def do_GET(self):
+            # HTTP/1.0, no Content-Length: the body ends only at close
+            self.send_response(200)
+            self.send_header("Content-Type", "text/plain")
+            self.end_headers()
+            try:
+                self.wfile.write(b"User-agent: *\nDisallow: /private/\nCrawl-delay: 3\n")
+                while not stop.is_set():  # paced: a client that never stops
+                    # reading must not exhaust memory before the test fails
+                    self.wfile.write(b"# padding line of an endless robots.txt\n" * 1024)
+                    time.sleep(0.01)
+            except (BrokenPipeError, ConnectionResetError):
+                pass  # the client stopped reading — expected
+
+    srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), H)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    base = f"http://127.0.0.1:{srv.server_address[1]}"
+    fr = HTTPRobotsFetcher(CrawlConfig(robots_max_bytes=64 * 1024), timeout_s=5.0)
+    result: list = []
+    t = threading.Thread(target=lambda: result.append(fr._record(base)), daemon=True)
+    t0 = time.perf_counter()
+    try:
+        t.start()
+        t.join(timeout=20)
+        assert not t.is_alive(), "robots fetch did not stop at robots_max_bytes"
+        status, hops, body, ctype = result[0]
+        assert (status, hops, ctype) == (200, 0, "text/plain")
+        assert len(body) == 64 * 1024
+        out = fr(
+            pa.table({"host": pa.array([base]), "now_s": pa.array([0.0], pa.float64())})
+        ).to_pandas()
+    finally:
+        stop.set()
+        srv.shutdown()
+    assert time.perf_counter() - t0 < 20
+    assert out["outcome"][0] == "ok" and out["rule_mode"][0] == "ALLOW_SOME"
+    assert "/private/" in out["robot_rules"][0]
+    assert out["crawl_delay_ms"][0] == 3000
 
 
 def test_crawl_sim_delegates_to_shared_classifier(corpus, ray_session):

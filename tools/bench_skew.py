@@ -81,7 +81,7 @@ def main() -> int:
         sel_rows = 0
         for _ in range(3):
             t0 = time.perf_counter()
-            sel = select_wave(ds, payload, n_eligible_hint=args.rows)
+            sel, _ = select_wave(ds, payload, n_eligible_hint=args.rows)
             reps.append(round(time.perf_counter() - t0, 3))
             sel_rows = len(sel)
         out["profiles"][name] = {
