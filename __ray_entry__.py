@@ -152,11 +152,13 @@ def _q_frontier_topk(sf_dir: str):
     from abwcf_ray.state.hosts import sched_payload_from_delays
 
     _quiet()
-    ds = _docs(sf_dir, ["doc_id"]).map_batches(
-        _derive_frontier_batch, batch_format="pyarrow"
-    )
     delays = {f"https://h{h}.example": _delay_ms_for_host_num(h) for h in range(_HOSTS)}
-    out, _ = select_wave(ds, ray.put(sched_payload_from_delays(delays, _WAVE_S)))
+    out, _ = select_wave(
+        [f"{sf_dir}/documents.parquet"],
+        [_derive_frontier_batch],
+        ray.put(sched_payload_from_delays(delays, _WAVE_S)),
+        columns=["doc_id"],
+    )
     out = out.sort_values(["host", "priority", "url"], ascending=[True, False, True])
     out["rank_in_host"] = out.groupby("host").cumcount().astype(np.int64)
     return out[["host", "url", "priority", "rank_in_host"]].reset_index(drop=True)

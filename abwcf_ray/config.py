@@ -146,9 +146,9 @@ class CrawlConfig:
     # caps concurrent fetchers at total // min-per-fetcher (5 MB/s /
     # 200 kB/s -> <= 25). A fetch-sim has no wall-clock bandwidth to
     # throttle, but the budget's BINDING consequence — the concurrent-
-    # fetcher cap — is enforced for real: when a budget is set, the fetch
-    # stage runs with Ray concurrency = derived max fetchers (recorded in
-    # the wave manifest). None = uncapped (sim default). Results are
+    # fetcher cap — is enforced for real: when a budget is set, at most the
+    # derived max fetchers fetch tasks run at once (recorded in the wave
+    # manifest; the transport actor pool's size is clamped to it). None = uncapped (sim default). Results are
     # identical either way; only fetch parallelism changes.
     total_bandwidth_budget_bps: int | None = None
     min_bandwidth_per_fetcher_bps: int = 200_000

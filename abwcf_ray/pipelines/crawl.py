@@ -1,18 +1,23 @@
 """The crawl wave driver (SURVEY.md §3.4).
 
-Each wave is one Ray Data round over the frontier:
+Each wave is a few rounds of plain Ray tasks over the frontier chain's
+parquet files and the fetch plan's work items — no Ray Data execution in
+the steady state; each task runs the per-batch arrow callables of the
+stages below in sequence:
 
     eligible  = frontier.filter(status == 'Discovered')
     host-prep : unknown/expired hosts -> robots fetch-sim -> hosts table
     strict    : broadcast hosts join (C2, fail-close); rejects stay flagged rows
-    select    : shuffle-free partial top-k_h per host (politeness, D1/D2);
-                the flagged rejects split off as the wave's Disallowed set
-    fetch     : broadcast semi-join — wave url-hashes ray.put once, the
-                corpus scanned in parallel (A2)
+    select    : shuffle-free partial top-k_h per host (politeness, D1/D2),
+                one task per group of chain files; the flagged rejects
+                split off as the wave's Disallowed set
+    fetch     : one task per pruned-fetch work item: read only the row
+                groups holding the wave's url hashes (A2)
     process   : extract text (A7) + links (B1-B3) in one html pass
     cand'     : explode -> normalize (B4) -> scope (B5) -> lenient (C1)
-                -> sharded propose/claim = wave-dedup + seen set (F1)
-                -> prioritize (B7)
+                -> propose, in the fetch task; a ray.wait on every fetch
+                task is the propose->claim barrier, then the sharded
+                claim = wave-dedup + seen set (F1) -> prioritize (B7)
     frontier' = DELTA checkpoint: new rows append as ``delta/`` part files
                 and status changes (politeness-bounded) append as a tiny
                 ``flips.parquet`` — O(changed) per wave, never a frontier
@@ -60,18 +65,27 @@ from abwcf_ray.functions.hashing import hash64
 from abwcf_ray.sources.corpus import CorpusMeta
 from abwcf_ray.stages.fetch import (
     FETCH_COLUMNS,
+    empty_fetched_table,
+    make_fetch_process_tee,
     make_fetch_scan,
     plan_pruned_fetch,
 )
-from abwcf_ray.stages.schedule import rank_selected, rank_selected_ds, select_wave
+from abwcf_ray.stages.schedule import (
+    apply_stages,
+    file_groups,
+    rank_selected,
+    rank_selected_ds,
+    scan_parts,
+    select_wave,
+)
 from abwcf_ray.stages.transform import (
     FRONTIER_SCHEMA,
     STATUS_DISALLOWED,
     STATUS_DISCOVERED,
     STATUS_PROCESSED,
     explode_links,
+    make_bucketed_robots_filter,
     make_eligible_filter,
-    apply_robots_filter_bucketed,
     make_lenient_robots_filter,
     make_normalize_stage,
     make_process_fetched_stage,
@@ -326,7 +340,50 @@ def _write_flips(path: Path, processed: np.ndarray, disallowed: np.ndarray) -> i
     return len(h)
 
 
-def _compact_frontier(chain: _FrontierChain, dest: Path) -> None:
+# rows a compaction task buffers per split before writing a row group
+_COMPACT_ROW_GROUP = 1 << 20
+
+
+@ray.remote
+def _compact_group(index: int, paths: list[str], stages, dest: str) -> None:
+    """One compaction task: fold the flips (``stages``) into a group of
+    chain files and write the group's Discovered rows to
+    ``dest/discovered/part-<index>.parquet`` and the rest to
+    ``dest/settled/part-<index>.parquet`` (a split with no rows writes no
+    part). Files stream through one at a time, buffering at most
+    ``_COMPACT_ROW_GROUP`` rows per split. The part names are a function
+    of the group index alone, so a retried task overwrites its own parts
+    with identical bytes."""
+    pending: dict[str, list[pa.Table]] = {"discovered": [], "settled": []}
+    writers: dict[str, pq.ParquetWriter] = {}
+
+    def flush(split: str) -> None:
+        if split not in writers:
+            (Path(dest) / split).mkdir(parents=True, exist_ok=True)
+            writers[split] = pq.ParquetWriter(
+                Path(dest) / split / f"part-{index:05d}.parquet", FRONTIER_SCHEMA
+            )
+        writers[split].write_table(pa.concat_tables(pending[split]))
+        pending[split] = []
+
+    for path in paths:
+        t = apply_stages(pq.ParquetFile(path).read(), stages)
+        t = t.select(FRONTIER_SCHEMA.names).cast(FRONTIER_SCHEMA)
+        disc = pc.equal(t["status"], STATUS_DISCOVERED)
+        for split, mask in (("discovered", disc), ("settled", pc.invert(disc))):
+            part = t.filter(mask)
+            if part.num_rows:
+                pending[split].append(part)
+                if sum(x.num_rows for x in pending[split]) >= _COMPACT_ROW_GROUP:
+                    flush(split)
+    for split in pending:
+        if pending[split]:
+            flush(split)
+    for w in writers.values():
+        w.close()
+
+
+def _compact_frontier(chain: _FrontierChain, dest: Path, n_tasks: int) -> None:
     """Fold base + deltas + flips into a fresh materialized frontier at
     ``dest`` and reset the chain onto it. O(frontier) — runs only every
     ``frontier_compact_every`` waves or at drain, never steady-state.
@@ -337,32 +394,20 @@ def _compact_frontier(chain: _FrontierChain, dest: Path) -> None:
     (already O(frontier)) compaction makes every subsequent wave's
     eligible scan O(Discovered) instead of O(frontier)
     (``_FrontierChain.eligible_sources``) — the Ray analog of the
-    reference DB's status index. Two streaming passes over the chain (one
-    per split) keep compaction memory flat instead of materializing the
-    frontier in the object store."""
-
-    def _folded():
-        ds = rd.read_parquet(chain.sources())
-        if len(chain.cum_processed) or len(chain.cum_disallowed):
-            ds = ds.map_batches(
-                make_update_status(
-                    ray.put(chain.cum_processed), ray.put(chain.cum_disallowed)
-                ),
-                batch_format="pyarrow",
-            )
-        return ds
-
-    def keep_discovered(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.equal(batch["status"], STATUS_DISCOVERED))
-
-    def keep_settled(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.invert(pc.equal(batch["status"], STATUS_DISCOVERED)))
-
-    _folded().map_batches(keep_discovered, batch_format="pyarrow").write_parquet(
-        str(dest / "discovered")
-    )
-    _folded().map_batches(keep_settled, batch_format="pyarrow").write_parquet(
-        str(dest / "settled")
+    reference DB's status index. One ``_compact_group`` task per group of
+    chain files (``min(#files, n_tasks)`` groups), so the new base has at
+    most ``n_tasks`` parts per split however long the chain was."""
+    stages = []
+    if len(chain.cum_processed) or len(chain.cum_disallowed):
+        stages.append(
+            make_update_status(ray.put(chain.cum_processed), ray.put(chain.cum_disallowed))
+        )
+    dest.mkdir(parents=True, exist_ok=True)
+    ray.get(
+        [
+            _compact_group.remote(i, g, stages, str(dest))
+            for i, g in enumerate(file_groups(chain.sources(), n_tasks))
+        ]
     )
     chain.reset(dest)
 
@@ -489,7 +534,12 @@ def _host_prep(
             # (reference.conf:245); an elastic pool is the multi-node analog
             concurrency=(2, 16),
         )
-        hosts_state.merge_fetched(_collect_arrow(fetched))
+        # materialized first: to_arrow_refs on a lazy dataset re-runs it
+        # under a one-row limit for the schema, cancelling trailing tasks
+        # mid-RPC
+        tables = [t for t in ray.get(fetched.materialize().to_arrow_refs()) if t.num_rows]
+        if tables:
+            hosts_state.merge_fetched(pa.concat_tables(tables, promote_options="default"))
     return len(need)
 
 
@@ -507,7 +557,7 @@ def _claim_chunk(
     (the next wave's host-ledger increments — ``ray.get`` yields one result
     per task, so a retried chunk cannot count twice). Chunking matters: the
     claim protocol fans one RPC per seen shard per call, so claiming per
-    materialized block (hundreds per wave) costs thousands of serialized
+    candidate block (hundreds per wave at scale) costs thousands of serialized
     actor round-trips — a measured ~2 s constant per wave at any
     parallelism. One concat + one claim per chunk keeps the shard work
     vectorized and the RPC count at O(chunks × shards).
@@ -560,17 +610,10 @@ def _rank_write_selected(sel_table: pa.Table, wave: int, path: str) -> int:
     return len(df)
 
 
-def _collect_arrow(ds: "rd.Dataset") -> pa.Table:
-    """Materialize a SMALL dataset to one arrow table on the driver.
-    ``to_arrow_refs`` on a lazy dataset re-runs it under a limit of one row
-    to fetch the schema; that pass cancels its trailing tasks, and an actor
-    such a task was calling then waits on the caller's missing sequence
-    number (30 s timeouts). Materializing first caches the schema."""
-    tables = [ray.get(ref) for ref in ds.materialize().to_arrow_refs()]
-    tables = [t for t in tables if t.num_rows]
-    if not tables:
-        return None
-    return pa.concat_tables(tables, promote_options="default")
+# the wave loop's plain Ray tasks: stages over a group of parquet files,
+# and stages over one small table (a fetch work item)
+_scan_task = ray.remote(scan_parts)
+_chain_task = ray.remote(apply_stages)
 
 
 def run_crawl(
@@ -772,46 +815,51 @@ def run_crawl(
 
         # logical frontier = base ∪ deltas, minus rows flipped since the
         # last compaction (broadcast sorted hashes, politeness-bounded)
-        flips_ref = ray.put(chain.flips_merged())
-        # eligible scan reads only parts that can hold Discovered rows —
+        # the eligible scan reads only parts that can hold Discovered rows —
         # O(Discovered) once the base has a status-split compaction
-        frontier = rd.read_parquet(chain.eligible_sources())
-        eligible = frontier.map_batches(
-            make_eligible_filter(flips_ref), batch_format="pyarrow"
-        )
+        eligible_files = chain.eligible_sources()
+        eligible = make_eligible_filter(ray.put(chain.flips_merged()))
 
         # ---- host-prep (C3/C4/A3) ---------------------------------------
-        if host_ledger is not None:
-            hosts_needed, n_eligible = host_ledger.eligible()
-        else:
-            # shuffle-free host histogram: per-batch partials, driver merge
-            partials = _collect_arrow(
-                eligible.map_batches(partial_host_counts, batch_format="pyarrow")
-            )
-            host_ledger = _HostLedger()
-            if partials is not None:
-                host_counts = partials.to_pandas().groupby("host", sort=False)["n"].sum()
-                host_ledger.apply(
-                    host_counts.index.to_numpy(dtype=object), host_counts.to_numpy()
+        if host_ledger is None:
+            # shuffle-free host histogram: per-file-group partials, driver
+            # merge
+            partials = pa.concat_tables(
+                ray.get(
+                    [
+                        _scan_task.remote(g, [eligible, partial_host_counts])
+                        for g in file_groups(eligible_files, 2 * n_cpu)
+                    ]
                 )
-            hosts_needed, n_eligible = host_ledger.eligible()
+            )
+            host_counts = partials.to_pandas().groupby("host", sort=False)["n"].sum()
+            host_ledger = _HostLedger.from_counts(
+                host_counts.index.to_numpy(dtype=object), host_counts.to_numpy()
+            )
+        hosts_needed, n_eligible = host_ledger.eligible()
         _mark("host_histogram")
         n_robots = _host_prep(cfg, hosts_state, corpus.robots_path, hosts_needed, now_s)
         wdir.mkdir(parents=True, exist_ok=True)
         hosts_state.checkpoint(wdir / "hosts.parquet")
         rules_payload = hosts_state.rules_payload(now_s)
         n_live_hosts = len(rules_payload["hash"])
-        bucketed = n_live_hosts > cfg.hosts_broadcast_max
-        if bucketed:
-            # 10^8-host path: hash(host)-bucketed robots join — each
-            # partition compiles ONE bucket's rules (config.py knobs)
+        if n_live_hosts > cfg.hosts_broadcast_max:
+            # 10^8-host path: hash(host)-bucketed robots join — a task
+            # compiles only the buckets its rows touch (config.py knobs)
             bucket_refs = [
                 ray.put(p)
                 for p in hosts_state.bucketed_rules_payload(now_s, cfg.hosts_bucket_bits)
             ]
-            hosts_ref = None
+            strict_robots, lenient_robots = (
+                make_bucketed_robots_filter(
+                    bucket_refs, cfg.hosts_bucket_bits, strict=strict
+                )
+                for strict in (True, False)
+            )
         else:
             hosts_ref = ray.put(rules_payload)
+            strict_robots = make_strict_robots_filter(hosts_ref)
+            lenient_robots = make_lenient_robots_filter(hosts_ref)
         del rules_payload
         sched_ref = ray.put(hosts_state.sched_payload(now_s, cfg.wave_duration_s))
         metrics.update(
@@ -822,35 +870,22 @@ def run_crawl(
         _mark("host_prep")
 
         # ---- strict robots (C2) + politeness selection (D1/D2) ----------
-        # one pass: allowed rows and flagged rejects stream into the
-        # shuffle-free partial top-k selection, which splits the rejects off
-        if bucketed:
-            screened = apply_robots_filter_bucketed(
-                eligible,
-                bucket_refs,
-                cfg.hosts_bucket_bits,
-                strict=True,
-            )
-        else:
-            screened = eligible.map_batches(
-                make_strict_robots_filter(hosts_ref),
-                batch_format="pyarrow",
-            )
-        # past rank_distributed_min eligible rows the selected set may be
-        # too large to sort on the driver: keep it distributed and rank it
-        # with a Ray sort (rank_selected_ds); below, the driver pandas path
-        # is lower-latency (both produce identical frames — parity test in
-        # tests/test_schedule_seen.py)
-        # big-eligible waves keep the exact merge distributed; the RANK path
-        # then re-decides on the ACTUAL politeness-bounded selected count —
-        # n_eligible is only a proxy, and a 2.4M-eligible wave selecting
-        # 890k rows paid a full distributed sort (which re-executed the
-        # lazy scan→robots→merge pipeline inside it: measured 14.0 s vs
-        # 5.5 s) where a driver rank of <1M rows is cheap. materialize()
-        # pins the merge result so neither rank path re-runs the scan.
+        # one pass per file group: allowed rows and flagged rejects stream
+        # into the shuffle-free partial top-k selection, which splits the
+        # rejects off.
+        # Past rank_distributed_min eligible rows the selected set may be
+        # too large to sort on the driver: a distributed merge keeps it a
+        # Dataset, and the RANK venue then re-decides on the ACTUAL
+        # politeness-bounded selected count (a 2.4M-eligible wave selecting
+        # 890k rows ranks cheaply on the driver). materialize() pins the
+        # merge result so neither rank venue re-runs it.
         as_ds = n_eligible > cfg.rank_distributed_min
         selected_raw, rejects = select_wave(
-            screened, sched_ref, n_eligible_hint=n_eligible, as_dataset=as_ds
+            eligible_files,
+            [eligible, strict_robots],
+            sched_ref,
+            n_tasks=2 * n_cpu,
+            as_dataset=as_ds,
         )
         rank_distributed = False
         if not isinstance(selected_raw, pd.DataFrame):
@@ -877,7 +912,7 @@ def run_crawl(
                 flips_path = wdir / "flips.parquet"
                 _write_flips(flips_path, np.empty(0, np.uint64), disallowed_hashes)
                 chain.add_wave(None, flips_path, np.empty(0, np.uint64), disallowed_hashes)
-            _compact_frontier(chain, wdir / "frontier")
+            _compact_frontier(chain, wdir / "frontier", n_cpu)
             (wdir / "processed").mkdir(parents=True, exist_ok=True)
             (wdir / "selected").mkdir(parents=True, exist_ok=True)
             seen.checkpoint(wdir / "seen")
@@ -940,17 +975,14 @@ def run_crawl(
             )
         n_selected = len(sel_df)
 
-        # ---- FUSED wave pipeline: fetch-sim (A2) + process (A7, B1-B3) +
-        # candidate chain (B4 -> B5 -> C1 -> F1 phase 1), ONE streaming
-        # execution. The pruned reader, the parser, and the checkpoint tee
-        # run inside one stage (stages/fetch.make_fetch_process_tee): each
-        # work item reads only its hit row groups, parses, writes its own
-        # processed-checkpoint part (deterministic name -> retry-safe), and
-        # emits only (links, child_depth) downstream — so the candidate
-        # chain overlaps the fetch instead of waiting for a full processed
-        # write and re-reading it (measured: the old barrier serialized two
-        # ~0.8-efficiency phases and decompressed the wave's dominant
-        # payload twice). html never leaves the fused stage.
+        # ---- fetch (A2) + process (A7, B1-B3) + candidate chain (B4 ->
+        # B5 -> C1 -> F1 phase 1) --------------------------------------
+        # One Ray task per pruned-fetch work item runs the fused tee
+        # (stages/fetch.make_fetch_process_tee): it reads only its hit row
+        # groups, parses, writes its own processed-checkpoint part
+        # (deterministic name -> retry-safe), and passes only (links,
+        # child_depth) on to the candidate chain in the same task — html
+        # never leaves it and nothing is re-read.
         sel_hashes = hash64(sel_df["url"].tolist())
         sel_order = np.argsort(sel_hashes)
         sel_sorted = sel_hashes[sel_order]
@@ -960,7 +992,7 @@ def run_crawl(
         (wdir / "processed").mkdir(parents=True, exist_ok=True)
         # E2 — bandwidth split: the budget's binding consequence is the
         # concurrent-fetcher cap (FetcherManager.scala:66); apply it as the
-        # fetch stage's Ray concurrency (results identical, parallelism
+        # number of fetch tasks in flight (results identical, parallelism
         # bounded; see CrawlConfig.total_bandwidth_budget_bps)
         max_fetchers = None
         if cfg.total_bandwidth_budget_bps:
@@ -970,157 +1002,129 @@ def run_crawl(
                 // max(1, int(cfg.min_bandwidth_per_fetcher_bps)),
             )
             metrics["max_fetchers"] = max_fetchers
-        if cfg.fetch_transport is not None:
-            # injectable transport (H/A2, stages/transport.py): actor-pool
-            # fetch over the selected (url, depth) rows — the deployment
-            # shape for a REAL network crawl. Two-phase like the scan
-            # fallback: a network response has no stable item identity for
-            # the retry-safe tee, so the processed checkpoint is a normal
-            # write_parquet and the link columns re-read from it.
-            from abwcf_ray.stages.transport import TransportFetchStage
-
-            sel_rows = pa.table(
-                {
-                    "url": pa.array(sel_df["url"], pa.string()),
-                    "depth": pa.array(
-                        sel_df["depth"].to_numpy().astype(np.int32),
-                        pa.int32(),
-                    ),
-                }
-            )
-            lo_c, hi_c = cfg.fetch_transport_concurrency
-            n_blocks = max(
-                int(lo_c), min(64, sel_rows.num_rows // max(1, cfg.fetch_transport_batch_size) + 1)
-            )
-            fetched = rd.from_arrow(sel_rows).repartition(n_blocks).map_batches(
-                TransportFetchStage,
-                fn_constructor_args=(cfg.fetch_transport,),
-                batch_format="pyarrow",
-                concurrency=(int(lo_c), int(max_fetchers or hi_c)),
-                batch_size=cfg.fetch_transport_batch_size,
-            )
-            fetched.map_batches(
-                process_fetched, batch_format="pyarrow"
-            ).write_parquet(str(wdir / "processed"), compression="zstd")
-            if not any((wdir / "processed").glob("*.parquet")):
-                # every fetch failed/missed: keep the checkpoint readable
-                from abwcf_ray.stages.fetch import empty_fetched_table
-
-                pq.write_table(
-                    process_fetched(empty_fetched_table()),
-                    wdir / "processed" / "part-empty.parquet",
-                )
-            links_ds = rd.read_parquet(
-                str(wdir / "processed"), columns=["links", "child_depth"]
-            )
-        elif use_pruned:
-            from abwcf_ray.stages.fetch import make_fetch_process_tee
-
-            items = plan_pruned_fetch(hashed_dir, sel_sorted)
-            metrics["fetch_row_groups"] = int(sum(len(i["rgs"]) for i in items))
-            metrics["fetch_tasks"] = len(items)
-            if items:
-                links_ds = rd.from_items(
-                    items, override_num_blocks=len(items)
-                ).map_batches(
-                    make_fetch_process_tee(
-                        sel_ref,
-                        process_fetched,
-                        str(wdir / "processed"),
-                        cfg.max_content_length,
-                    ),
-                    batch_format="pyarrow",
-                    **({"concurrency": max_fetchers} if max_fetchers else {}),
-                )
-            else:
-                # zero-item wave: keep the checkpoint readable (resume and
-                # the oracle read the processed dir) — one empty part in the
-                # processed schema, as the two-phase path produced
-                from abwcf_ray.stages.fetch import empty_fetched_table
-
-                pq.write_table(
-                    process_fetched(empty_fetched_table()),
-                    wdir / "processed" / "part-empty.parquet",
-                )
-                links_ds = rd.from_arrow(
-                    pa.table(
-                        {
-                            "links": pa.array([], pa.list_(pa.string())),
-                            "child_depth": pa.array([], pa.int32()),
-                        }
-                    )
-                )
-        else:
-            # scan fallback (corpus without the hashed layout): keep the
-            # two-phase shape — scan blocks have no stable item identity,
-            # so a side-effect tee could duplicate parts on task retry.
-            # NOTE: no min_rows_per_file — Ray's write-coalescing buffers
-            # whole text+links blocks row-wise (measured 13x slowdown).
-            fetched = corpus_ds.map_batches(
-                make_fetch_scan(sel_ref, cfg.max_content_length),
-                batch_format="pyarrow",
-                **({"concurrency": max_fetchers} if max_fetchers else {}),
-            )
-            fetched.map_batches(
-                process_fetched, batch_format="pyarrow"
-            ).write_parquet(str(wdir / "processed"), compression="zstd")
-            links_ds = rd.read_parquet(
-                str(wdir / "processed"), columns=["links", "child_depth"]
-            )
-
-        _mark("fetch_prep")  # sel hashing + broadcast puts + pruned plan
-        # ---- candidate pipeline (B1 -> B4 -> B5 -> C1 -> F1 -> B7) ------
-        # Wave-dedup + seen-filter run as a TWO-PHASE shard-actor protocol
-        # instead of a groupby(url) all-to-all: the materialize() barrier
-        # completes every `propose` (min-depth per url) before any `claim`
-        # (first-wins arbitration + seen registration) runs — the same
-        # single-writer-per-url mechanism as the reference's sharded
-        # PageManager entities. The materialized set is politeness-bounded
-        # (links of this wave's fetches, html long since dropped). The
-        # barrier also guarantees every processed-checkpoint part from the
-        # fused tee is on disk before the wave's metrics read them.
-        cand_pre = (
-            links_ds.map_batches(explode_links, batch_format="pyarrow")
-            .map_batches(normalize, batch_format="pyarrow")
-            .map_batches(scope, batch_format="pyarrow")
-        )
-        if bucketed:
-            cand_pre = apply_robots_filter_bucketed(
-                cand_pre, bucket_refs, cfg.hosts_bucket_bits, strict=False
-            )
-        else:
-            cand_pre = cand_pre.map_batches(
-                make_lenient_robots_filter(hosts_ref), batch_format="pyarrow"
-            )
-        cand_m = cand_pre.map_batches(
-            # run_key includes the shard-POOL token: a resumed run re-runs
-            # the same (wdir, wave) with a fresh pool, and stale RPC-skip
-            # cache entries in surviving workers would lose candidates
-            # (see SeenSet.cache_token)
+        # the candidate chain of one block of (links, child_depth) rows;
+        # run_key includes the shard-POOL token: a resumed run re-runs the
+        # same (wdir, wave) with a fresh pool, and stale RPC-skip cache
+        # entries in surviving workers would lose candidates (see
+        # SeenSet.cache_token)
+        cand_chain = [
+            explode_links,
+            normalize,
+            scope,
+            lenient_robots,
             make_propose(
                 seen,
                 wave,
                 run_key=f"{wdir}:{seen.cache_token()}",
                 cache_size=cfg.prededup_cache_size,
             ),
-            batch_format="pyarrow",
-        ).materialize()
+        ]
+        if use_pruned and cfg.fetch_transport is None:
+            items = plan_pruned_fetch(hashed_dir, sel_sorted)
+            metrics["fetch_row_groups"] = int(sum(len(i["rgs"]) for i in items))
+            metrics["fetch_tasks"] = len(items)
+            tee = make_fetch_process_tee(
+                sel_ref, process_fetched, str(wdir / "processed"), cfg.max_content_length
+            )
+            if not items:
+                # zero-item wave: keep the checkpoint readable (resume and
+                # the oracle read the processed dir) — one empty part in the
+                # processed schema
+                pq.write_table(
+                    process_fetched(empty_fetched_table()),
+                    wdir / "processed" / "part-empty.parquet",
+                )
+            _mark("fetch_prep")  # sel hashing + broadcast puts + pruned plan
+            cand_refs, in_flight = [], []
+            for item in items:
+                if max_fetchers and len(in_flight) >= max_fetchers:
+                    _, in_flight = ray.wait(in_flight, num_returns=1, fetch_local=False)
+                ref = _chain_task.remote(pa.Table.from_pylist([item]), [tee] + cand_chain)
+                cand_refs.append(ref)
+                in_flight.append(ref)
+        else:
+            # the injectable transport's actor pool (H/A2,
+            # stages/transport.py; the deployment shape for a REAL network
+            # crawl) or the full-corpus scan (a corpus without the hashed
+            # layout): Ray Data fetch stages writing the processed
+            # checkpoint, then the same candidate chain as one task per
+            # processed part. Two-phase: neither a network response nor a
+            # scan block has a stable item identity for the retry-safe tee.
+            if cfg.fetch_transport is not None:
+                from abwcf_ray.stages.transport import TransportFetchStage
+
+                sel_rows = pa.table(
+                    {
+                        "url": pa.array(sel_df["url"], pa.string()),
+                        "depth": pa.array(
+                            sel_df["depth"].to_numpy().astype(np.int32),
+                            pa.int32(),
+                        ),
+                    }
+                )
+                lo_c, hi_c = (int(c) for c in cfg.fetch_transport_concurrency)
+                hi_c = max_fetchers or hi_c
+                n_blocks = max(
+                    min(lo_c, hi_c),
+                    min(64, sel_rows.num_rows // max(1, cfg.fetch_transport_batch_size) + 1),
+                )
+                fetched = rd.from_arrow(sel_rows).repartition(n_blocks).map_batches(
+                    TransportFetchStage,
+                    fn_constructor_args=(cfg.fetch_transport,),
+                    batch_format="pyarrow",
+                    concurrency=(min(lo_c, hi_c), hi_c),
+                    batch_size=cfg.fetch_transport_batch_size,
+                )
+            else:
+                # NOTE: no min_rows_per_file — Ray's write-coalescing buffers
+                # whole text+links blocks row-wise (measured 13x slowdown).
+                fetched = corpus_ds.map_batches(
+                    make_fetch_scan(sel_ref, cfg.max_content_length),
+                    batch_format="pyarrow",
+                    **({"concurrency": max_fetchers} if max_fetchers else {}),
+                )
+            _mark("fetch_prep")
+            fetched.map_batches(
+                process_fetched, batch_format="pyarrow"
+            ).write_parquet(str(wdir / "processed"), compression="zstd")
+            if not any((wdir / "processed").glob("*.parquet")):
+                # every fetch failed/missed: keep the checkpoint readable
+                pq.write_table(
+                    process_fetched(empty_fetched_table()),
+                    wdir / "processed" / "part-empty.parquet",
+                )
+            cand_refs = [
+                _scan_task.remote([str(f)], cand_chain, ["links", "child_depth"])
+                for f in sorted((wdir / "processed").glob("*.parquet"))
+            ]
+        # ---- propose -> claim barrier (F1) ------------------------------
+        # Wave-dedup + seen-filter run as a TWO-PHASE shard-actor protocol
+        # instead of a groupby(url) all-to-all: waiting on every candidate
+        # task completes every `propose` (min-depth per url) before any
+        # `claim` (first-wins arbitration + seen registration) runs — the
+        # same single-writer-per-url mechanism as the reference's sharded
+        # PageManager entities. The candidate tables stay in the object
+        # store (links of this wave's fetches, politeness-bounded). The
+        # barrier also guarantees every processed-checkpoint part is on
+        # disk before the wave's metrics read them.
+        if cand_refs:
+            # fetch_local=False: the tables stay where the claims will run
+            ray.wait(cand_refs, num_returns=len(cand_refs), fetch_local=False)
         _mark("fetch_candidates")
 
         # ---- claim DISPATCH (barrier deferred — verdict r4 #2) ----------
         # The claim chunk tasks run on workers; everything the driver does
         # until the ray.get below (metrics flags read, novel filter, flips
-        # write, stats string) depends only on the materialized candidate
-        # set and the processed checkpoint, so it overlaps the claim
-        # instead of serializing behind it.
+        # write) depends only on the candidate tables and the processed
+        # checkpoint, so it overlaps the claim instead of serializing
+        # behind it.
         delta_dir = wdir / "delta"
         delta_dir.mkdir(parents=True, exist_ok=True)
-        block_refs = cand_m.to_arrow_refs()
-        n_chunks = max(1, min(len(block_refs), 2 * n_cpu))
+        n_chunks = max(1, min(len(cand_refs), 2 * n_cpu))
         claim_refs = [
             _claim_chunk.remote(
                 tok, seen, wave, cfg, str(delta_dir),
-                *block_refs[tok::n_chunks],
+                *cand_refs[tok::n_chunks],
             )
             for tok in range(n_chunks)
         ]
@@ -1175,7 +1179,7 @@ def run_crawl(
         # ``UPDATE pages SET status`` (SlickPageRepository.scala:37-51),
         # not a table rewrite.
         # Claim phase (dispatched above, overlapping the driver work since
-        # _mark("fetch_candidates")): materialized blocks coalesce into ~2
+        # _mark("fetch_candidates")): the candidate tables coalesce into ~2
         # tasks per CPU slot; each chunk claims, prioritizes, and writes
         # its own delta part under a token-derived name (retry-safe tee —
         # see _claim_chunk), so the claimed rows never cross back to a
@@ -1189,10 +1193,6 @@ def run_crawl(
             prev_frontier_rows = _parquet_rows(Path(chain.base)) + sum(
                 _parquet_rows(d) for d in chain.deltas
             )
-        try:  # per-stage Ray Data stats for the fused wave execution
-            metrics["ray_stats"] = cand_m.stats()[:4000]
-        except Exception:
-            pass
         claims = ray.get(claim_refs)
         if not any(delta_dir.glob("*.parquet")):
             # zero-claim wave: keep the dir readable in the chain union
@@ -1230,7 +1230,7 @@ def run_crawl(
             len(chain.deltas) >= cfg.frontier_compact_every
             or n_flips >= cfg.frontier_compact_max_flips
         ):
-            _compact_frontier(chain, wdir / "frontier")
+            _compact_frontier(chain, wdir / "frontier", n_cpu)
             _mark("frontier_compact")
 
         seen.checkpoint(wdir / "seen")

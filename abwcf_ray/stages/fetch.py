@@ -292,17 +292,17 @@ def make_fetch_process_tee(
     -> WRITE this item's processed-checkpoint part -> emit only the
     candidate columns (``links``, ``child_depth``) downstream.
 
-    This is the tee that lets one streaming execution run fetch AND the
-    candidate chain with no mid-wave barrier: previously the wave wrote the
-    full processed parquet, waited, and re-read the link columns for the
-    candidate pipeline — two serialized phases plus a decompress round-trip
-    on the wave's dominant payload. Here the checkpoint is a side effect.
+    This is the tee that lets one task per work item run fetch AND the
+    candidate chain with no mid-wave barrier: writing the full processed
+    parquet, waiting, and re-reading the link columns would cost two
+    serialized phases plus a decompress round-trip on the wave's dominant
+    payload. Here the checkpoint is a side effect.
 
     Retry/lineage safety: the part name is a pure function of the work item
     (source file stem + first row-group id), so a re-executed task
     overwrites its own part with identical content instead of duplicating
-    rows — the property that makes side-effect writes inside ``map_batches``
-    sound. Rows with no links are dropped from the emitted table (their
+    rows — the property that makes side-effect writes inside a retried
+    task sound. Rows with no links are dropped from the emitted table (their
     checkpoint rows are already on disk)."""
     import pyarrow.parquet as pq
     from pathlib import Path

@@ -9,19 +9,20 @@ reference's nondeterministic arrival order; cross-host interleaving, random
 in the reference via HostQueueRouter.scala:13, is canonicalized to the same
 sort over the selected set).
 
-Implementation: **shuffle-free partial top-k.** Each block independently
-keeps its local top-``k_h`` per host (one vectorized pandas
-sort+cumcount per block — no Python per host), which is a superset of that
-block's contribution to the global top-k; the partials (≤ k_h per host per
-block, bounded by the politeness budget) are then merged with one final
-top-k pass. No all-to-all shuffle, and a heavy-hitter host never
-materializes as a single group — every block prunes it to k_h rows first
+Implementation: **shuffle-free partial top-k.** Each selection task (a
+plain Ray task over a group of frontier files) independently keeps its
+local top-``k_h`` per host (one vectorized sort+cumcount — no Python per
+host), which is a superset of that group's contribution to the global
+top-k; the partials (≤ k_h per host per task, bounded by the politeness
+budget) are then merged with one final top-k pass. No all-to-all shuffle,
+and a heavy-hitter host never materializes as a single group — every task
+prunes it to k_h rows first
 (this subsumes the salted-repartition design in SURVEY.md §4.2: pruning
 before the exchange is strictly stronger than salting the exchange).
 
-At multi-node scale the merge pass runs as a tree (partials are politeness-
-bounded: Σ_h k_h × #blocks rows worst case, k_h rows per host per block);
-in this sandbox the merge is a single driver-side vectorized pass.
+The merge is a single driver-side vectorized pass up to
+``driver_partials_max`` partial rows (Σ_h k_h × #tasks worst case) and a
+hash(host)-sharded Ray Data exchange past it (:func:`select_wave`).
 """
 
 from __future__ import annotations
@@ -97,11 +98,10 @@ def topk_per_host_arrow(t: pa.Table, payload: dict, default_k: int = 1) -> pa.Ta
     return out.cast(t.schema)
 
 
-def _reject_keys(t: pa.Table) -> pa.Table:
-    """(url_hash, host) of the rows of ``t`` flagged ``rejected``."""
+def _reject_keys(rej: pa.Table) -> pa.Table:
+    """(url_hash, host) of the rejected rows ``rej``."""
     from abwcf_ray.functions.hashing import hash64
 
-    rej = t.filter(t.column("rejected"))
     return pa.table(
         {"url_hash": pa.array(hash64(rej.column("url")), pa.uint64()),
          "host": rej.column("host")}
@@ -124,18 +124,77 @@ def _empty_selected() -> pd.DataFrame:
     return pd.DataFrame({c: pd.Series([], dtype=object) for c in _SELECT_COLS})
 
 
+def apply_stages(t: pa.Table, stages) -> pa.Table:
+    """Run per-batch arrow callables over ``t`` in order."""
+    for fn in stages:
+        t = fn(t)
+    return t
+
+
+def scan_parts(paths: list[str], stages=(), columns=None) -> pa.Table:
+    """Read a group of parquet files and run ``stages`` once over their
+    concatenation — the body of the wave loop's per-file-group Ray tasks
+    (selection here; the host histogram and the candidate chain over
+    processed parts in pipelines/crawl.py). One pass over the group, not
+    one per file: per-call fixed costs (hashing set-up, polars frames,
+    robots regex passes) dominate at small-wave sizes (measured 0.115 ->
+    0.054 s per selection over 9-13 files). A task holds its group in
+    memory, O(rows / #groups)."""
+    import pyarrow.parquet as pq
+
+    outs = [pq.ParquetFile(p).read(columns=columns) for p in paths]
+    return apply_stages(pa.concat_tables(outs, promote_options="default"), stages)
+
+
+def file_groups(paths: list[str], k: int) -> list[list[str]]:
+    """``paths`` cut into ``min(len(paths), k)`` contiguous groups of
+    near-equal length (none if there are no paths)."""
+    k = max(1, min(len(paths), int(k)))
+    q, r = divmod(len(paths), k)
+    out, i = [], 0
+    for g in range(k):
+        n = q + (g < r)
+        if n:
+            out.append(list(paths[i : i + n]))
+        i += n
+    return out
+
+
+@ray.remote(num_returns=3)
+def _select_partial(paths, stages, columns, sched: dict):
+    """One selection task: scan a group of files through ``stages``, keep
+    the group's partial top-k per host of the rows not flagged
+    ``rejected``, and split the flagged ones off as reject keys.
+    Returns (partial rows, partial, reject keys)."""
+    t = scan_parts(paths, stages, columns)
+    if "rejected" in t.schema.names:
+        rej = t.column("rejected")
+    else:
+        rej = pa.array(np.zeros(t.num_rows, dtype=bool))
+    kept = topk_per_host_arrow(t.filter(pc.invert(rej)).select(_SELECT_COLS), sched)
+    return kept.num_rows, kept, _reject_keys(t.filter(rej))
+
+
 def select_wave(
-    eligible,
+    sources: list[str],
+    stages,
     sched_ref: "ray.ObjectRef",
+    *,
+    columns: list[str] | None = None,
+    n_tasks: int | None = None,
     merge_partitions: int = 16,
-    n_eligible_hint: int | None = None,
     as_dataset: bool = False,
     driver_partials_max: int = 2_000_000,
 ):
-    """eligible frontier rows (url, host, depth, priority, ...) -> the wave's
-    fetch set with exact per-host top-k under the politeness budget.
-    ``sched_ref`` is a ``HostsState.sched_payload`` object ref (sorted host
-    hashes + precomputed budgets, zero-copy numpy).
+    """Parquet files of frontier rows -> the wave's fetch set with exact
+    per-host top-k under the politeness budget.
+
+    ``sources`` are parquet files, read with ``columns``; ``stages`` are
+    per-batch arrow callables applied to each task's table before the
+    top-k (the crawl passes the eligible filter, then strict robots), so
+    their rows must carry (url, host, depth, priority). ``sched_ref`` is a
+    ``HostsState.sched_payload`` object ref (sorted host hashes +
+    precomputed budgets, zero-copy numpy).
 
     Returns ``(selected, rejects)``. ``selected`` is a pandas frame, or a
     Dataset when the merge ran distributed AND ``as_dataset`` (the
@@ -144,66 +203,45 @@ def select_wave(
     known-rule rejects, C2) bypass the ranking; ``rejects`` is their
     ``(url_hash, host)`` table, unique by hash and sorted by it.
 
-    Two levels: (1) per-block partial top-k (superset of each block's
-    contribution), materialized ONCE and counted; then (2) the exact
+    Two levels: (1) plain Ray tasks, one per contiguous group of
+    ``sources`` (``min(#files, n_tasks)`` groups; ``n_tasks`` defaults to
+    twice the cluster's CPUs), each scanning its files through
+    ``stages`` and keeping its partial top-k (a superset of its
+    contribution) and its reject keys — no Dataset is built, so a small
+    wave pays task dispatch, not a Ray Data execution; then (2) the exact
     per-host merge, whose venue is chosen on the MEASURED partials size —
     at or under ``driver_partials_max`` rows the driver runs one
     vectorized arrow topk over the collected partials (politeness-bounded,
     ~96 B/row; measured 0.75 s flat at 300k rows vs ~1.4 s for the
-    16-partition sort exchange, and ~1.5 s at 940k vs ~4.3 s — the
-    n_eligible proxy previously forced a 2.4M-eligible wave through the
-    exchange although its partials fit easily). Past the cap the merge is
-    a keyed exchange sharded by ``hash(host) % merge_partitions`` — every
-    host lands wholly in one partition, one vectorized topk per partition
-    (the coarse key keeps group count at ``merge_partitions``, not
-    #hosts). The driver never pulls more than the cap; the partials'
-    materialization is shared by both venues, so the choice costs
-    nothing extra.
+    16-partition sort exchange, and ~1.5 s at 940k vs ~4.3 s). Past the
+    cap the merge is a keyed exchange over ``rd.from_arrow_refs`` of the
+    partials, sharded by ``hash(host) % merge_partitions`` — every host
+    lands wholly in one partition, one vectorized topk per partition (the
+    coarse key keeps group count at ``merge_partitions``, not #hosts).
+    The driver never pulls more than the cap; the partial counts travel
+    as their own task returns, so the venue choice fetches no rows.
     Both venues compute the identical exact per-host top-k and reject set
     (tests/test_schedule_seen.py::test_select_wave_merge_paths_agree)."""
+    import ray.data as rd
+
     from abwcf_ray.functions.hashing import hash64
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        if "rejected" in batch.schema.names:
-            rej = batch.column("rejected")
-        else:
-            rej = pa.array(np.zeros(batch.num_rows, dtype=bool))
-        kept = topk_per_host_arrow(
-            batch.filter(pc.invert(rej)).select(_SELECT_COLS), ray.get(sched_ref)
-        )
-        out = pa.concat_tables([kept, batch.filter(rej).select(_SELECT_COLS)])
-        # the rejects are the tail, passed through unranked
-        flag = np.arange(out.num_rows) >= kept.num_rows
-        return out.append_column("rejected", pa.array(flag))
+    if n_tasks is None:
+        n_tasks = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+    groups = file_groups(sources, n_tasks)
+    tasks = [_select_partial.remote(g, stages, columns, sched_ref) for g in groups]
+    counts = ray.get([t[0] for t in tasks])
+    rejects = _unique_rejects(ray.get([t[2] for t in tasks]))
+    partials = [t[1] for t, n in zip(tasks, counts) if n]
+    if not partials:
+        return _empty_selected(), rejects
 
-    # materialized once: the partials count picks the venue, and both
-    # venues read the same blocks for the merge and the reject split
-    partials = eligible.map_batches(partial_topk, batch_format="pyarrow").materialize()
-
-    if partials.count() <= driver_partials_max:
-        tables = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
-        if not tables:
-            return _empty_selected(), _unique_rejects([])
-        t = pa.concat_tables(tables, promote_options="default").combine_chunks()
-        merged = topk_per_host_arrow(
-            t.filter(pc.invert(t.column("rejected"))).select(_SELECT_COLS),
-            ray.get(sched_ref),
-        )
-        return merged.to_pandas().reset_index(drop=True), _unique_rejects(
-            [_reject_keys(t)]
-        )
-
-    # materialized: to_arrow_refs on a lazy dataset re-runs it for the schema
-    rejects = _unique_rejects(
-        ray.get(
-            partials.map_batches(_reject_keys, batch_format="pyarrow")
-            .materialize()
-            .to_arrow_refs()
-        )
-    )
+    if sum(counts) <= driver_partials_max:
+        t = pa.concat_tables(ray.get(partials), promote_options="default").combine_chunks()
+        merged = topk_per_host_arrow(t, ray.get(sched_ref))
+        return merged.to_pandas().reset_index(drop=True), rejects
 
     def add_pkey(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.invert(t.column("rejected"))).select(_SELECT_COLS)
         pkey = (hash64(t.column("host")) % np.uint64(merge_partitions)).astype(
             np.int64
         )
@@ -213,7 +251,8 @@ def select_wave(
         return topk_per_host_arrow(g.select(_SELECT_COLS), ray.get(sched_ref))
 
     merged_ds = (
-        partials.map_batches(add_pkey, batch_format="pyarrow")
+        rd.from_arrow_refs(partials)
+        .map_batches(add_pkey, batch_format="pyarrow")
         .groupby("pkey")
         .map_groups(merge_topk, batch_format="pyarrow")
     )

@@ -1,4 +1,5 @@
-"""Per-record crawl stages as vectorized ``map_batches`` UDFs.
+"""Per-record crawl stages as vectorized per-batch arrow callables (run
+inside the wave loop's Ray tasks, or as ``map_batches`` UDFs).
 
 The reference's candidate chain (Crawler.scala:93-115):
 ``HtmlParser -> UrlDeduplicator -> UrlNormalizer -> UrlFilter ->
@@ -454,61 +455,45 @@ def make_strict_robots_filter(hosts_ref):
     return strict_robots
 
 
-def apply_robots_filter_bucketed(
-    ds,
-    bucket_refs: list,
-    bits: int,
-    *,
-    strict: bool,
-):
+def make_bucketed_robots_filter(bucket_refs: list, bits: int, *, strict: bool):
     """C1/C2 at 10^8-host scale: a hash(host)-bucketed robots JOIN instead
     of a whole-table broadcast (state/hosts.py module docstring; the
     crossover knob is ``CrawlConfig.hosts_broadcast_max``).
 
-    The candidate/eligible stream is range-partitioned (``sort``) by
-    ``hash64(host) >> (64 - bits)`` — the same contiguous hash ranges
-    ``HostsState.bucketed_rules_payload`` splits the hosts table into — so
-    each worker's batches span at most a few adjacent buckets and no node
-    pulls payloads outside its key range. Evaluation stays a STREAMING
-    ``map_batches`` (a batch straddling a bucket boundary is split inside
-    the callable): a ``groupby().map_groups`` here would materialize each
-    bucket's ENTIRE row set as one in-memory group, and this path only
-    activates past ``hosts_broadcast_max``, where the input is the whole
-    eligible frontier — 1/2^bits of that per group is an OOM hazard at
-    exactly the scale the path exists for. The sort is an all-to-all
-    exchange of the (politeness-bounded) candidate rows; at sandbox host
-    counts the broadcast path wins, which is why this path sits behind the
-    size threshold. Semantics are identical to the broadcast filters
-    (tests/test_transform_stages.py equivalence test) — the per-bucket
-    callable IS the broadcast filter over a sliced payload.
-    """
+    ``bucket_refs[b]`` holds the rules of the hosts whose
+    ``hash64(host) >> (64 - bits)`` is ``b`` — the contiguous hash ranges
+    ``HostsState.bucketed_rules_payload`` splits the hosts table into.
+    The per-batch callable groups the batch's rows by bucket and runs the
+    broadcast filter (strict or lenient) over one bucket's payload at a
+    time, so a worker compiles only the buckets its rows touch and no
+    exchange is needed: the crawl runs it inside the same per-file and
+    per-item tasks as the broadcast filters. Semantics are identical to
+    the broadcast filters (tests/test_transform_stages.py equivalence
+    test); rows come out grouped by bucket."""
     from abwcf_ray.functions.hashing import hash64
 
     shift = np.uint64(64 - bits)
+    make = make_strict_robots_filter if strict else make_lenient_robots_filter
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        b = (hash64(batch.column("host")) >> shift).astype(np.int64)
-        return batch.append_column("hbucket", pa.array(b, pa.int64()))
-
-    def filter_buckets(batch: pa.Table) -> pa.Table:
+    def bucketed_robots(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0:
-            empty = batch.drop_columns(["hbucket"])
-            return make_strict_robots_filter(None)(empty) if strict else empty
-        b = batch.column("hbucket").to_numpy()
-        out = []
-        for bucket in np.unique(b):
-            sub = batch.filter(pa.array(b == bucket)).drop_columns(["hbucket"])
-            ref = bucket_refs[int(bucket)]
-            if strict:
-                out.append(make_strict_robots_filter(ref)(sub))
-            else:
-                out.append(make_lenient_robots_filter(ref)(sub))
-        return pa.concat_tables(out)
+            return make(None)(batch)
+        b = hash64(batch.column("host")) >> shift
+        return pa.concat_tables(
+            [
+                make(bucket_refs[int(bucket)])(batch.filter(pa.array(b == bucket)))
+                for bucket in np.unique(b)
+            ]
+        )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .sort("hbucket")
-        .map_batches(filter_buckets, batch_format="pyarrow")
+    return bucketed_robots
+
+
+def apply_robots_filter_bucketed(ds, bucket_refs: list, bits: int, *, strict: bool):
+    """:func:`make_bucketed_robots_filter` over a Ray Dataset."""
+    return ds.map_batches(
+        make_bucketed_robots_filter(bucket_refs, bits, strict=strict),
+        batch_format="pyarrow",
     )
 
 
@@ -837,7 +822,7 @@ def claim_batch(batch: pa.Table, seen_set, wave: int, token: int) -> pa.Table:
     """Phase 2 of the shuffle-free wave-dedup: keep only rows this claimant
     WINS — unseen urls at their wave-minimum depth, first claim token wins.
     ``token`` must be UNIQUE per block and stable across retries (the driver
-    enumerates the materialized candidate blocks and passes the block index
+    enumerates the claim chunks of candidate tables and passes the chunk index
     — content-derived tokens would collide for two distinct blocks carrying
     identical candidate sets, double-inserting those urls). Winners are
     registered as seen by the shard."""

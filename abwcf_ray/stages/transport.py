@@ -203,12 +203,23 @@ class HTTPTransport(FetchTransport):
         target = sp.path or "/"
         if sp.query:
             target += "?" + sp.query
-        conn = self._conn(sp.scheme, sp.netloc)
+        key = (sp.scheme, sp.netloc)
+        # a pooled keep-alive connection the server has since closed (idle
+        # timeout, max requests) fails on send or response: drop it and
+        # retry once on a fresh connection
+        for retry in (True, False):
+            reused = key in self._conns
+            conn = self._conn(*key)
+            try:
+                conn.request("GET", target, headers={"User-Agent": self.user_agent})
+                resp = conn.getresponse()
+                break
+            except Exception:
+                conn.close()
+                self._conns.pop(key, None)
+                if not (retry and reused):
+                    return (STATUS_TRANSPORT_ERROR, None, None, None, None, False)
         try:
-            conn.request(
-                "GET", target, headers={"User-Agent": self.user_agent}
-            )
-            resp = conn.getresponse()
             status = int(resp.status)
             ctype = resp.getheader("Content-Type")
             if ctype is not None:
@@ -233,21 +244,22 @@ class HTTPTransport(FetchTransport):
                     # than draining an arbitrarily large body
                     exceeded = True
                     conn.close()
-                    self._conns.pop((sp.scheme, sp.netloc), None)
+                    self._conns.pop(key, None)
                     chunks = []
                     break
                 chunks.append(chunk)
                 if truncate_at is not None and total >= truncate_at:
                     # the rest of the body stays unread: drop the connection
                     conn.close()
-                    self._conns.pop((sp.scheme, sp.netloc), None)
+                    self._conns.pop(key, None)
                     break
             body = None if exceeded else b"".join(chunks)[:truncate_at]
             return (status, ctype, location, xrt, body, exceeded)
         except Exception:
-            # timeout / refused / protocol error: synthetic failure row;
+            # timeout / protocol error mid-body: synthetic failure row;
             # drop the (possibly wedged) connection
-            self._conns.pop((sp.scheme, sp.netloc), None)
+            conn.close()
+            self._conns.pop(key, None)
             return (STATUS_TRANSPORT_ERROR, None, None, None, None, False)
 
     def fetch(self, urls: list[str], depths: np.ndarray) -> pa.Table:

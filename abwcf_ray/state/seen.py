@@ -164,7 +164,7 @@ class _ExactSeenShard:
         """Mask of rows this claimant wins: not seen before this wave, depth
         equals the proposed minimum, and first claim token wins. Tokens
         must be unique per claimant block and stable across retries (the
-        driver passes materialized-block indices), so a retried task
+        driver passes claim-chunk indices), so a retried task
         reproduces its mask and two distinct blocks can never both win.
         Winners are registered as seen."""
         self._begin_wave(wave)

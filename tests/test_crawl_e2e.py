@@ -447,25 +447,61 @@ def test_flips_size_triggers_compaction(ray_session, corpus, oracle, tmp_path_fa
         assert got == expected, f"wave {wave} fetch order diverges (flips-cap run)"
 
 
-def test_bandwidth_budget_caps_fetchers(ray_session, corpus, oracle, tmp_path_factory):
+def test_bandwidth_budget_caps_fetchers(ray_session, oracle, tmp_path_factory, monkeypatch):
     """E2 (reference.conf:137,144 / FetcherManager.scala:66): a bandwidth
     budget caps concurrent fetchers at total // min-per-fetcher. The cap
-    is recorded in the wave manifest and the crawl output is IDENTICAL to
-    the uncapped run (parallelism-only knob)."""
+    is recorded in the wave manifest, no two fetch tasks run at once under
+    a one-fetcher cap although waves have several work items, and the crawl
+    output is IDENTICAL to the uncapped run (parallelism-only knob)."""
     import dataclasses
     import json as _json
 
+    from abwcf_ray.pipelines import crawl
     from abwcf_ray.pipelines.crawl import run_crawl
+    from abwcf_ray.sources import corpus as corpus_mod
 
+    # each fetch records its (start, end) on the shared monotonic clock
+    spans_dir = tmp_path_factory.mktemp("fetch_spans")
+    real_tee = crawl.make_fetch_process_tee
+
+    def recording_tee(*args, **kwargs):
+        tee = real_tee(*args, **kwargs)
+        out_dir = str(spans_dir)
+
+        def timed(batch):
+            import time
+            import uuid
+
+            t0 = time.monotonic()
+            result = tee(batch)
+            with open(f"{out_dir}/{uuid.uuid4().hex}", "w") as f:
+                f.write(f"{t0} {time.monotonic()}")
+            return result
+
+        return timed
+
+    monkeypatch.setattr(crawl, "make_fetch_process_tee", recording_tee)
+    # the same pages in 64-row row groups, so waves have several work items
+    monkeypatch.setattr(corpus_mod, "HASHED_ROW_GROUP", 64)
+    small_rg = generate_corpus(
+        tmp_path_factory.mktemp("c_rg64"), n_pages=N_PAGES, seed=42, num_buckets=8
+    )
     cfg = dataclasses.replace(
         CFG,
-        total_bandwidth_budget_bps=1_000_000,  # 1 MB/s / 200 kB/s -> 5 fetchers
+        total_bandwidth_budget_bps=200_000,  # 200 kB/s / 200 kB/s -> 1 fetcher
         min_bandwidth_per_fetcher_bps=200_000,
     )
     out = tmp_path_factory.mktemp("crawl_bw")
-    summary = run_crawl(cfg, corpus, out, log=lambda *_: None)
-    m0 = _json.loads((out / "wave_0000" / "manifest.json").read_text())
-    assert m0["max_fetchers"] == 5
+    summary = run_crawl(cfg, small_rg, out, log=lambda *_: None)
+    manifests = [_json.loads(m.read_text()) for m in sorted(out.glob("wave_*/manifest.json"))]
+    assert manifests[0]["max_fetchers"] == 1
+    assert max(m.get("fetch_tasks", 0) for m in manifests) > 1
+    spans = sorted(
+        tuple(map(float, f.read_text().split())) for f in spans_dir.iterdir()
+    )
+    assert len(spans) == sum(m.get("fetch_tasks", 0) for m in manifests)
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        assert start >= end, "two fetch tasks ran at once under a one-fetcher cap"
     for wave, expected in enumerate(oracle.order):
         sel = pads.dataset(str(out / f"wave_{wave:04d}" / "selected")).to_table().to_pandas()
         sel = sel.sort_values("global_rank")
@@ -623,3 +659,93 @@ def test_one_cpu_starts_one_shard_actor(ray_session, corpus, tmp_path, monkeypat
         run_crawl(cfg, corpus, tmp_path / f"dedup_{dedup}", log=lambda *_: None)
         started = [a["ActorClassName"] for k, a in state.actors().items() if k not in before]
         assert started == ["_ExactSeenShard"] * n_shards, started
+
+
+def test_steady_state_waves_run_no_ray_data_execution(
+    ray_session, corpus, tmp_path, monkeypatch
+):
+    """With the default venues, every wave step (selection, fetch and
+    candidates, claim, compaction) runs as plain Ray tasks: once the
+    session warm-up is done, a crawl that compacts starts no Ray Data
+    execution. Waves start at the second ``_wave_dir`` call (the first
+    names the seed checkpoint)."""
+    import json as _json
+
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from abwcf_ray.pipelines import crawl
+
+    events: list[str] = []
+    real_execute = StreamingExecutor.execute
+    real_wave_dir = crawl._wave_dir
+
+    def execute(self, *args, **kwargs):
+        events.append("execute")
+        return real_execute(self, *args, **kwargs)
+
+    def wave_dir(out, n):
+        events.append("wave_dir")
+        return real_wave_dir(out, n)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    monkeypatch.setattr(crawl, "_wave_dir", wave_dir)
+    cfg = CrawlConfig(**{**CFG.__dict__, "frontier_compact_every": 2})
+    crawl.run_crawl(cfg, corpus, tmp_path, log=lambda *_: None)
+    monkeypatch.undo()
+    manifests = [_json.loads(m.read_text()) for m in sorted(tmp_path.glob("wave_*/manifest.json"))]
+    assert any("frontier_compact" in m.get("step_times", {}) for m in manifests)
+    first_wave = [i for i, e in enumerate(events) if e == "wave_dir"][1]
+    assert "execute" in events[:first_wave], "the warm-up runs Ray Data"
+    assert "execute" not in events[first_wave:], events
+
+
+def test_compaction_group_rerun_is_byte_identical(ray_session, corpus, tmp_path):
+    """A retried compaction task overwrites its own parts with the same
+    bytes: the part names derive from the group index alone."""
+    import json as _json
+
+    import ray
+
+    from abwcf_ray.pipelines.crawl import _compact_group, _FrontierChain, run_crawl
+    from abwcf_ray.stages.schedule import file_groups
+    from abwcf_ray.stages.transform import make_update_status
+
+    cfg = CrawlConfig(**{**CFG.__dict__, "max_waves": 3, "frontier_compact_every": 100})
+    out = tmp_path / "run"
+    run_crawl(cfg, corpus, out, log=lambda *_: None)
+    # the chain as of the last wave (not compacted yet) and its flips
+    manifest = _json.loads((out / "wave_0002" / "manifest.json").read_text())
+    chain = _FrontierChain.from_manifest(out, manifest)
+    assert chain.deltas and len(chain.cum_processed)
+    stages = [
+        make_update_status(ray.put(chain.cum_processed), ray.put(chain.cum_disallowed))
+    ]
+    group = file_groups(chain.sources(), 2)[1]
+    dest = tmp_path / "compacted"
+
+    def parts() -> dict[str, bytes]:
+        return {str(p.relative_to(dest)): p.read_bytes() for p in sorted(dest.rglob("*.parquet"))}
+
+    ray.get(_compact_group.remote(1, group, stages, str(dest)))
+    first = parts()
+    assert set(first) == {"discovered/part-00001.parquet", "settled/part-00001.parquet"}
+    ray.get(_compact_group.remote(1, group, stages, str(dest)))
+    assert parts() == first
+
+
+def test_compaction_part_count_is_bounded(ray_session, corpus, tmp_path):
+    """Each compaction writes at most one part per split per cluster CPU,
+    however many files the chain it folds has gathered, so the base's
+    part count does not grow from one compaction to the next (a base
+    written one part per input file would carry every earlier base's
+    parts forward)."""
+    from abwcf_ray.pipelines.crawl import run_crawl
+
+    n_cpu = 4  # the test session's cluster
+    cfg = CrawlConfig(**{**CFG.__dict__, "frontier_compact_every": 1})
+    run_crawl(cfg, corpus, tmp_path, log=lambda *_: None)
+    bases = sorted(tmp_path.glob("wave_*/frontier"))
+    assert len(bases) >= 3, "fixture must compact several times"
+    for base in bases:
+        for split in ("discovered", "settled"):
+            assert len(list((base / split).glob("*.parquet"))) <= n_cpu, (base, split)

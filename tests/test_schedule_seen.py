@@ -34,19 +34,29 @@ def _mk_frontier(n=500, hosts=7, seed=1):
     )
 
 
-@pytest.mark.parametrize("override_num_blocks", [1, 8])
-def test_partial_topk_is_exact(ray_session, override_num_blocks):
-    """Block-local partial top-k must be exact for any partitioning
+def _write_parts(t: pa.Table, n: int, out_dir) -> list[str]:
+    """``t`` cut into ``n`` near-equal parquet files under ``out_dir``."""
+    import pyarrow.parquet as pq
+
+    bounds = np.linspace(0, t.num_rows, n + 1).astype(int)
+    paths = [str(out_dir / f"part-{i:05d}.parquet") for i in range(n)]
+    for path, start, stop in zip(paths, bounds, bounds[1:]):
+        pq.write_table(t.slice(int(start), int(stop - start)), path)
+    return paths
+
+
+@pytest.mark.parametrize("n_files", [1, 8])
+def test_partial_topk_is_exact(ray_session, tmp_path, n_files):
+    """Task-local partial top-k must be exact for any partitioning
     (SURVEY.md §4.2 skew row: pruning before the exchange)."""
     import ray
-    import ray.data as rd
 
     t = _mk_frontier()
     delays = {f"https://h{h}.example": 1000 * (1 + h % 3) for h in range(7)}
     cfg = CrawlConfig(wave_duration_s=10.0)
-    ds = rd.from_arrow(t).repartition(override_num_blocks)
+    files = _write_parts(t, n_files, tmp_path)
     got = (
-        select_wave(ds, ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s)))[0]
+        select_wave(files, [], ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s)))[0]
         .sort_values(["priority", "url"], ascending=[False, True])
         .reset_index(drop=True)
     )
@@ -68,13 +78,12 @@ def test_partial_topk_is_exact(ray_session, override_num_blocks):
     )
 
 
-def test_select_wave_merge_paths_agree(ray_session):
+def test_select_wave_merge_paths_agree(ray_session, tmp_path):
     """The driver merge (small-wave latency path) and the distributed
     partition merge must produce the identical exact selection, and split
     off the identical reject set: rows flagged ``rejected`` bypass the
     ranking and come back as unique-by-hash (url_hash, host) pairs."""
     import ray
-    import ray.data as rd
 
     from abwcf_ray.functions.hashing import hash64
 
@@ -86,10 +95,11 @@ def test_select_wave_merge_paths_agree(ray_session):
     t = t.append_column("rejected", pa.array(rejected))
     delays = {f"https://h{h}.example": 500 * (1 + h % 4) for h in range(11)}
     cfg = CrawlConfig(wave_duration_s=10.0)
-    ds = rd.from_arrow(t).repartition(6)
+    files = _write_parts(t, 6, tmp_path)
     key = ["priority", "url"]
     dist, dist_rej = select_wave(
-        ds,
+        files,
+        [],
         ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s)),
         # the merge venue is now chosen on the measured partials size;
         # a zero cap forces the distributed exchange for the parity
@@ -97,7 +107,7 @@ def test_select_wave_merge_paths_agree(ray_session):
     )
     dist = dist.sort_values(key, ascending=[False, True]).reset_index(drop=True)
     driver, driver_rej = select_wave(
-        ds, ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s)), n_eligible_hint=800
+        files, [], ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s))
     )
     driver = driver.sort_values(key, ascending=[False, True]).reset_index(drop=True)
     pd.testing.assert_frame_equal(

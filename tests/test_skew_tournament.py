@@ -263,7 +263,7 @@ def test_skew_graph_star(ray_session):
     assert _peak_heap_mib(b_ds) < PEAK_HEAP_MIB
 
 
-def test_skew_politeness_topk(skew_ds, skew_df, ray_session):
+def test_skew_politeness_topk(skew_ds, skew_df, ray_session, tmp_path):
     """The crawl's per-host top-k with one host holding 90% of the
     frontier: the hot host's contribution is clamped at k_h by the
     per-block partial prune, so no task ever holds the full hot set."""
@@ -293,6 +293,8 @@ def test_skew_politeness_topk(skew_ds, skew_df, ray_session):
         )
 
     frontier = skew_ds.map_batches(to_frontier, batch_format="pyarrow")
+    skew_ds.write_parquet(str(tmp_path / "skew"))
+    files = sorted(str(p) for p in (tmp_path / "skew").glob("*.parquet"))
     hosts = [f"https://{HOT}.example"] + [
         f"https://k{i}.example" for i in range(1000)
     ]
@@ -300,7 +302,7 @@ def test_skew_politeness_topk(skew_ds, skew_df, ray_session):
         {h: 1000 for h in hosts}, wave_duration_s=40.0
     )  # k_h = 40 per host
     sched_ref = ray.put(payload)
-    sel, _ = select_wave(frontier, sched_ref, n_eligible_hint=N)
+    sel, _ = select_wave(files, [to_frontier], sched_ref)
     exp = topk_per_host(
         frontier.to_pandas(), payload
     ).sort_values(["host", "url"]).reset_index(drop=True)

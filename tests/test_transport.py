@@ -245,6 +245,44 @@ def test_http_transport_parses_html_with_charset(http_server):
     assert cand.column("depth").to_pylist() == [1]
 
 
+def test_http_transport_reconnects_stale_keepalive():
+    """A server that closes idle keep-alive connections: the next request
+    on the stale pooled connection fails, and the transport retries it
+    once on a fresh connection instead of reporting a transport error."""
+    import http.server
+
+    from abwcf_ray.stages.transport import HTTPTransport
+
+    class H(http.server.BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # keep-alive
+        timeout = 0.2  # the server drops a connection idle this long
+
+        def log_message(self, *a):
+            pass
+
+        def do_GET(self):
+            body = b"<html><a href='/x'>x</a></html>"
+            self.send_response(200)
+            self.send_header("Content-Type", "text/html")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), H)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    base = f"http://127.0.0.1:{srv.server_address[1]}"
+    try:
+        tr = HTTPTransport(max_content_length=None, timeout_s=5.0)
+        first = tr.fetch([f"{base}/a", f"{base}/b"], np.zeros(2, np.int32))
+        time.sleep(1.0)  # past the idle timeout: the pooled connection is stale
+        second = tr.fetch([f"{base}/c"], np.zeros(1, np.int32))
+    finally:
+        srv.shutdown()
+    assert first.column("status").to_pylist() == [200, 200]
+    assert second.column("status").to_pylist() == [200]
+    assert second.column("html").to_pylist()[0].startswith(b"<html>")
+
+
 def test_http_transport_throttle(http_server):
     """contract #4: the token bucket paces reads — fetching ~93 KB at
     64 KB/s must take >= ~0.4 s (first ~64 KB ride the burst)."""
@@ -328,6 +366,48 @@ def test_crawl_with_corpus_transport_matches_fused_path(
         lambda: CorpusTransport(hashed, max_content_length=cap),
     )
     pd.testing.assert_frame_equal(via_transport, base)
+
+
+def test_crawl_with_transport_under_small_bandwidth_budget(corpus, ray_session, tmp_path):
+    """A bandwidth budget that caps the fetchers below the transport
+    pool's lower bound (300 kB/s / 200 kB/s -> 1 < 2) clamps the pool to
+    one actor instead of failing the wave, with the same frontier as the
+    fused path."""
+    import json
+
+    import pandas as pd
+
+    from abwcf_ray.config import CrawlConfig
+    from abwcf_ray.pipelines.crawl import frontier_dataset, run_crawl
+    from abwcf_ray.stages.transport import CorpusTransport
+
+    hashed = corpus.hashed_dir
+    cap = CrawlConfig().max_content_length
+
+    def run(out, **kw):
+        cfg = CrawlConfig(
+            max_waves=2,
+            wave_duration_s=10.0,
+            seen_shards=4,
+            corpus_buckets=corpus.num_buckets,
+            max_crawl_depth=8,
+            **kw,
+        )
+        s = run_crawl(cfg, corpus, out, log=lambda *_: None)
+        return s, (
+            frontier_dataset(s.last_wave_dir).to_pandas().sort_values("url").reset_index(drop=True)
+        )
+
+    s, capped = run(
+        tmp_path / "capped",
+        fetch_transport=lambda: CorpusTransport(hashed, max_content_length=cap),
+        total_bandwidth_budget_bps=300_000,
+    )
+    assert CrawlConfig().fetch_transport_concurrency[0] > 1
+    manifest = json.loads((tmp_path / "capped" / "wave_0000" / "manifest.json").read_text())
+    assert manifest["max_fetchers"] == 1 and s.waves == 2
+    _, base = run(tmp_path / "fused")
+    pd.testing.assert_frame_equal(capped, base)
 
 
 @pytest.fixture(scope="module")

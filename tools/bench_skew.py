@@ -51,14 +51,16 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--rows", type=int, default=600_000)
     ap.add_argument("--cpus", type=int, default=16)
-    ap.add_argument("--blocks", type=int, default=64)
+    ap.add_argument("--blocks", type=int, default=64, help="parquet files per frontier")
     args = ap.parse_args()
 
     import ray
 
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=args.cpus, include_dashboard=False)
-    import ray.data as rd
+    import tempfile
+
+    import pyarrow.parquet as pq
 
     from abwcf_ray.stages.schedule import select_wave
     from abwcf_ray.state.hosts import sched_payload_from_delays
@@ -74,16 +76,22 @@ def main() -> int:
     }
     for name, frac in [("uniform", 0.0), ("hot50", 0.5), ("hot90", 0.9)]:
         t = mk_frontier(args.rows, frac)
-        ds = rd.from_arrow(t).repartition(args.blocks).materialize()
+        tmp = tempfile.TemporaryDirectory()
+        step = -(-t.num_rows // args.blocks)
+        files = []
+        for i, start in enumerate(range(0, t.num_rows, step)):
+            files.append(f"{tmp.name}/part-{i:05d}.parquet")
+            pq.write_table(t.slice(start, step), files[-1])
         # warm + 3 timed reps, report the median
-        select_wave(ds, payload, n_eligible_hint=args.rows)
+        select_wave(files, [], payload)
         reps = []
         sel_rows = 0
         for _ in range(3):
             t0 = time.perf_counter()
-            sel, _ = select_wave(ds, payload, n_eligible_hint=args.rows)
+            sel, _ = select_wave(files, [], payload)
             reps.append(round(time.perf_counter() - t0, 3))
             sel_rows = len(sel)
+        tmp.cleanup()
         out["profiles"][name] = {
             "wall_s_median": sorted(reps)[1],
             "wall_s": reps,
