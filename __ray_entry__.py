@@ -1677,7 +1677,7 @@ def _q_crawl(sf_dir: str):
     out_dir = Path(f"/tmp/abwcf_entry_crawl_{corpus.n_pages}")
     shutil.rmtree(out_dir, ignore_errors=True)
     cfg = CrawlConfig(max_waves=3, wave_duration_s=10.0, seen_shards=4,
-                      corpus_buckets=corpus.num_buckets, max_crawl_depth=8)
+                      max_crawl_depth=8)
     summary = run_crawl(cfg, corpus, out_dir, log=lambda *_: None)
     df = frontier_dataset(summary.last_wave_dir).to_pandas()
     return df.sort_values("url").reset_index(drop=True)
@@ -1698,7 +1698,7 @@ def _q_crawl_cuckoo(sf_dir: str):
     out_dir = Path(f"/tmp/abwcf_entry_crawl_cuckoo_{corpus.n_pages}")
     shutil.rmtree(out_dir, ignore_errors=True)
     cfg = CrawlConfig(max_waves=3, wave_duration_s=10.0, seen_shards=4,
-                      corpus_buckets=corpus.num_buckets, max_crawl_depth=8,
+                      max_crawl_depth=8,
                       seen_backend="cuckoo", seen_cuckoo_capacity=1_000_000)
     summary = run_crawl(cfg, corpus, out_dir, log=lambda *_: None)
     df = frontier_dataset(summary.last_wave_dir).to_pandas()
@@ -1783,7 +1783,7 @@ def _q_llm_corpus(sf_dir: str):
     out_dir = Path(f"/tmp/abwcf_llm_corpus_{corpus.n_pages}")
     shutil.rmtree(out_dir, ignore_errors=True)
     cfg = CrawlConfig(max_waves=3, wave_duration_s=10.0, seen_shards=4,
-                      corpus_buckets=corpus.num_buckets, max_crawl_depth=8)
+                      max_crawl_depth=8)
     run_crawl(cfg, corpus, out_dir, log=lambda *_: None)
     return build_training_corpus(out_dir)
 

@@ -3,8 +3,9 @@
 Mirrors the reference's HOCON tunables (`/root/reference/src/main/resources/
 reference.conf:8-251`) as a Python dataclass; keys keep the reference's
 meaning but are re-expressed for the wave model (see SURVEY.md §3.4): the
-wall-clock politeness window becomes a virtual per-wave budget, actor-pool
-sizes become Ray Data ``concurrency`` knobs.
+wall-clock politeness window becomes a virtual per-wave budget, and the
+reference's actor-pool sizes become task fan-outs sized to the cluster's
+CPUs.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ class CrawlConfig:
     Wave-model additions (SURVEY.md §2 D2, §3.4):
       - wave_duration_s: the politeness window; per-wave per-host fetch budget
         k_h = max(1, floor(wave_duration_s / crawl_delay_h)).
-      - seen_shards / corpus_buckets: partitioning knobs (seen_shards=None:
-        one seen-set shard actor per cluster CPU, or the checkpoint's count
-        on resume).
+      - seen_shards: the seen-set partitioning knob (None: one seen-set
+        shard actor per cluster CPU, or the checkpoint's count on resume).
     """
 
     # Scope / filtering
@@ -93,13 +93,10 @@ class CrawlConfig:
     # per-SHARD cuckoo capacity: size to expected_seen_urls / seen_shards
     # (e.g. 10^10 urls / 256 shards -> 40M; the table is ~2.8 B x capacity)
     seen_cuckoo_capacity: int = 4_000_000
-    corpus_buckets: int = 32
     # above this many eligible rows the wave's selected set is ranked with
     # a distributed Ray sort (stages/schedule.rank_selected_ds) instead of
     # driver pandas — identical output, parity-tested
     rank_distributed_min: int = 1_000_000
-    batch_size: int = 8192
-    fetch_concurrency: int | None = None  # None -> let Ray autoscale tasks
 
     # B6 — approximate pre-dedup (UrlDeduplicator.scala: best-effort LRU in
     # front of the exact dedup): per-process cache of proposed (url_hash,
@@ -148,17 +145,19 @@ class CrawlConfig:
     # throttle, but the budget's BINDING consequence — the concurrent-
     # fetcher cap — is enforced for real: when a budget is set, at most the
     # derived max fetchers fetch tasks run at once (recorded in the wave
-    # manifest; the transport actor pool's size is clamped to it). None = uncapped (sim default). Results are
-    # identical either way; only fetch parallelism changes.
+    # manifest), whichever transport fetches. None = uncapped (sim
+    # default). Results are identical either way; only fetch parallelism
+    # changes.
     total_bandwidth_budget_bps: int | None = None
     min_bandwidth_per_fetcher_bps: int = 200_000
 
     # A2 fetch transport (Fetcher.scala:74-188 factored behind
     # stages/transport.FetchTransport — round-4 verdict #3): None (default)
-    # = the corpus-sim fast paths (fused pruned tee / broadcast scan). A
-    # zero-arg CALLABLE returning a FetchTransport makes the wave fetch
-    # its selected urls through map_batches(TransportFetchStage(factory),
-    # concurrency=...) — an actor pool, transport built once per actor —
+    # = pruned reads of the corpus's hashed layout (built at run start if
+    # missing). A zero-arg CALLABLE returning a FetchTransport makes the
+    # wave fetch its selected urls in chunks of fetch_transport_batch_size,
+    # one task per chunk through the same fused tee, the transport built
+    # once per worker process —
     # e.g. ``lambda: HTTPTransport(bytes_per_sec=200_000)`` for a real
     # crawl, or ``lambda: CorpusTransport(dir)`` (parity-tested against
     # the fused path). Redirect/cap/failure-class semantics live in the
@@ -171,10 +170,9 @@ class CrawlConfig:
     # crawl. Classification is SHARED (state/hosts.robots_rows_from_records),
     # so outcome semantics cannot drift between transports.
     robots_transport: object = None
-    # actor-pool shape for the transport stage: (min, max) actors and rows
-    # per fetch batch (a NETWORK transport wants small batches — politeness
-    # interleaving — while the corpus transport prefers big ones)
-    fetch_transport_concurrency: tuple = (2, 16)
+    # selected urls per transport fetch task (a NETWORK transport wants
+    # small chunks — politeness interleaving — while the corpus transport
+    # prefers big ones)
     fetch_transport_batch_size: int = 256
 
     # Priority function: "breadth_first_hash" (deterministic default),

@@ -1,8 +1,8 @@
 """Stable 64-bit string hashing for URL partitioning.
 
-Used for: seen-set shard routing (``hash % seen_shards``), corpus bucket
-assignment (``hash % corpus_buckets``), scheduler salt, and the deterministic
-priority tiebreak. Replaces the reference's cluster-sharding consistent hash
+Used for: seen-set shard routing (``hash % seen_shards``), the corpus's
+hash-sorted fetch layout, scheduler salt, and the deterministic priority
+tiebreak. Replaces the reference's cluster-sharding consistent hash
 of entity ids (PageManager.scala:19,24 — entity id = url).
 
 Primary implementation is polars' vectorized 64-bit hash (xxh3-based, a

@@ -11,8 +11,11 @@ stages below in sequence:
     select    : shuffle-free partial top-k_h per host (politeness, D1/D2),
                 one task per group of chain files; the flagged rejects
                 split off as the wave's Disallowed set
-    fetch     : one task per pruned-fetch work item: read only the row
-                groups holding the wave's url hashes (A2)
+    fetch     : one task per work item (A2): a pruned-fetch item reads
+                only the row groups holding the wave's url hashes; with a
+                ``cfg.fetch_transport`` an item is a chunk of selected
+                urls the transport fetches. Both go through the same
+                fused tee, which writes the item's processed part
     process   : extract text (A7) + links (B1-B3) in one html pass
     cand'     : explode -> normalize (B4) -> scope (B5) -> lenient (C1)
                 -> propose, in the fetch task; a ray.wait on every fetch
@@ -32,6 +35,13 @@ stages below in sequence:
 The steady-state wave contains NO all-to-all exchange and NO O(frontier)
 write (see stages/schedule, stages/fetch, state/seen docstrings for each
 replacement).
+
+:func:`run_crawl` is a loop over named step functions sharing one
+``_Run`` (cross-wave state) and one ``_Wave`` per wave: open (resume or
+seed, then warm-up), host prep, select, selected-manifest write, fetch and
+candidates, claim and frontier write, ledger update, compaction, and the
+finish step (seen checkpoint + manifest) that every wave, the drain wave
+included, ends with.
 
 Control returns to the driver only at wave boundaries. All cross-wave state
 (frontier, hosts, seen shards) is parquet-checkpointed per wave with a
@@ -62,12 +72,10 @@ import ray.data as rd
 
 from abwcf_ray.config import CrawlConfig
 from abwcf_ray.functions.hashing import hash64
-from abwcf_ray.sources.corpus import CorpusMeta
+from abwcf_ray.sources.corpus import CorpusMeta, build_hashed_layout, layout_is_valid
 from abwcf_ray.stages.fetch import (
-    FETCH_COLUMNS,
     empty_fetched_table,
     make_fetch_process_tee,
-    make_fetch_scan,
     plan_pruned_fetch,
 )
 from abwcf_ray.stages.schedule import (
@@ -98,12 +106,6 @@ from abwcf_ray.stages.transform import (
 from abwcf_ray.stages.transform import partial_host_counts
 from abwcf_ray.state.hosts import HostsState, RobotsFetchSim
 from abwcf_ray.state.seen import SeenSet
-
-# Hosts fetched per wave below this threshold are resolved on the driver
-# (measured: 20k sim-lookups+parses take ~0.5 s, while spinning the Ray
-# actor-pool stage costs ~3 s); above it the robots fetch-sim runs as a
-# distributed map_batches stage (the multi-node path).
-_DRIVER_ROBOTS_THRESHOLD = 50_000
 
 
 @dataclass
@@ -491,55 +493,26 @@ def _host_prep(
     hosts_needed: list[str],
     now_s: float,
 ) -> int:
-    """C3/C4/A3: fetch robots for unknown/expired hosts of this wave."""
+    """C3/C4/A3: fetch robots for unknown/expired hosts of this wave. The
+    robots stage runs on the driver, built once per run and cached on
+    ``hosts_state`` (measured: 20k sim-lookups+parses take ~0.5 s)."""
     need = hosts_state.missing_or_expired(hosts_needed, now_s)
     if not need:
         return 0
-    if len(need) <= _DRIVER_ROBOTS_THRESHOLD:
-        sim = getattr(hosts_state, "_sim", None)
-        if sim is None:
-            sim = hosts_state._sim = (
-                cfg.robots_transport()
-                if cfg.robots_transport is not None
-                else RobotsFetchSim(robots_path, cfg)
-            )
-        batch = pa.table(
-            {
-                "host": pa.array(need, pa.string()),
-                "now_s": pa.array([now_s] * len(need), pa.float64()),
-            }
+    sim = getattr(hosts_state, "_sim", None)
+    if sim is None:
+        sim = hosts_state._sim = (
+            cfg.robots_transport()
+            if cfg.robots_transport is not None
+            else RobotsFetchSim(robots_path, cfg)
         )
-        hosts_state.merge_fetched(sim(batch))
-    else:
-        ds = rd.from_items([{"host": h, "now_s": now_s} for h in need])
-        if cfg.robots_transport is not None:
-            factory = cfg.robots_transport
-
-            class _RobotsStage:
-                def __init__(self):
-                    self._inner = factory()
-
-                def __call__(self, b: pa.Table) -> pa.Table:
-                    return self._inner(b)
-
-            stage_cls, ctor_args = _RobotsStage, ()
-        else:
-            stage_cls, ctor_args = RobotsFetchSim, (robots_path, cfg)
-        fetched = ds.map_batches(
-            stage_cls,
-            fn_constructor_args=ctor_args,
-            batch_format="pyarrow",
-            batch_size=256,
-            # the reference's gate of 5 concurrent robots fetches is PER NODE
-            # (reference.conf:245); an elastic pool is the multi-node analog
-            concurrency=(2, 16),
-        )
-        # materialized first: to_arrow_refs on a lazy dataset re-runs it
-        # under a one-row limit for the schema, cancelling trailing tasks
-        # mid-RPC
-        tables = [t for t in ray.get(fetched.materialize().to_arrow_refs()) if t.num_rows]
-        if tables:
-            hosts_state.merge_fetched(pa.concat_tables(tables, promote_options="default"))
+    batch = pa.table(
+        {
+            "host": pa.array(need, pa.string()),
+            "now_s": pa.array([now_s] * len(need), pa.float64()),
+        }
+    )
+    hosts_state.merge_fetched(sim(batch))
     return len(need)
 
 
@@ -592,14 +565,19 @@ def _rank_write_selected(sel_table: pa.Table, wave: int, path: str) -> int:
     """Rank (rank_selected: priority desc, url asc; per-host + global
     ranks) and write one wave's selected manifest — OFF the wave critical
     path: in the untrimmed case the fetch set is rank-independent, so this
-    runs on a worker while the fused fetch pipeline executes (driver rank
-    + write measured ~0.5 s at 244k selected, ~1.9 s at 890k). The output
-    parquet is byte-identical to the inline path (same rank_selected, same
-    column order); the wave joins the ref before lineage reads the file."""
+    runs on a worker while the fetch tasks execute (driver rank + write
+    measured ~0.5 s at 244k selected, ~1.9 s at 890k). The output parquet
+    is byte-identical to the inline path (same rank_selected, same column
+    order); the wave joins the ref before lineage reads the file."""
     from abwcf_ray.stages.schedule import rank_selected
 
     df = rank_selected(sel_table.to_pandas())
     df["wave"] = np.int32(wave)
+    _write_selected_table(df, path)
+    return len(df)
+
+
+def _write_selected_table(df: pd.DataFrame, path) -> None:
     pq.write_table(
         pa.Table.from_pandas(
             df[["wave", "host", "rank_in_host", "global_rank", "url", "priority", "depth"]],
@@ -607,13 +585,79 @@ def _rank_write_selected(sel_table: pa.Table, wave: int, path: str) -> int:
         ),
         path,
     )
-    return len(df)
 
 
 # the wave loop's plain Ray tasks: stages over a group of parquet files,
 # and stages over one small table (a fetch work item)
 _scan_task = ray.remote(scan_parts)
 _chain_task = ray.remote(apply_stages)
+
+
+@dataclass
+class _Run:
+    """Cross-wave state of one :func:`run_crawl` call."""
+
+    cfg: CrawlConfig
+    corpus: CorpusMeta
+    out: Path
+    log: object
+    n_cpu: int  # read once: the default seen-shard count and the fan-outs
+    seen: SeenSet
+    content_seen: SeenSet | None
+    hosts_state: HostsState
+    summary: CrawlSummary
+    chain: _FrontierChain | None = None
+    start_wave: int = 0
+    total_fetched: int = 0
+    # Discovered-per-host ledger, maintained arithmetically wave-over-wave
+    # (seeds + claims − selected − rejects, each politeness-bounded) so the
+    # host histogram never rescans the frontier. None -> rebuild by one
+    # partial-counts scan (first wave after a resume). Driver memory is
+    # O(#live hosts) in COLUMNAR arrays — the same bound and shape as the
+    # hosts table itself (state/hosts.py).
+    host_ledger: _HostLedger | None = None
+    # previous frontier's row count, so n_new never needs a metadata rescan
+    prev_frontier_rows: int | None = None
+    # ray.put(cfg.fetch_transport), or None: pruned reads of the layout
+    transport_ref: object = None
+    process_fetched: object = None
+    normalize: object = None
+    scope: object = None
+
+
+@dataclass
+class _Wave:
+    """One wave's state, filled in by the steps in run order."""
+
+    n: int
+    wdir: Path
+    t0: float
+    now_s: float
+    metrics: dict
+    step_times: dict = field(default_factory=dict)
+    _last: float = 0.0
+    eligible_files: list = field(default_factory=list)
+    eligible: object = None
+    strict_robots: object = None
+    lenient_robots: object = None
+    sched_ref: object = None
+    # selected rows: unranked (or ranked by the distributed rank), then
+    # ranked and trimmed to the page budget by _write_selected
+    sel_df: pd.DataFrame | None = None
+    rank_distributed: bool = False
+    rejects: pa.Table | None = None
+    disallowed: np.ndarray | None = None
+    sel_write_ref: object = None
+    n_selected: int = 0
+    sel_sorted: np.ndarray | None = None
+    cand_refs: list = field(default_factory=list)
+    claims: list = field(default_factory=list)
+    n_new: int = 0
+
+    def mark(self, name: str) -> None:
+        now = time.perf_counter()
+        self.step_times[name] = round(now - (self._last or self.t0), 3)
+        self._last = now
 
 
 def run_crawl(
@@ -625,26 +669,59 @@ def run_crawl(
     resume: bool = False,
     log=print,
 ) -> CrawlSummary:
-    out = Path(out_dir)
+    run = _open_run(cfg, corpus, Path(out_dir), seeds, resume, log)
+    for n in range(run.start_wave, cfg.max_waves):
+        w = _start_wave(run, n)
+        _prep_hosts(run, w)
+        _select(run, w)
+        if w.n_selected == 0:
+            _drain(run, w)
+            _finish_wave(run, w, f"[crawl] wave {n}: frontier drained, stopping")
+            break
+        _write_selected(run, w)
+        _fetch_candidates(run, w)
+        _claim_and_write_frontier(run, w)
+        _update_ledger(run, w)
+        _compact_if_due(run, w)
+        _finish_wave(run, w)
+        if run.total_fetched >= cfg.max_pages:
+            log(f"[crawl] page budget reached ({run.total_fetched})")
+            break
+    summary = run.summary
+    summary.total_fetched = run.total_fetched
+    summary.final_frontier_rows = int(run.prev_frontier_rows or 0)
+    summary.seen_size = run.seen.size()
+    run.seen.shutdown()
+    if run.content_seen is not None:
+        run.content_seen.shutdown()
+    return summary
+
+
+# --------------------------------------------------------------------------
+# run steps: open (resume or seed), warm-up
+# --------------------------------------------------------------------------
+def _open_run(
+    cfg: CrawlConfig,
+    corpus: CorpusMeta,
+    out: Path,
+    seeds: list[str] | None,
+    resume: bool,
+    log,
+) -> _Run:
+    """Start the seen sets, resume from the last completed wave (or seed a
+    fresh frontier), build the wave stages and warm the session up."""
     out.mkdir(parents=True, exist_ok=True)
-    prioritize = make_prioritize_stage(cfg)
-    # the cluster's CPUs, read once: the default seen-shard count and the
-    # claim fan-out
     n_cpu = max(1, int(ray.cluster_resources().get("CPU", 1)))
-    completed = (
-        sorted(
-            (
-                d
-                for d in out.glob("wave_*")
-                if (d / "manifest.json").exists()
-                and json.loads((d / "manifest.json").read_text()).get("completed")
-            ),
-            # numeric sort: lexicographic breaks at wave 10000 ('wave_9999' >
-            # 'wave_10000')
-            key=lambda d: int(d.name.split("_")[1]),
-        )
-        if resume
-        else []
+    completed = sorted(
+        (
+            d
+            for d in (out.glob("wave_*") if resume else ())
+            if (d / "manifest.json").exists()
+            and json.loads((d / "manifest.json").read_text()).get("completed")
+        ),
+        # numeric sort: lexicographic breaks at wave 10000 ('wave_9999' >
+        # 'wave_10000')
+        key=lambda d: int(d.name.split("_")[1]),
     )
     num_shards = cfg.seen_shards
     if num_shards is None:
@@ -652,637 +729,542 @@ def run_crawl(
         # an explicit count that disagrees is refused by SeenSet.restore
         stored = SeenSet.checkpoint_shards(completed[-1] / "seen") if completed else None
         num_shards = stored or n_cpu
-    seen = SeenSet(
-        num_shards,
-        backend=cfg.seen_backend,
-        cuckoo_capacity=cfg.seen_cuckoo_capacity,
-    )
-    content_seen = (
-        SeenSet(
-            num_shards,
-            backend=cfg.seen_backend,
-            cuckoo_capacity=cfg.seen_cuckoo_capacity,
-        )
-        if cfg.dedup_content
-        else None
-    )
-    hosts_state = HostsState(cfg)
-    summary = CrawlSummary(out_dir=str(out))
-    total_fetched = 0
-    start_wave = 0
 
-    chain: _FrontierChain | None = None
-    if resume:
-        if completed:
-            last = completed[-1]
-            manifest = json.loads((last / "manifest.json").read_text())
-            start_wave = manifest["wave"] + 1
-            total_fetched = manifest["total_fetched"]
-            seen.restore(last / "seen")
-            if content_seen is not None and (last / "content_seen").exists():
-                content_seen.restore(last / "content_seen")
-            hosts_state.restore(last / "hosts.parquet")
-            summary.per_wave = [
-                json.loads((d / "manifest.json").read_text()) for d in completed
-            ]
-            chain = _FrontierChain.from_manifest(out, manifest)
-            # a no-op resume (last completed wave was max_waves-1) must
-            # still point last_wave_dir at the completed wave, not wave_-001
-            summary.waves = start_wave
-            summary.total_fetched = total_fetched
-            summary.final_frontier_rows = int(
-                manifest.get("n_frontier") or 0
-            )
-            log(f"[crawl] resuming after wave {manifest['wave']}")
-        else:
-            resume = False
-
-    if not resume:
-        # fresh run: wipe any previous run's checkpoints — Ray's
-        # write_parquet appends part files, so stale wave dirs would merge
-        # into the new run's frontier reads
-        import shutil
-
-        for d in list(out.glob("wave_*")) + [out / "init"]:
-            if d.exists():
-                shutil.rmtree(d)
-        # ---- wave -1: seed the frontier (init checkpoint) ----------------
-        init_dir = _wave_dir(out, 0).parent / "init"
-        (init_dir / "frontier").mkdir(parents=True, exist_ok=True)
-        frontier0 = _seed_frontier(cfg, seeds if seeds is not None else corpus.seeds, prioritize)
-        # split into multiple part files: a single-file frontier becomes ONE
-        # read task next wave, serializing every downstream operator behind
-        # one block-emitting reader (measured: ~2.5 s serial at 300k rows)
-        rows_per_part = max(2048, min(20_000, (frontier0.num_rows // 64) + 1))
-        for part, start in enumerate(range(0, max(frontier0.num_rows, 1), rows_per_part)):
-            pq.write_table(
-                frontier0.slice(start, rows_per_part),
-                init_dir / "frontier" / f"part-{part:05d}.parquet",
-            )
-        seen.add_urls(frontier0.column("url").to_pylist(), wave=-1)
-        seen.checkpoint(init_dir / "seen")
-        hosts_state.checkpoint(init_dir / "hosts.parquet")
-        (init_dir / "manifest.json").write_text(
-            json.dumps(
-                {
-                    "wave": -1,
-                    "completed": True,
-                    "total_fetched": 0,
-                    "n_frontier": frontier0.num_rows,
-                    "files": {"frontier": _file_lineage(init_dir / "frontier")},
-                }
-            )
-        )
-        chain = _FrontierChain(out, init_dir / "frontier")
-        # the seed pass already knows wave 0's Discovered-per-host ledger —
-        # skip wave 0's full frontier scan for the host histogram
-        seed_counts = frontier0.column("host").to_pandas().value_counts()
-        seed_ledger = _HostLedger.from_counts(
-            seed_counts.index.to_numpy(dtype=object), seed_counts.to_numpy()
+    def seen_set() -> SeenSet:
+        return SeenSet(
+            num_shards, backend=cfg.seen_backend, cuckoo_capacity=cfg.seen_cuckoo_capacity
         )
 
-    process_fetched = make_process_fetched_stage(cfg)
-    normalize = make_normalize_stage(cfg)
-    scope = make_scope_filter_stage(cfg)
-
-    # fetch substrate: prefer the hash-sorted layout (row-group-pruned reads,
-    # O(selected) per wave); fall back to the full-corpus broadcast semi-join
-    # scan for corpora without it. The fallback read op is created ONCE:
-    # read-op creation lists files + resolves metadata on the driver
-    # (~1.7 s at 1M pages) — re-creating it per wave is pure overhead.
-    hashed_dir = getattr(corpus, "hashed_dir", None)
-    use_pruned = bool(hashed_dir) and Path(hashed_dir).exists()
-    corpus_ds = (
-        None if use_pruned else rd.read_parquet(corpus.pages_dir, columns=FETCH_COLUMNS)
+    run = _Run(
+        cfg=cfg,
+        corpus=corpus,
+        out=out,
+        log=log,
+        n_cpu=n_cpu,
+        seen=seen_set(),
+        content_seen=seen_set() if cfg.dedup_content else None,
+        hosts_state=HostsState(cfg),
+        summary=CrawlSummary(out_dir=str(out)),
     )
-    # Discovered-per-host ledger, maintained arithmetically wave-over-wave
-    # (seeds + claims − selected − rejects, each politeness-bounded) so the
-    # host histogram never rescans the frontier. None -> rebuild by one
-    # partial-counts scan (first wave after a resume). Driver memory is
-    # O(#live hosts) in COLUMNAR arrays (_HostLedger) — the same bound and
-    # the same shape as the hosts table itself (state/hosts.py).
-    host_ledger: _HostLedger | None = None
-    # previous frontier's row count, carried wave-over-wave so n_new never
-    # needs a full metadata rescan of the previous checkpoint
-    prev_frontier_rows: int | None = None
-    if not resume:
-        host_ledger = seed_ledger
-        prev_frontier_rows = frontier0.num_rows
-    elif summary.per_wave:
-        prev_frontier_rows = summary.per_wave[-1].get("n_frontier")
+    if completed:
+        _resume(run, completed)
+    else:
+        _seed(run, seeds if seeds is not None else corpus.seeds)
+    run.process_fetched = make_process_fetched_stage(cfg)
+    run.normalize = make_normalize_stage(cfg)
+    run.scope = make_scope_filter_stage(cfg)
+    # one fetch path: a url-chunk transport, or pruned reads of the hashed
+    # corpus layout — built here once for a corpus that lacks it
+    if cfg.fetch_transport is not None:
+        run.transport_ref = ray.put(cfg.fetch_transport)
+    elif not layout_is_valid(corpus):
+        build_hashed_layout(corpus)
+    _warm_up(run)
+    return run
 
-    # ---- session warm-up (outside the per-wave timers) ------------------
-    # Actor pools and Ray Data's sort-exchange machinery spawn lazily on
-    # first use, which would otherwise bill ~2 s of ONE-TIME bring-up to
-    # the first wave's steps (measured: wave-0 select 2.6 s vs 0.63 s at
-    # wave 1+ on identical input — tools/bench_wave_steps.py). A production
-    # run amortizes bring-up over thousands of waves; recorded as
-    # summary.warmup_s so single-wave benchmarks see steady-state waves.
+
+def _resume(run: _Run, completed: list[Path]) -> None:
+    last = completed[-1]
+    manifest = json.loads((last / "manifest.json").read_text())
+    run.start_wave = manifest["wave"] + 1
+    run.total_fetched = manifest["total_fetched"]
+    run.seen.restore(last / "seen")
+    if run.content_seen is not None and (last / "content_seen").exists():
+        run.content_seen.restore(last / "content_seen")
+    run.hosts_state.restore(last / "hosts.parquet")
+    run.summary.per_wave = [json.loads((d / "manifest.json").read_text()) for d in completed]
+    run.chain = _FrontierChain.from_manifest(run.out, manifest)
+    # a no-op resume (last completed wave was max_waves-1) must still point
+    # last_wave_dir at the completed wave, not wave_-001
+    run.summary.waves = run.start_wave
+    run.prev_frontier_rows = manifest.get("n_frontier")
+    run.log(f"[crawl] resuming after wave {manifest['wave']}")
+
+
+def _seed(run: _Run, seeds: list[str]) -> None:
+    """Wave -1: wipe any previous run's checkpoints (stale wave dirs would
+    merge into the new run's frontier reads) and write the seeded frontier
+    as the ``init`` checkpoint."""
+    import shutil
+
+    out, cfg = run.out, run.cfg
+    for d in list(out.glob("wave_*")) + [out / "init"]:
+        if d.exists():
+            shutil.rmtree(d)
+    init_dir = out / "init"
+    (init_dir / "frontier").mkdir(parents=True, exist_ok=True)
+    frontier0 = _seed_frontier(cfg, seeds, make_prioritize_stage(cfg))
+    # split into multiple part files: a single-file frontier becomes ONE
+    # read task next wave, serializing every downstream step behind one
+    # reader (measured: ~2.5 s serial at 300k rows)
+    rows_per_part = max(2048, min(20_000, (frontier0.num_rows // 64) + 1))
+    for part, start in enumerate(range(0, max(frontier0.num_rows, 1), rows_per_part)):
+        pq.write_table(
+            frontier0.slice(start, rows_per_part),
+            init_dir / "frontier" / f"part-{part:05d}.parquet",
+        )
+    run.seen.add_urls(frontier0.column("url").to_pylist(), wave=-1)
+    run.seen.checkpoint(init_dir / "seen")
+    run.hosts_state.checkpoint(init_dir / "hosts.parquet")
+    (init_dir / "manifest.json").write_text(
+        json.dumps(
+            {
+                "wave": -1,
+                "completed": True,
+                "total_fetched": 0,
+                "n_frontier": frontier0.num_rows,
+                "files": {"frontier": _file_lineage(init_dir / "frontier")},
+            }
+        )
+    )
+    run.chain = _FrontierChain(out, init_dir / "frontier")
+    # the seed pass already knows wave 0's Discovered-per-host ledger —
+    # skip wave 0's full frontier scan for the host histogram
+    seed_counts = frontier0.column("host").to_pandas().value_counts()
+    run.host_ledger = _HostLedger.from_counts(
+        seed_counts.index.to_numpy(dtype=object), seed_counts.to_numpy()
+    )
+    run.prev_frontier_rows = frontier0.num_rows
+
+
+def _warm_up(run: _Run) -> None:
+    """Session warm-up, outside the per-wave timers: the seen-shard actors
+    and Ray Data's exchange machinery spawn lazily on first use, which
+    would otherwise bill ~2 s of ONE-TIME bring-up to the first wave's
+    steps (measured: wave-0 select 2.6 s vs 0.63 s at wave 1+ on identical
+    input — tools/bench_wave_steps.py). A production run amortizes
+    bring-up over thousands of waves; recorded as summary.warmup_s so
+    single-wave benchmarks see steady-state waves."""
     tw = time.perf_counter()
-    seen.size()
-    if content_seen is not None:
-        content_seen.size()
+    run.seen.size()
+    if run.content_seen is not None:
+        run.content_seen.size()
     (
         rd.range(256)
         .groupby("id")
         .map_groups(lambda g: g, batch_format="pandas")
         .materialize()
     )
-    summary.warmup_s = round(time.perf_counter() - tw, 3)
+    run.summary.warmup_s = round(time.perf_counter() - tw, 3)
 
-    for wave in range(start_wave, cfg.max_waves):
-        t0 = time.perf_counter()
-        step_t = {}
 
-        def _mark(name: str, _s=[t0]) -> None:
-            now = time.perf_counter()
-            step_t[name] = round(now - _s[0], 3)
-            _s[0] = now
+# --------------------------------------------------------------------------
+# wave steps, in run order
+# --------------------------------------------------------------------------
+def _start_wave(run: _Run, n: int) -> _Wave:
+    t0 = time.perf_counter()
+    wdir = _wave_dir(run.out, n)
+    # a crash mid-wave leaves a dir without a completed manifest; wipe it so
+    # re-written parquet dirs don't accumulate stale part files
+    manifest_path = wdir / "manifest.json"
+    if wdir.exists() and not (
+        manifest_path.exists() and json.loads(manifest_path.read_text()).get("completed")
+    ):
+        import shutil
 
-        now_s = wave * cfg.wave_duration_s
-        wdir = _wave_dir(out, wave)
-        # a crash mid-wave leaves a dir without a completed manifest; wipe it
-        # so re-written parquet dirs don't accumulate stale part files
-        manifest_path = wdir / "manifest.json"
-        if wdir.exists() and not (
-            manifest_path.exists()
-            and json.loads(manifest_path.read_text()).get("completed")
-        ):
-            import shutil
+        shutil.rmtree(wdir)
+    return _Wave(
+        n=n,
+        wdir=wdir,
+        t0=t0,
+        now_s=n * run.cfg.wave_duration_s,
+        metrics={"wave": n, "completed": False},
+    )
 
-            shutil.rmtree(wdir)
-        metrics: dict = {"wave": wave, "completed": False}
 
-        # logical frontier = base ∪ deltas, minus rows flipped since the
-        # last compaction (broadcast sorted hashes, politeness-bounded)
-        # the eligible scan reads only parts that can hold Discovered rows —
-        # O(Discovered) once the base has a status-split compaction
-        eligible_files = chain.eligible_sources()
-        eligible = make_eligible_filter(ray.put(chain.flips_merged()))
-
-        # ---- host-prep (C3/C4/A3) ---------------------------------------
-        if host_ledger is None:
-            # shuffle-free host histogram: per-file-group partials, driver
-            # merge
-            partials = pa.concat_tables(
-                ray.get(
-                    [
-                        _scan_task.remote(g, [eligible, partial_host_counts])
-                        for g in file_groups(eligible_files, 2 * n_cpu)
-                    ]
-                )
+def _prep_hosts(run: _Run, w: _Wave) -> None:
+    """Host histogram, robots for unknown/expired hosts (C3/C4/A3), and
+    the wave's broadcast robots filters and scheduler payload."""
+    cfg, hosts_state = run.cfg, run.hosts_state
+    # logical frontier = base ∪ deltas, minus rows flipped since the last
+    # compaction (broadcast sorted hashes, politeness-bounded); the
+    # eligible scan reads only parts that can hold Discovered rows —
+    # O(Discovered) once the base has a status-split compaction
+    w.eligible_files = run.chain.eligible_sources()
+    w.eligible = make_eligible_filter(ray.put(run.chain.flips_merged()))
+    if run.host_ledger is None:
+        # shuffle-free host histogram: per-file-group partials, driver merge
+        partials = pa.concat_tables(
+            ray.get(
+                [
+                    _scan_task.remote(g, [w.eligible, partial_host_counts])
+                    for g in file_groups(w.eligible_files, 2 * run.n_cpu)
+                ]
             )
-            host_counts = partials.to_pandas().groupby("host", sort=False)["n"].sum()
-            host_ledger = _HostLedger.from_counts(
-                host_counts.index.to_numpy(dtype=object), host_counts.to_numpy()
-            )
-        hosts_needed, n_eligible = host_ledger.eligible()
-        _mark("host_histogram")
-        n_robots = _host_prep(cfg, hosts_state, corpus.robots_path, hosts_needed, now_s)
-        wdir.mkdir(parents=True, exist_ok=True)
-        hosts_state.checkpoint(wdir / "hosts.parquet")
-        rules_payload = hosts_state.rules_payload(now_s)
-        n_live_hosts = len(rules_payload["hash"])
-        if n_live_hosts > cfg.hosts_broadcast_max:
-            # 10^8-host path: hash(host)-bucketed robots join — a task
-            # compiles only the buckets its rows touch (config.py knobs)
-            bucket_refs = [
-                ray.put(p)
-                for p in hosts_state.bucketed_rules_payload(now_s, cfg.hosts_bucket_bits)
-            ]
-            strict_robots, lenient_robots = (
-                make_bucketed_robots_filter(
-                    bucket_refs, cfg.hosts_bucket_bits, strict=strict
-                )
-                for strict in (True, False)
-            )
-        else:
-            hosts_ref = ray.put(rules_payload)
-            strict_robots = make_strict_robots_filter(hosts_ref)
-            lenient_robots = make_lenient_robots_filter(hosts_ref)
-        del rules_payload
-        sched_ref = ray.put(hosts_state.sched_payload(now_s, cfg.wave_duration_s))
-        metrics.update(
-            n_eligible=n_eligible,
-            n_hosts_eligible=len(hosts_needed),
-            n_robots_fetched=n_robots,
         )
-        _mark("host_prep")
-
-        # ---- strict robots (C2) + politeness selection (D1/D2) ----------
-        # one pass per file group: allowed rows and flagged rejects stream
-        # into the shuffle-free partial top-k selection, which splits the
-        # rejects off.
-        # Past rank_distributed_min eligible rows the selected set may be
-        # too large to sort on the driver: a distributed merge keeps it a
-        # Dataset, and the RANK venue then re-decides on the ACTUAL
-        # politeness-bounded selected count (a 2.4M-eligible wave selecting
-        # 890k rows ranks cheaply on the driver). materialize() pins the
-        # merge result so neither rank venue re-runs it.
-        as_ds = n_eligible > cfg.rank_distributed_min
-        selected_raw, rejects = select_wave(
-            eligible_files,
-            [eligible, strict_robots],
-            sched_ref,
-            n_tasks=2 * n_cpu,
-            as_dataset=as_ds,
+        host_counts = partials.to_pandas().groupby("host", sort=False)["n"].sum()
+        run.host_ledger = _HostLedger.from_counts(
+            host_counts.index.to_numpy(dtype=object), host_counts.to_numpy()
         )
-        rank_distributed = False
-        if not isinstance(selected_raw, pd.DataFrame):
-            # the distributed-merge venue was taken (partials over the
-            # driver cap): decide the rank venue on the actual selected
-            # count the same way
-            selected_raw = selected_raw.materialize()
-            if selected_raw.count() > cfg.rank_distributed_min:
-                rank_distributed = True
-                selected_raw = rank_selected_ds(selected_raw)
-            else:
-                selected_raw = selected_raw.to_pandas()
-        disallowed_hashes = rejects.column("url_hash").to_numpy()
-        n_selected = len(selected_raw)
-        budget_left = cfg.max_pages - total_fetched
-        metrics["n_disallowed"] = int(len(disallowed_hashes))
-        _mark("select")
-
-        if n_selected == 0:
-            # terminal wave: drain — fold this wave's disallowed flips into
-            # the chain and compact to a final materialized frontier (the
-            # one O(frontier) write of the run, at its end)
-            if len(disallowed_hashes):
-                flips_path = wdir / "flips.parquet"
-                _write_flips(flips_path, np.empty(0, np.uint64), disallowed_hashes)
-                chain.add_wave(None, flips_path, np.empty(0, np.uint64), disallowed_hashes)
-            _compact_frontier(chain, wdir / "frontier", n_cpu)
-            (wdir / "processed").mkdir(parents=True, exist_ok=True)
-            (wdir / "selected").mkdir(parents=True, exist_ok=True)
-            seen.checkpoint(wdir / "seen")
-            if content_seen is not None:
-                content_seen.checkpoint(wdir / "content_seen")
-            n_frontier = _parquet_rows(wdir / "frontier")
-            metrics.update(
-                n_selected=0,
-                n_new=0,
-                n_frontier=n_frontier,
-                total_fetched=total_fetched,
-                duration_s=round(time.perf_counter() - t0, 3),
-                completed=True,
-                files={"frontier": _file_lineage(wdir / "frontier")},
-                frontier_chain=chain.manifest_entry(),
-            )
-            (wdir / "manifest.json").write_text(json.dumps(metrics))
-            summary.per_wave.append(metrics)
-            summary.waves = wave + 1
-            prev_frontier_rows = n_frontier
-            log(f"[crawl] wave {wave}: frontier drained, stopping")
-            break
-
-        # canonical ordering + budget trim + selected-manifest write. The
-        # ranked manifest is consumed only by resume/goldens — never by
-        # this wave's pipeline — and the FETCH set is rank-independent
-        # unless the page budget trims it (trim = lowest global ranks
-        # drop). So in the common untrimmed case the rank + parquet write
-        # run in ONE remote task overlapping the fetch execution; the
-        # driver ranks inline only when trimming, or when the distributed
-        # rank already produced the ranked frame.
-        (wdir / "selected").mkdir(parents=True, exist_ok=True)
-        sel_path = wdir / "selected" / "part-0.parquet"
-        need_trim = (not rank_distributed) and len(selected_raw) > budget_left
-        sel_write_ref = None
-        if rank_distributed or need_trim:
-            sel_df = (
-                selected_raw if rank_distributed else rank_selected(selected_raw)
-            )
-            if len(sel_df) > budget_left:
-                sel_df = sel_df.iloc[: int(budget_left)].copy()
-            sel_df["wave"] = np.int32(wave)
-            pq.write_table(
-                pa.Table.from_pandas(
-                    sel_df[["wave", "host", "rank_in_host", "global_rank", "url", "priority", "depth"]],
-                    preserve_index=False,
-                ),
-                sel_path,
-            )
-        else:
-            sel_df = selected_raw  # unranked; membership == fetch set
-            sel_write_ref = _rank_write_selected.remote(
-                ray.put(
-                    pa.Table.from_pandas(
-                        sel_df[list(sel_df.columns)], preserve_index=False
-                    )
-                ),
-                wave,
-                str(sel_path),
-            )
-        n_selected = len(sel_df)
-
-        # ---- fetch (A2) + process (A7, B1-B3) + candidate chain (B4 ->
-        # B5 -> C1 -> F1 phase 1) --------------------------------------
-        # One Ray task per pruned-fetch work item runs the fused tee
-        # (stages/fetch.make_fetch_process_tee): it reads only its hit row
-        # groups, parses, writes its own processed-checkpoint part
-        # (deterministic name -> retry-safe), and passes only (links,
-        # child_depth) on to the candidate chain in the same task — html
-        # never leaves it and nothing is re-read.
-        sel_hashes = hash64(sel_df["url"].tolist())
-        sel_order = np.argsort(sel_hashes)
-        sel_sorted = sel_hashes[sel_order]
-        sel_ref = ray.put(
-            (sel_sorted, sel_df["depth"].to_numpy()[sel_order].astype(np.int32))
-        )
-        (wdir / "processed").mkdir(parents=True, exist_ok=True)
-        # E2 — bandwidth split: the budget's binding consequence is the
-        # concurrent-fetcher cap (FetcherManager.scala:66); apply it as the
-        # number of fetch tasks in flight (results identical, parallelism
-        # bounded; see CrawlConfig.total_bandwidth_budget_bps)
-        max_fetchers = None
-        if cfg.total_bandwidth_budget_bps:
-            max_fetchers = max(
-                1,
-                int(cfg.total_bandwidth_budget_bps)
-                // max(1, int(cfg.min_bandwidth_per_fetcher_bps)),
-            )
-            metrics["max_fetchers"] = max_fetchers
-        # the candidate chain of one block of (links, child_depth) rows;
-        # run_key includes the shard-POOL token: a resumed run re-runs the
-        # same (wdir, wave) with a fresh pool, and stale RPC-skip cache
-        # entries in surviving workers would lose candidates (see
-        # SeenSet.cache_token)
-        cand_chain = [
-            explode_links,
-            normalize,
-            scope,
-            lenient_robots,
-            make_propose(
-                seen,
-                wave,
-                run_key=f"{wdir}:{seen.cache_token()}",
-                cache_size=cfg.prededup_cache_size,
-            ),
+    hosts_needed, n_eligible = run.host_ledger.eligible()
+    w.mark("host_histogram")
+    n_robots = _host_prep(cfg, hosts_state, run.corpus.robots_path, hosts_needed, w.now_s)
+    w.wdir.mkdir(parents=True, exist_ok=True)
+    hosts_state.checkpoint(w.wdir / "hosts.parquet")
+    rules_payload = hosts_state.rules_payload(w.now_s)
+    if len(rules_payload["hash"]) > cfg.hosts_broadcast_max:
+        # 10^8-host path: hash(host)-bucketed robots join — a task compiles
+        # only the buckets its rows touch (config.py knobs)
+        bucket_refs = [
+            ray.put(p)
+            for p in hosts_state.bucketed_rules_payload(w.now_s, cfg.hosts_bucket_bits)
         ]
-        if use_pruned and cfg.fetch_transport is None:
-            items = plan_pruned_fetch(hashed_dir, sel_sorted)
-            metrics["fetch_row_groups"] = int(sum(len(i["rgs"]) for i in items))
-            metrics["fetch_tasks"] = len(items)
-            tee = make_fetch_process_tee(
-                sel_ref, process_fetched, str(wdir / "processed"), cfg.max_content_length
-            )
-            if not items:
-                # zero-item wave: keep the checkpoint readable (resume and
-                # the oracle read the processed dir) — one empty part in the
-                # processed schema
-                pq.write_table(
-                    process_fetched(empty_fetched_table()),
-                    wdir / "processed" / "part-empty.parquet",
-                )
-            _mark("fetch_prep")  # sel hashing + broadcast puts + pruned plan
-            cand_refs, in_flight = [], []
-            for item in items:
-                if max_fetchers and len(in_flight) >= max_fetchers:
-                    _, in_flight = ray.wait(in_flight, num_returns=1, fetch_local=False)
-                ref = _chain_task.remote(pa.Table.from_pylist([item]), [tee] + cand_chain)
-                cand_refs.append(ref)
-                in_flight.append(ref)
+        w.strict_robots, w.lenient_robots = (
+            make_bucketed_robots_filter(bucket_refs, cfg.hosts_bucket_bits, strict=strict)
+            for strict in (True, False)
+        )
+    else:
+        hosts_ref = ray.put(rules_payload)
+        w.strict_robots = make_strict_robots_filter(hosts_ref)
+        w.lenient_robots = make_lenient_robots_filter(hosts_ref)
+    del rules_payload
+    w.sched_ref = ray.put(hosts_state.sched_payload(w.now_s, cfg.wave_duration_s))
+    w.metrics.update(
+        n_eligible=n_eligible,
+        n_hosts_eligible=len(hosts_needed),
+        n_robots_fetched=n_robots,
+    )
+    w.mark("host_prep")
+
+
+def _select(run: _Run, w: _Wave) -> None:
+    """Strict robots (C2) + politeness selection (D1/D2): one pass per file
+    group; allowed rows and flagged rejects stream into the shuffle-free
+    partial top-k selection, which splits the rejects off.
+
+    Past rank_distributed_min eligible rows the selected set may be too
+    large to sort on the driver: a distributed merge keeps it a Dataset,
+    and the RANK venue then re-decides on the ACTUAL politeness-bounded
+    selected count (a 2.4M-eligible wave selecting 890k rows ranks cheaply
+    on the driver). materialize() pins the merge result so neither rank
+    venue re-runs it."""
+    cfg = run.cfg
+    selected, w.rejects = select_wave(
+        w.eligible_files,
+        [w.eligible, w.strict_robots],
+        w.sched_ref,
+        n_tasks=2 * run.n_cpu,
+        as_dataset=w.metrics["n_eligible"] > cfg.rank_distributed_min,
+    )
+    if not isinstance(selected, pd.DataFrame):
+        # the distributed-merge venue was taken (partials over the driver
+        # cap): decide the rank venue on the actual selected count the
+        # same way
+        selected = selected.materialize()
+        if selected.count() > cfg.rank_distributed_min:
+            w.rank_distributed = True
+            selected = rank_selected_ds(selected)
         else:
-            # the injectable transport's actor pool (H/A2,
-            # stages/transport.py; the deployment shape for a REAL network
-            # crawl) or the full-corpus scan (a corpus without the hashed
-            # layout): Ray Data fetch stages writing the processed
-            # checkpoint, then the same candidate chain as one task per
-            # processed part. Two-phase: neither a network response nor a
-            # scan block has a stable item identity for the retry-safe tee.
-            if cfg.fetch_transport is not None:
-                from abwcf_ray.stages.transport import TransportFetchStage
+            selected = selected.to_pandas()
+    w.sel_df = selected
+    w.n_selected = len(selected)
+    w.disallowed = w.rejects.column("url_hash").to_numpy()
+    w.metrics["n_disallowed"] = int(len(w.disallowed))
+    w.mark("select")
 
-                sel_rows = pa.table(
-                    {
-                        "url": pa.array(sel_df["url"], pa.string()),
-                        "depth": pa.array(
-                            sel_df["depth"].to_numpy().astype(np.int32),
-                            pa.int32(),
-                        ),
-                    }
-                )
-                lo_c, hi_c = (int(c) for c in cfg.fetch_transport_concurrency)
-                hi_c = max_fetchers or hi_c
-                n_blocks = max(
-                    min(lo_c, hi_c),
-                    min(64, sel_rows.num_rows // max(1, cfg.fetch_transport_batch_size) + 1),
-                )
-                fetched = rd.from_arrow(sel_rows).repartition(n_blocks).map_batches(
-                    TransportFetchStage,
-                    fn_constructor_args=(cfg.fetch_transport,),
-                    batch_format="pyarrow",
-                    concurrency=(min(lo_c, hi_c), hi_c),
-                    batch_size=cfg.fetch_transport_batch_size,
-                )
-            else:
-                # NOTE: no min_rows_per_file — Ray's write-coalescing buffers
-                # whole text+links blocks row-wise (measured 13x slowdown).
-                fetched = corpus_ds.map_batches(
-                    make_fetch_scan(sel_ref, cfg.max_content_length),
-                    batch_format="pyarrow",
-                    **({"concurrency": max_fetchers} if max_fetchers else {}),
-                )
-            _mark("fetch_prep")
-            fetched.map_batches(
-                process_fetched, batch_format="pyarrow"
-            ).write_parquet(str(wdir / "processed"), compression="zstd")
-            if not any((wdir / "processed").glob("*.parquet")):
-                # every fetch failed/missed: keep the checkpoint readable
-                pq.write_table(
-                    process_fetched(empty_fetched_table()),
-                    wdir / "processed" / "part-empty.parquet",
-                )
-            cand_refs = [
-                _scan_task.remote([str(f)], cand_chain, ["links", "child_depth"])
-                for f in sorted((wdir / "processed").glob("*.parquet"))
-            ]
-        # ---- propose -> claim barrier (F1) ------------------------------
-        # Wave-dedup + seen-filter run as a TWO-PHASE shard-actor protocol
-        # instead of a groupby(url) all-to-all: waiting on every candidate
-        # task completes every `propose` (min-depth per url) before any
-        # `claim` (first-wins arbitration + seen registration) runs — the
-        # same single-writer-per-url mechanism as the reference's sharded
-        # PageManager entities. The candidate tables stay in the object
-        # store (links of this wave's fetches, politeness-bounded). The
-        # barrier also guarantees every processed-checkpoint part is on
-        # disk before the wave's metrics read them.
-        if cand_refs:
-            # fetch_local=False: the tables stay where the claims will run
-            ray.wait(cand_refs, num_returns=len(cand_refs), fetch_local=False)
-        _mark("fetch_candidates")
 
-        # ---- claim DISPATCH (barrier deferred — verdict r4 #2) ----------
-        # The claim chunk tasks run on workers; everything the driver does
-        # until the ray.get below (metrics flags read, novel filter, flips
-        # write) depends only on the candidate tables and the processed
-        # checkpoint, so it overlaps the claim instead of serializing
-        # behind it.
-        delta_dir = wdir / "delta"
-        delta_dir.mkdir(parents=True, exist_ok=True)
-        n_chunks = max(1, min(len(cand_refs), 2 * n_cpu))
-        claim_refs = [
-            _claim_chunk.remote(
-                tok, seen, wave, cfg, str(delta_dir),
-                *cand_refs[tok::n_chunks],
-            )
-            for tok in range(n_chunks)
+def _drain(run: _Run, w: _Wave) -> None:
+    """Terminal wave (nothing selected): fold this wave's disallowed flips
+    into the chain and compact to a final materialized frontier — the one
+    O(frontier) write of the run, at its end."""
+    empty = np.empty(0, np.uint64)
+    if len(w.disallowed):
+        flips_path = w.wdir / "flips.parquet"
+        _write_flips(flips_path, empty, w.disallowed)
+        run.chain.add_wave(None, flips_path, empty, w.disallowed)
+    _resolve_prev_frontier_rows(run)
+    _compact_frontier(run.chain, w.wdir / "frontier", run.n_cpu)
+    w.mark("frontier_compact")
+    for sub in ("processed", "selected"):
+        (w.wdir / sub).mkdir(parents=True, exist_ok=True)
+
+
+def _write_selected(run: _Run, w: _Wave) -> None:
+    """Canonical ordering, budget trim and the selected-manifest write.
+    The ranked manifest is consumed only by resume/goldens — never by this
+    wave's fetch — and the FETCH set is rank-independent unless the page
+    budget trims it (trim = lowest global ranks drop). So in the common
+    untrimmed case the rank + parquet write run in ONE remote task
+    overlapping the fetch; the driver ranks inline only when trimming, or
+    when the distributed rank already produced the ranked frame."""
+    (w.wdir / "selected").mkdir(parents=True, exist_ok=True)
+    sel_path = w.wdir / "selected" / "part-0.parquet"
+    budget_left = run.cfg.max_pages - run.total_fetched
+    sel_df = w.sel_df
+    if w.rank_distributed or len(sel_df) > budget_left:
+        if not w.rank_distributed:
+            sel_df = rank_selected(sel_df)
+        if len(sel_df) > budget_left:
+            sel_df = sel_df.iloc[: int(budget_left)].copy()
+        sel_df["wave"] = np.int32(w.n)
+        _write_selected_table(sel_df, sel_path)
+    else:  # unranked; membership == fetch set
+        w.sel_write_ref = _rank_write_selected.remote(
+            ray.put(pa.Table.from_pandas(sel_df[list(sel_df.columns)], preserve_index=False)),
+            w.n,
+            str(sel_path),
+        )
+    w.sel_df = sel_df
+    w.n_selected = len(sel_df)
+
+
+def _fetch_candidates(run: _Run, w: _Wave) -> None:
+    """Fetch (A2) + process (A7, B1-B3) + candidate chain (B4 -> B5 -> C1
+    -> F1 phase 1), one Ray task per work item. Each task runs the fused
+    tee (stages/fetch.make_fetch_process_tee): it fetches its item, parses,
+    writes its own processed-checkpoint part (deterministic name ->
+    retry-safe), and passes only (links, child_depth) on to the candidate
+    chain in the same task — html never leaves it and nothing is re-read.
+
+    A work item is a ``plan_pruned_fetch`` (path, row groups) item — read
+    only the row groups holding the wave's url hashes — or, with a fetch
+    transport, a chunk of ``fetch_transport_batch_size`` selected urls in
+    url-hash order."""
+    cfg = run.cfg
+    sel_hashes = hash64(w.sel_df["url"].tolist())
+    order = np.argsort(sel_hashes)
+    w.sel_sorted = sel_hashes[order]
+    depths = w.sel_df["depth"].to_numpy()[order].astype(np.int32)
+    processed_dir = w.wdir / "processed"
+    processed_dir.mkdir(parents=True, exist_ok=True)
+    if run.transport_ref is None:
+        sel_ref = ray.put((w.sel_sorted, depths))
+        items = plan_pruned_fetch(run.corpus.hashed_dir, w.sel_sorted)
+        w.metrics["fetch_row_groups"] = int(sum(len(i["rgs"]) for i in items))
+    else:
+        sel_ref = None
+        urls = w.sel_df["url"].to_numpy(dtype=object)[order]
+        b = max(1, int(cfg.fetch_transport_batch_size))
+        items = [
+            {"chunk": i, "urls": urls[s : s + b].tolist(), "depths": depths[s : s + b].tolist()}
+            for i, s in enumerate(range(0, len(urls), b))
         ]
-
-        # ---- wave metrics from the processed checkpoint (tiny columns) --
-        import pyarrow.dataset as pads
-
-        proc_files = sorted(str(p) for p in (wdir / "processed").glob("*.parquet"))
-        if proc_files:
-            flags = pads.dataset(proc_files).to_table(
-                columns=["fetch_status", "is_html", "length_exceeded"]
-            )
-        else:
-            flags = pa.table(
-                {
-                    "fetch_status": pa.array([], pa.int32()),
-                    "is_html": pa.array([], pa.bool_()),
-                    "length_exceeded": pa.array([], pa.bool_()),
-                }
-            )
-        vc = pc.value_counts(flags.column("fetch_status").combine_chunks())
-        status_hist = {
-            int(vc.field("values")[i].as_py()): int(vc.field("counts")[i].as_py())
-            for i in range(len(vc))
-        }
-        # body-cap class (Fetcher.scala:168-170): consumed, never parsed
-        n_len_exceeded = int(pc.sum(flags.column("length_exceeded")).as_py() or 0)
-        if n_len_exceeded:
-            status_hist["length_limit_exceeded"] = n_len_exceeded
-        # selected urls absent from the corpus are 404s (they produce no
-        # processed row; the page still ends Processed in the frontier)
-        n_matched = int(flags.num_rows)
-        if n_selected > n_matched:
-            status_hist[404] = status_hist.get(404, 0) + (n_selected - n_matched)
-        n_extracted = int(pc.sum(flags.column("is_html")).as_py() or 0)
-        _mark("extract_write")
-
-        # ---- cross-wave novel-content filter (optional, stages/novel.py) -
-        if content_seen is not None:
-            from abwcf_ray.stages.novel import novel_extracted
-
-            _, n_novel = novel_extracted(
-                wdir / "processed", wdir / "novel", content_seen, wave
-            )
-            metrics["n_novel"] = n_novel
-            _mark("novel_filter")
-        # ---- frontier delta checkpoint (O(changed), never a rewrite) ----
-        # new Discovered rows append as this wave's delta; status flips
-        # (selected -> Processed, rejected -> Disallowed; both politeness-
-        # bounded) append as a tiny flips file. The frontier itself is
-        # untouched — the reference analog is the batched
-        # ``UPDATE pages SET status`` (SlickPageRepository.scala:37-51),
-        # not a table rewrite.
-        # Claim phase (dispatched above, overlapping the driver work since
-        # _mark("fetch_candidates")): the candidate tables coalesce into ~2
-        # tasks per CPU slot; each chunk claims, prioritizes, and writes
-        # its own delta part under a token-derived name (retry-safe tee —
-        # see _claim_chunk), so the claimed rows never cross back to a
-        # second Dataset execution or the driver.
-        flips_path = wdir / "flips.parquet"
-        _write_flips(flips_path, sel_sorted, disallowed_hashes)
-        # resolve the old-manifest fallback BEFORE this wave's delta enters
-        # the chain (and possibly compacts into base) — computing it after
-        # a compaction would double-count this wave's n_new
-        if prev_frontier_rows is None:
-            prev_frontier_rows = _parquet_rows(Path(chain.base)) + sum(
-                _parquet_rows(d) for d in chain.deltas
-            )
-        claims = ray.get(claim_refs)
-        if not any(delta_dir.glob("*.parquet")):
-            # zero-claim wave: keep the dir readable in the chain union
-            pq.write_table(FRONTIER_SCHEMA.empty_table(), delta_dir / "part-empty.parquet")
-        chain.add_wave(delta_dir, flips_path, sel_sorted, disallowed_hashes)
-        _mark("frontier_write")
-
-        # ---- host ledger update (exact arithmetic, no frontier rescan) --
-        sel_counts = sel_df["host"].value_counts()
-        host_ledger.apply(
-            sel_counts.index.to_numpy(dtype=object), -sel_counts.to_numpy()
+    w.metrics["fetch_tasks"] = len(items)
+    tee = make_fetch_process_tee(
+        sel_ref,
+        run.process_fetched,
+        str(processed_dir),
+        cfg.max_content_length,
+        transport_ref=run.transport_ref,
+    )
+    # E2 — bandwidth split: the budget's binding consequence is the
+    # concurrent-fetcher cap (FetcherManager.scala:66); apply it as the
+    # number of fetch tasks in flight (results identical, parallelism
+    # bounded; see CrawlConfig.total_bandwidth_budget_bps)
+    max_fetchers = None
+    if cfg.total_bandwidth_budget_bps:
+        max_fetchers = max(
+            1,
+            int(cfg.total_bandwidth_budget_bps)
+            // max(1, int(cfg.min_bandwidth_per_fetcher_bps)),
         )
-        # apply() sums repeated hosts: one -1 per reject, and the claim
-        # chunks' per-host counts, which may share hosts
-        host_ledger.apply(
-            rejects.column("host").to_pylist(), np.full(rejects.num_rows, -1)
+        w.metrics["max_fetchers"] = max_fetchers
+    # run_key includes the shard-POOL token: a resumed run re-runs the same
+    # (wdir, wave) with a fresh pool, and stale RPC-skip cache entries in
+    # surviving workers would lose candidates (see SeenSet.cache_token)
+    cand_chain = [
+        explode_links,
+        run.normalize,
+        run.scope,
+        w.lenient_robots,
+        make_propose(
+            run.seen,
+            w.n,
+            run_key=f"{w.wdir}:{run.seen.cache_token()}",
+            cache_size=cfg.prededup_cache_size,
+        ),
+    ]
+    w.mark("fetch_prep")  # sel hashing + broadcast puts + work items
+    in_flight: list = []
+    for item in items:
+        if max_fetchers and len(in_flight) >= max_fetchers:
+            _, in_flight = ray.wait(in_flight, num_returns=1, fetch_local=False)
+        ref = _chain_task.remote(pa.Table.from_pylist([item]), [tee] + cand_chain)
+        w.cand_refs.append(ref)
+        in_flight.append(ref)
+    # ---- propose -> claim barrier (F1) ----------------------------------
+    # Wave-dedup + seen-filter run as a TWO-PHASE shard-actor protocol
+    # instead of a groupby(url) all-to-all: waiting on every candidate task
+    # completes every `propose` (min-depth per url) before any `claim`
+    # (first-wins arbitration + seen registration) runs — the same
+    # single-writer-per-url mechanism as the reference's sharded PageManager
+    # entities. The candidate tables stay in the object store (links of
+    # this wave's fetches, politeness-bounded). The barrier also guarantees
+    # every processed-checkpoint part is on disk before the wave's metrics
+    # read them.
+    if w.cand_refs:
+        # fetch_local=False: the tables stay where the claims will run
+        ray.wait(w.cand_refs, num_returns=len(w.cand_refs), fetch_local=False)
+    if not any(processed_dir.glob("*.parquet")):
+        # nothing fetched (no work item, or every fetch missed): keep the
+        # checkpoint readable — one empty part in the processed schema
+        pq.write_table(
+            run.process_fetched(empty_fetched_table()),
+            processed_dir / "part-empty.parquet",
         )
-        host_ledger.apply(
-            [h for _, c in claims for h in c], [n for _, c in claims for n in c.values()]
-        )
-        if host_ledger.has_negative():
-            # defensive: arithmetic drift would starve a host of robots
-            # prep forever — drop the ledger and rescan next wave
-            log(f"[crawl] wave {wave}: host ledger went negative; rescanning")
-            host_ledger = None
-        else:
-            host_ledger.prune()
+    w.mark("fetch_candidates")
 
-        # periodic compaction: bound the chain length AND the broadcast
-        # flips array (the only O(frontier) write, amortized over
-        # frontier_compact_every waves; the flips-size trigger is a hard
-        # byte bound — 10^7-page waves fill it long before the delta count)
-        n_flips = len(chain.cum_processed) + len(chain.cum_disallowed)
-        if (
-            len(chain.deltas) >= cfg.frontier_compact_every
-            or n_flips >= cfg.frontier_compact_max_flips
-        ):
-            _compact_frontier(chain, wdir / "frontier", n_cpu)
-            _mark("frontier_compact")
 
-        seen.checkpoint(wdir / "seen")
-        if content_seen is not None:
-            content_seen.checkpoint(wdir / "content_seen")
-        _mark("seen_ckpt")
-        total_fetched += n_selected
-        if sel_write_ref is not None:
-            ray.get(sel_write_ref)
-        lineage = {
-            "frontier_delta": _file_lineage(delta_dir),
-            "processed": _file_lineage(wdir / "processed"),
-            "selected": _file_lineage(wdir / "selected"),
-        }
-        if (wdir / "frontier").exists():
-            lineage["frontier"] = _file_lineage(wdir / "frontier")
-        n_new = sum(n for n, _ in claims)  # == lineage["frontier_delta"] rows (footer-checked in tests)
-        n_frontier = prev_frontier_rows + n_new
-        metrics.update(
-            n_selected=n_selected,
-            fetch_status=status_hist,
-            n_extracted=n_extracted,
-            n_new=n_new,
-            n_frontier=n_frontier,
-            total_fetched=total_fetched,
-            seen_size=seen.size(),
-            duration_s=round(time.perf_counter() - t0, 3),
-            step_times=step_t,
-            completed=True,
-            files=lineage,
-            frontier_chain=chain.manifest_entry(),
-        )
-        prev_frontier_rows = n_frontier
-        (wdir / "manifest.json").write_text(json.dumps(metrics))
-        summary.per_wave.append(metrics)
-        summary.waves = wave + 1
-        log(
-            f"[crawl] wave {wave}: eligible={metrics['n_eligible']} "
-            f"selected={n_selected} new={n_new} "
-            f"frontier={n_frontier} ({metrics['duration_s']}s)"
-        )
-        if total_fetched >= cfg.max_pages:
-            log(f"[crawl] page budget reached ({total_fetched})")
-            break
+def _fetch_status(w: _Wave) -> None:
+    """The wave's fetch-status histogram and extracted count, read from
+    the processed checkpoint's tiny flag columns."""
+    import pyarrow.dataset as pads
 
-    summary.total_fetched = total_fetched
-    summary.final_frontier_rows = int(prev_frontier_rows or 0)
-    summary.seen_size = seen.size()
-    seen.shutdown()
-    if content_seen is not None:
-        content_seen.shutdown()
-    return summary
+    proc_files = sorted(str(p) for p in (w.wdir / "processed").glob("*.parquet"))
+    flags = pads.dataset(proc_files).to_table(
+        columns=["fetch_status", "is_html", "length_exceeded"]
+    )
+    vc = pc.value_counts(flags.column("fetch_status").combine_chunks())
+    status_hist = {
+        int(vc.field("values")[i].as_py()): int(vc.field("counts")[i].as_py())
+        for i in range(len(vc))
+    }
+    # body-cap class (Fetcher.scala:168-170): consumed, never parsed
+    n_len_exceeded = int(pc.sum(flags.column("length_exceeded")).as_py() or 0)
+    if n_len_exceeded:
+        status_hist["length_limit_exceeded"] = n_len_exceeded
+    # selected urls absent from the corpus are 404s (they produce no
+    # processed row; the page still ends Processed in the frontier)
+    if w.n_selected > flags.num_rows:
+        status_hist[404] = status_hist.get(404, 0) + (w.n_selected - flags.num_rows)
+    w.metrics.update(
+        fetch_status=status_hist,
+        n_extracted=int(pc.sum(flags.column("is_html")).as_py() or 0),
+    )
+
+
+def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
+    """Claim phase and the frontier delta checkpoint (O(changed), never a
+    rewrite). The candidate tables coalesce into ~2 claim tasks per CPU;
+    each claims, prioritizes, and writes its own delta part under a
+    token-derived name (retry-safe tee — see _claim_chunk). The claims are
+    dispatched first: everything the driver does until their ray.get (the
+    fetch-status read, the novel filter, the flips write) depends only on
+    the candidate tables and the processed checkpoint, so it overlaps the
+    claims instead of serializing behind them. Status flips (selected ->
+    Processed, rejected -> Disallowed; both politeness-bounded) append as a
+    tiny flips file — the reference analog is the batched
+    ``UPDATE pages SET status`` (SlickPageRepository.scala:37-51)."""
+    delta_dir = w.wdir / "delta"
+    delta_dir.mkdir(parents=True, exist_ok=True)
+    n_chunks = max(1, min(len(w.cand_refs), 2 * run.n_cpu))
+    claim_refs = [
+        _claim_chunk.remote(
+            tok, run.seen, w.n, run.cfg, str(delta_dir), *w.cand_refs[tok::n_chunks]
+        )
+        for tok in range(n_chunks)
+    ]
+    _fetch_status(w)
+    w.mark("extract_write")
+    # cross-wave novel-content filter (optional, stages/novel.py)
+    if run.content_seen is not None:
+        from abwcf_ray.stages.novel import novel_extracted
+
+        _, w.metrics["n_novel"] = novel_extracted(
+            w.wdir / "processed", w.wdir / "novel", run.content_seen, w.n
+        )
+        w.mark("novel_filter")
+    flips_path = w.wdir / "flips.parquet"
+    _write_flips(flips_path, w.sel_sorted, w.disallowed)
+    # resolve the old-manifest fallback BEFORE this wave's delta enters the
+    # chain (and possibly compacts into base) — computing it after a
+    # compaction would double-count this wave's n_new
+    _resolve_prev_frontier_rows(run)
+    w.claims = ray.get(claim_refs)
+    w.n_new = sum(n for n, _ in w.claims)
+    if not any(delta_dir.glob("*.parquet")):
+        # zero-claim wave: keep the dir readable in the chain union
+        pq.write_table(FRONTIER_SCHEMA.empty_table(), delta_dir / "part-empty.parquet")
+    run.chain.add_wave(delta_dir, flips_path, w.sel_sorted, w.disallowed)
+    w.mark("frontier_write")
+
+
+def _resolve_prev_frontier_rows(run: _Run) -> None:
+    # a resumed manifest without n_frontier: count the chain's rows once
+    if run.prev_frontier_rows is None:
+        run.prev_frontier_rows = _parquet_rows(Path(run.chain.base)) + sum(
+            _parquet_rows(d) for d in run.chain.deltas
+        )
+
+
+def _update_ledger(run: _Run, w: _Wave) -> None:
+    """Host ledger update: exact arithmetic, no frontier rescan."""
+    led = run.host_ledger
+    sel_counts = w.sel_df["host"].value_counts()
+    led.apply(sel_counts.index.to_numpy(dtype=object), -sel_counts.to_numpy())
+    # apply() sums repeated hosts: one -1 per reject, and the claim chunks'
+    # per-host counts, which may share hosts
+    led.apply(w.rejects.column("host").to_pylist(), np.full(w.rejects.num_rows, -1))
+    led.apply(
+        [h for _, c in w.claims for h in c], [n for _, c in w.claims for n in c.values()]
+    )
+    if led.has_negative():
+        # defensive: arithmetic drift would starve a host of robots prep
+        # forever — drop the ledger and rescan next wave
+        run.log(f"[crawl] wave {w.n}: host ledger went negative; rescanning")
+        run.host_ledger = None
+    else:
+        led.prune()
+
+
+def _compact_if_due(run: _Run, w: _Wave) -> None:
+    """Periodic compaction: bound the chain length AND the broadcast flips
+    array (the only O(frontier) write, amortized over
+    frontier_compact_every waves; the flips-size trigger is a hard byte
+    bound — 10^7-page waves fill it long before the delta count)."""
+    chain = run.chain
+    n_flips = len(chain.cum_processed) + len(chain.cum_disallowed)
+    if (
+        len(chain.deltas) >= run.cfg.frontier_compact_every
+        or n_flips >= run.cfg.frontier_compact_max_flips
+    ):
+        _compact_frontier(chain, w.wdir / "frontier", run.n_cpu)
+        w.mark("frontier_compact")
+
+
+def _finish_wave(run: _Run, w: _Wave, done_msg: str | None = None) -> None:
+    """Checkpoint the seen sets and write the wave's manifest (every wave,
+    the drain wave included, completes here)."""
+    run.seen.checkpoint(w.wdir / "seen")
+    if run.content_seen is not None:
+        run.content_seen.checkpoint(w.wdir / "content_seen")
+    w.mark("seen_ckpt")
+    run.total_fetched += w.n_selected
+    if w.sel_write_ref is not None:
+        ray.get(w.sel_write_ref)
+    lineage = {
+        key: _file_lineage(w.wdir / sub)
+        for key, sub in (
+            ("frontier_delta", "delta"),
+            ("processed", "processed"),
+            ("selected", "selected"),
+            ("frontier", "frontier"),
+        )
+        if (w.wdir / sub).exists()
+    }
+    # n_new == lineage["frontier_delta"] rows (footer-checked in tests)
+    run.prev_frontier_rows += w.n_new
+    w.metrics.update(
+        n_selected=w.n_selected,
+        n_new=w.n_new,
+        n_frontier=run.prev_frontier_rows,
+        total_fetched=run.total_fetched,
+        seen_size=run.seen.size(),
+        duration_s=round(time.perf_counter() - w.t0, 3),
+        step_times=w.step_times,
+        completed=True,
+        files=lineage,
+        frontier_chain=run.chain.manifest_entry(),
+    )
+    (w.wdir / "manifest.json").write_text(json.dumps(w.metrics))
+    run.summary.per_wave.append(w.metrics)
+    run.summary.waves = w.n + 1
+    run.log(
+        done_msg
+        or f"[crawl] wave {w.n}: eligible={w.metrics['n_eligible']} "
+        f"selected={w.n_selected} new={w.n_new} "
+        f"frontier={run.prev_frontier_rows} ({w.metrics['duration_s']}s)"
+    )
 
 
 def restore_topk(frontier_dir: str | Path, k: int):
@@ -1333,8 +1315,8 @@ def main() -> None:  # pragma: no cover — CLI entry
         "--transport",
         choices=["fused", "corpus", "http"],
         default="fused",
-        help="fetch path: 'fused' (default pruned tee), 'corpus' (the "
-        "injectable CorpusTransport actor pool — same results, exercises "
+        help="fetcher: 'fused' (default pruned reads of the hashed layout), "
+        "'corpus' (the injectable CorpusTransport — same results, exercises "
         "the FetchTransport seam), 'http' (real network via HTTPTransport; "
         "urls must be reachable)",
     )

@@ -1,19 +1,17 @@
 """Fetch simulation (SURVEY.md §2 A2).
 
 The reference fetches one URL at a time over HTTP (Fetcher.scala:74-188).
-In the sandbox the "web" is the pages corpus; fetching a wave is a
-**broadcast semi-join**: the wave's (url_hash, depth) pairs — politeness-
-bounded, a few MB — are ``ray.put`` once, and the corpus is scanned in
-parallel with a vectorized ``searchsorted`` membership test per batch. No
-shuffle, no repartition: every task reads its corpus slice and keeps only
-the wave's pages (the scan is the stand-in for network IO).
-
-Trade-off vs a bucketed hash join: both read every corpus bucket when the
-wave's urls spread across all buckets (they do — hash-distributed); the
-scan-filter additionally avoids the sort exchange entirely. At 10^10-URL
-scale with LOW per-wave selectivity, sort corpus files by url_hash within
-buckets and push a row-group range filter — the broadcast side stays the
-same.
+In the sandbox the "web" is the pages corpus, re-laid-out sorted by
+``url_hash`` (sources/corpus.build_hashed_layout). The wave's (url_hash,
+depth) pairs — politeness-bounded, a few MB — are ``ray.put`` once;
+:func:`plan_pruned_fetch` turns them into work items naming only the row
+groups whose footer hash range holds a selected hash, and each item is
+read and membership-filtered with a vectorized ``searchsorted`` on the
+stored hashes — O(selected) per wave, no shuffle. The crawl runs each item
+through :func:`make_fetch_process_tee`, which also fetches url chunks
+through a ``FetchTransport`` (stages/transport.py).
+:func:`make_fetch_scan` (the full-corpus broadcast semi-join) and
+:func:`make_pruned_fetch_reader` are kept as references for tests.
 
 Missing urls (404s in FIXTURES.md §1) simply don't match; the driver
 accounts them from ``n_selected - matched`` (every selected page ends
@@ -30,18 +28,30 @@ from abwcf_ray.functions.hashing import hash64
 
 FETCH_COLUMNS = ["url", "status", "content_type", "location", "x_robots_tag", "html"]
 
-# per-worker cache: sel_ref -> (sorted url hashes, depths aligned to them)
+# per-worker caches: sel_ref -> (sorted url hashes, depths aligned to them),
+# and transport_ref -> the transport its factory built
 _SEL_CACHE: dict = {}
+_TRANSPORT_CACHE: dict = {}
+
+
+def _cached(cache: dict, ref, build):
+    v = cache.get(ref)
+    if v is None:
+        if len(cache) >= 4:
+            cache.pop(next(iter(cache)))
+        v = cache[ref] = build(ray.get(ref))
+    return v
 
 
 def _selection(sel_ref):
-    s = _SEL_CACHE.get(sel_ref)
-    if s is None:
-        if len(_SEL_CACHE) >= 4:
-            _SEL_CACHE.pop(next(iter(_SEL_CACHE)))
-        s = ray.get(sel_ref)
-        _SEL_CACHE[sel_ref] = s
-    return s
+    return _cached(_SEL_CACHE, sel_ref, lambda s: s)
+
+
+def _transport(transport_ref):
+    """The fetch transport of ``transport_ref`` (a ``ray.put`` factory),
+    built once per worker process, so its connection pools and corpus
+    index survive across fetch tasks."""
+    return _cached(_TRANSPORT_CACHE, transport_ref, lambda factory: factory())
 
 
 def make_selection_ref(urls, depths) -> "ray.ObjectRef":
@@ -286,11 +296,19 @@ def make_fetch_process_tee(
     process_fn,
     processed_dir: str,
     max_content_length: int | None = None,
+    transport_ref=None,
 ):
-    """FUSED wave stage: work item -> read only the listed row groups ->
-    fetch-sim membership filter -> ``process_fn`` (parse + extract, A7/B1-B3)
-    -> WRITE this item's processed-checkpoint part -> emit only the
-    candidate columns (``links``, ``child_depth``) downstream.
+    """FUSED wave stage: work item -> fetch -> ``process_fn`` (parse +
+    extract, A7/B1-B3) -> WRITE this item's processed-checkpoint part ->
+    emit only the candidate columns (``links``, ``child_depth``)
+    downstream. A work item is either
+
+    - a pruned-fetch item (``path``, ``rgs``, from :func:`plan_pruned_fetch`):
+      read only the listed row groups and membership-filter them against
+      the selection ``sel_ref``; or
+    - a url chunk (``chunk``, ``urls``, ``depths``): fetched by the
+      ``FetchTransport`` whose factory ``transport_ref`` holds, built once
+      per worker process (stages/transport.py).
 
     This is the tee that lets one task per work item run fetch AND the
     candidate chain with no mid-wave barrier: writing the full processed
@@ -299,28 +317,34 @@ def make_fetch_process_tee(
     payload. Here the checkpoint is a side effect.
 
     Retry/lineage safety: the part name is a pure function of the work item
-    (source file stem + first row-group id), so a re-executed task
-    overwrites its own part with identical content instead of duplicating
-    rows — the property that makes side-effect writes inside a retried
-    task sound. Rows with no links are dropped from the emitted table (their
-    checkpoint rows are already on disk)."""
+    (``<source stem>-rg<first row group>``, or ``t<chunk index>``), so a
+    re-executed task overwrites its own part with identical content instead
+    of duplicating rows — the property that makes side-effect writes inside
+    a retried task sound. Rows with no links are dropped from the emitted
+    table (their checkpoint rows are already on disk)."""
     import pyarrow.parquet as pq
     from pathlib import Path
 
-    def fetch_process_write(batch: pa.Table) -> pa.Table:
-        hashes, depths = _selection(sel_ref)
-        outs = []
-        for path, rgs in zip(
-            batch.column("path").to_pylist(), batch.column("rgs").to_pylist()
-        ):
-            fetched = _read_item_fetched(
-                path, rgs, hashes, depths, max_content_length
+    def fetch_item(item: dict) -> tuple[str, pa.Table]:
+        if "path" in item:
+            hashes, depths = _selection(sel_ref)
+            name = f"{Path(item['path']).stem}-rg{int(item['rgs'][0]):04d}"
+            return name, _read_item_fetched(
+                item["path"], item["rgs"], hashes, depths, max_content_length
             )
+        fetched = _transport(transport_ref).fetch(
+            item["urls"], np.asarray(item["depths"], dtype=np.int32)
+        )
+        return f"t{int(item['chunk']):05d}", fetched
+
+    def fetch_process_write(batch: pa.Table) -> pa.Table:
+        outs = []
+        for item in batch.to_pylist():
+            name, fetched = fetch_item(item)
             processed = process_fn(fetched)
             if processed.num_rows:
-                name = f"{Path(path).stem}-rg{int(rgs[0]):04d}.parquet"
                 pq.write_table(
-                    processed, Path(processed_dir) / name, compression="zstd"
+                    processed, Path(processed_dir) / f"{name}.parquet", compression="zstd"
                 )
             links = processed.select(["links", "child_depth"])
             has_links = pa.compute.greater(

@@ -134,8 +134,7 @@ def apply_stages(t: pa.Table, stages) -> pa.Table:
 def scan_parts(paths: list[str], stages=(), columns=None) -> pa.Table:
     """Read a group of parquet files and run ``stages`` once over their
     concatenation — the body of the wave loop's per-file-group Ray tasks
-    (selection here; the host histogram and the candidate chain over
-    processed parts in pipelines/crawl.py). One pass over the group, not
+    (selection here; the resume host histogram in pipelines/crawl.py). One pass over the group, not
     one per file: per-call fixed costs (hashing set-up, polars frames,
     robots regex passes) dominate at small-wave sizes (measured 0.115 ->
     0.054 s per selection over 9-13 files). A task holds its group in

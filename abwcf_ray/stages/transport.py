@@ -20,7 +20,7 @@ transport must reproduce, whatever the wire:
    (``FetchResultConsumer.scala:29-50``).
 4. **Per-stream bandwidth throttle** (``Fetcher.scala:144``): each
    concurrent fetcher paces its reads to ``bytes_per_sec`` with a token
-   bucket; the CLUSTER-level split is the stage's concurrency cap
+   bucket; the CLUSTER-level split is the cap on fetch tasks in flight
    (``CrawlConfig.total_bandwidth_budget_bps`` — E2).
 
 Output contract — every transport returns the FETCHED SCHEMA of
@@ -30,11 +30,15 @@ Output contract — every transport returns the FETCHED SCHEMA of
     location string, x_robots_tag string, html binary,
     length_exceeded bool
 
-Deployment shape: a transport is a callable CLASS instance used inside
-``map_batches(TransportFetchStage(...), concurrency=N)`` over the wave's
-selected ``(url, depth)`` rows — an ACTOR POOL, so per-actor state
+Deployment shape: ``CrawlConfig.fetch_transport`` is a zero-arg factory.
+The wave cuts its selected ``(url, depth)`` rows into chunks of
+``fetch_transport_batch_size`` and runs one plain Ray task per chunk
+through the same fused fetch->process->checkpoint tee as the corpus
+read (``stages/fetch.make_fetch_process_tee``). The factory is
+``ray.put`` once per run and each worker process builds the transport
+from it once (``stages/fetch._transport``), so per-process state
 (connection pools, the corpus row-group index, token buckets) builds
-once in ``__init__``, not per batch.
+once in ``__init__``, not per chunk.
 """
 
 from __future__ import annotations
@@ -66,8 +70,9 @@ STATUS_TRANSPORT_ERROR = 0
 class FetchTransport:
     """Protocol: map one batch of urls+depths to fetched rows.
 
-    Implementations must be constructible inside a Ray actor
-    (``__init__`` may do expensive setup — it runs once per actor) and
+    Implementations must be constructible inside a Ray worker
+    (``__init__`` may do expensive setup — it runs once per worker
+    process) and
     ``fetch`` must be retry-pure: the same input batch yields the same
     rows (required for Ray task retries; a live-web transport is only
     as pure as the web, which the reference accepts too)."""
@@ -78,8 +83,9 @@ class FetchTransport:
 
 class CorpusTransport(FetchTransport):
     """The default (sandbox) transport: the "web" is the hashed corpus
-    layout, fetched O(selected) — per batch, the urls hash, the per-actor
-    row-group index (built once from parquet footers in ``__init__``)
+    layout, fetched O(selected) — per batch, the urls hash, the
+    per-process row-group index (built once from parquet footers in
+    ``__init__``)
     plans the touched row groups, and the shared pruned-read kernel
     (``fetch._read_item_fetched``) membership-filters them. Semantics
     (cap, redirect reporting, 404-by-absence) are identical to the fused
@@ -90,7 +96,7 @@ class CorpusTransport(FetchTransport):
 
         self.hashed_dir = str(hashed_dir)
         self.max_content_length = max_content_length
-        # build the row-group index ONCE per actor (footer reads)
+        # build the row-group index ONCE per process (footer reads)
         self._index = _hashed_index(self.hashed_dir)
 
     def fetch(self, urls: list[str], depths: np.ndarray) -> pa.Table:
@@ -151,7 +157,7 @@ class HTTPTransport(FetchTransport):
     """Real-network transport over stdlib ``http.client`` — the
     skeleton a production deployment would swap in (the sandbox has no
     outbound network; tests drive it against a localhost fixture
-    server). One instance per actor: connections pool per (scheme,
+    server). One instance per worker process: connections pool per (scheme,
     authority), reads stream in 64 KiB chunks through the token bucket,
     and the body cap ABORTS mid-download (connection dropped, flag set)
     exactly like the reference's aborted entity
@@ -292,8 +298,8 @@ class HTTPRobotsFetcher:
     content_type)`` into the SHARED classifier
     (``state/hosts.robots_rows_from_records``) — so the text/plain gate,
     redirect-budget check, status classes and TTLs are byte-identical to
-    the corpus sim's. Usable directly as the host-prep ``map_batches``
-    stage (same batch contract as ``RobotsFetchSim``)."""
+    the corpus sim's. Usable directly as the host-prep robots stage
+    (same batch contract as ``RobotsFetchSim``)."""
 
     def __init__(self, cfg, timeout_s: float = 30.0):
         self.cfg = cfg
@@ -325,18 +331,3 @@ class HTTPRobotsFetcher:
 
         return robots_rows_from_records(self._record, batch, self.cfg)
 
-
-class TransportFetchStage:
-    """Actor-pool stage: ``map_batches(TransportFetchStage(factory),
-    concurrency=(lo, hi), batch_size=B)`` over the wave's selected
-    ``(url, depth)`` rows. ``factory`` is a zero-arg callable building
-    the transport — it runs ONCE per actor in ``__init__`` (connection
-    pools / corpus index), per-batch work is just ``transport.fetch``."""
-
-    def __init__(self, factory):
-        self.transport = factory()
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        depths = batch.column("depth").to_numpy(zero_copy_only=False)
-        return self.transport.fetch(urls, depths)

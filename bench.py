@@ -121,7 +121,6 @@ def run_bench() -> dict:
         # the claim's parallel chunk tasks, not the shard actors, are the
         # scaling resource, so the count stays a politeness-set constant
         seen_shards=16,
-        corpus_buckets=corpus.num_buckets,
         max_crawl_depth=16,
     )
 
@@ -470,7 +469,6 @@ def run_steady() -> dict:
         # k_h is a real per-host budget
         wave_duration_s=wave_s,
         seen_shards=16,
-        corpus_buckets=corpus.num_buckets,
         max_crawl_depth=64,
         must_match=must_match,
     )

@@ -17,8 +17,7 @@ from abwcf_ray.pipelines.oracle import run_oracle
 from abwcf_ray.sources.corpus import generate_corpus
 
 N_PAGES = 600
-CFG = CrawlConfig(max_waves=5, wave_duration_s=10.0, seen_shards=4, corpus_buckets=8,
-                  max_crawl_depth=6)
+CFG = CrawlConfig(max_waves=5, wave_duration_s=10.0, seen_shards=4, max_crawl_depth=6)
 
 
 @pytest.fixture(scope="module")
@@ -271,7 +270,6 @@ def test_robots_ttl_expiry_matches_oracle(ray_session, corpus, tmp_path_factory)
         max_waves=6,
         wave_duration_s=10.0,
         seen_shards=4,
-        corpus_buckets=8,
         max_crawl_depth=6,
         valid_rules_lifetime_s=25,       # expires every ~3 waves
         unavailable_rules_lifetime_s=25,
@@ -451,14 +449,16 @@ def test_bandwidth_budget_caps_fetchers(ray_session, oracle, tmp_path_factory, m
     """E2 (reference.conf:137,144 / FetcherManager.scala:66): a bandwidth
     budget caps concurrent fetchers at total // min-per-fetcher. The cap
     is recorded in the wave manifest, no two fetch tasks run at once under
-    a one-fetcher cap although waves have several work items, and the crawl
-    output is IDENTICAL to the uncapped run (parallelism-only knob)."""
+    a one-fetcher cap although waves have several work items — row-group
+    items, or url chunks of a CorpusTransport crawl — and the crawl output
+    is IDENTICAL to the uncapped run (parallelism-only knob)."""
     import dataclasses
     import json as _json
 
     from abwcf_ray.pipelines import crawl
     from abwcf_ray.pipelines.crawl import run_crawl
     from abwcf_ray.sources import corpus as corpus_mod
+    from abwcf_ray.stages.transport import CorpusTransport
 
     # each fetch records its (start, end) on the shared monotonic clock
     spans_dir = tmp_path_factory.mktemp("fetch_spans")
@@ -491,24 +491,40 @@ def test_bandwidth_budget_caps_fetchers(ray_session, oracle, tmp_path_factory, m
         total_bandwidth_budget_bps=200_000,  # 200 kB/s / 200 kB/s -> 1 fetcher
         min_bandwidth_per_fetcher_bps=200_000,
     )
-    out = tmp_path_factory.mktemp("crawl_bw")
-    summary = run_crawl(cfg, small_rg, out, log=lambda *_: None)
-    manifests = [_json.loads(m.read_text()) for m in sorted(out.glob("wave_*/manifest.json"))]
-    assert manifests[0]["max_fetchers"] == 1
-    assert max(m.get("fetch_tasks", 0) for m in manifests) > 1
-    spans = sorted(
-        tuple(map(float, f.read_text().split())) for f in spans_dir.iterdir()
-    )
-    assert len(spans) == sum(m.get("fetch_tasks", 0) for m in manifests)
-    for (_, end), (start, _) in zip(spans, spans[1:]):
-        assert start >= end, "two fetch tasks ran at once under a one-fetcher cap"
-    for wave, expected in enumerate(oracle.order):
-        sel = pads.dataset(str(out / f"wave_{wave:04d}" / "selected")).to_table().to_pandas()
-        sel = sel.sort_values("global_rank")
-        got = list(zip(sel["host"], sel["rank_in_host"], sel["url"]))
-        assert got == expected, f"wave {wave} fetch order diverges (bandwidth cap)"
-    got_f = _final_frontier(out, summary)
-    assert len(got_f) == len(oracle.frontier)
+    hashed = small_rg.hashed_dir
+    # the same budget on the url-chunk path: a CorpusTransport crawl with
+    # several chunks per wave
+    for name, run_cfg in (
+        ("crawl_bw", cfg),
+        (
+            "crawl_bw_transport",
+            dataclasses.replace(
+                cfg,
+                fetch_transport=lambda: CorpusTransport(hashed),
+                fetch_transport_batch_size=16,
+            ),
+        ),
+    ):
+        for f in spans_dir.iterdir():
+            f.unlink()
+        out = tmp_path_factory.mktemp(name)
+        summary = run_crawl(run_cfg, small_rg, out, log=lambda *_: None)
+        manifests = [_json.loads(m.read_text()) for m in sorted(out.glob("wave_*/manifest.json"))]
+        assert manifests[0]["max_fetchers"] == 1
+        assert max(m.get("fetch_tasks", 0) for m in manifests) > 1
+        spans = sorted(
+            tuple(map(float, f.read_text().split())) for f in spans_dir.iterdir()
+        )
+        assert len(spans) == sum(m.get("fetch_tasks", 0) for m in manifests)
+        for (_, end), (start, _) in zip(spans, spans[1:]):
+            assert start >= end, f"two fetch tasks ran at once under a one-fetcher cap ({name})"
+        for wave, expected in enumerate(oracle.order):
+            sel = pads.dataset(str(out / f"wave_{wave:04d}" / "selected")).to_table().to_pandas()
+            sel = sel.sort_values("global_rank")
+            got = list(zip(sel["host"], sel["rank_in_host"], sel["url"]))
+            assert got == expected, f"wave {wave} fetch order diverges (bandwidth cap, {name})"
+        got_f = _final_frontier(out, summary)
+        assert len(got_f) == len(oracle.frontier)
 
 
 def test_cuckoo_backend_matches_oracle(ray_session, corpus, oracle, tmp_path_factory):
@@ -667,13 +683,14 @@ def test_steady_state_waves_run_no_ray_data_execution(
     """With the default venues, every wave step (selection, fetch and
     candidates, claim, compaction) runs as plain Ray tasks: once the
     session warm-up is done, a crawl that compacts starts no Ray Data
-    execution. Waves start at the second ``_wave_dir`` call (the first
-    names the seed checkpoint)."""
+    execution, whether it reads the corpus layout or fetches through a
+    ``CorpusTransport``. Waves start at the first ``_wave_dir`` call."""
     import json as _json
 
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from abwcf_ray.pipelines import crawl
+    from abwcf_ray.stages.transport import CorpusTransport
 
     events: list[str] = []
     real_execute = StreamingExecutor.execute
@@ -687,16 +704,26 @@ def test_steady_state_waves_run_no_ray_data_execution(
         events.append("wave_dir")
         return real_wave_dir(out, n)
 
-    monkeypatch.setattr(StreamingExecutor, "execute", execute)
-    monkeypatch.setattr(crawl, "_wave_dir", wave_dir)
-    cfg = CrawlConfig(**{**CFG.__dict__, "frontier_compact_every": 2})
-    crawl.run_crawl(cfg, corpus, tmp_path, log=lambda *_: None)
-    monkeypatch.undo()
-    manifests = [_json.loads(m.read_text()) for m in sorted(tmp_path.glob("wave_*/manifest.json"))]
-    assert any("frontier_compact" in m.get("step_times", {}) for m in manifests)
-    first_wave = [i for i, e in enumerate(events) if e == "wave_dir"][1]
-    assert "execute" in events[:first_wave], "the warm-up runs Ray Data"
-    assert "execute" not in events[first_wave:], events
+    hashed = corpus.hashed_dir
+    for name, transport in (
+        ("fused", None),
+        ("transport", lambda: CorpusTransport(hashed)),
+    ):
+        events.clear()
+        monkeypatch.setattr(StreamingExecutor, "execute", execute)
+        monkeypatch.setattr(crawl, "_wave_dir", wave_dir)
+        cfg = CrawlConfig(
+            **{**CFG.__dict__, "frontier_compact_every": 2, "fetch_transport": transport}
+        )
+        crawl.run_crawl(cfg, corpus, tmp_path / name, log=lambda *_: None)
+        monkeypatch.undo()
+        manifests = [
+            _json.loads(m.read_text()) for m in sorted((tmp_path / name).glob("wave_*/manifest.json"))
+        ]
+        assert any("frontier_compact" in m.get("step_times", {}) for m in manifests)
+        first_wave = events.index("wave_dir")
+        assert "execute" in events[:first_wave], "the warm-up runs Ray Data"
+        assert "execute" not in events[first_wave:], (name, events)
 
 
 def test_compaction_group_rerun_is_byte_identical(ray_session, corpus, tmp_path):

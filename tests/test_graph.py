@@ -212,7 +212,7 @@ def test_host_pagerank_from_real_crawl(ray_session, tmp_path):
     from abwcf_ray.stages.graph import host_pagerank
 
     corpus = generate_corpus(tmp_path / "corpus", n_pages=600, seed=42, num_buckets=8)
-    cfg = CrawlConfig(max_waves=2, seen_shards=2, corpus_buckets=8)
+    cfg = CrawlConfig(max_waves=2, seen_shards=2)
     summary = run_crawl(cfg, corpus, tmp_path / "hpr", log=lambda *_: None)
     processed = rdata.read_parquet(
         [str(p) for p in sorted((tmp_path / "hpr").glob("wave_*/processed/*.parquet"))],

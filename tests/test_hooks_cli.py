@@ -135,7 +135,7 @@ def test_fresh_run_wipes_previous_checkpoints(ray_session, tmp_path):
     from abwcf_ray.sources.corpus import generate_corpus
 
     corpus = generate_corpus(tmp_path / "c", n_pages=400, seed=42, num_buckets=4)
-    cfg = CrawlConfig(max_waves=2, seen_shards=2, corpus_buckets=4)
+    cfg = CrawlConfig(max_waves=2, seen_shards=2)
     s1 = run_crawl(cfg, corpus, tmp_path / "out", log=lambda *_: None)
     s2 = run_crawl(cfg, corpus, tmp_path / "out", log=lambda *_: None)
     assert s2.final_frontier_rows == s1.final_frontier_rows

@@ -19,7 +19,7 @@ def _run(tmp_path, n_pages=400):
     )
     out = tmp_path / "crawl"
     cfg = CrawlConfig(max_waves=2, wave_duration_s=10.0, seen_shards=2,
-                      corpus_buckets=corpus.num_buckets, max_crawl_depth=8)
+                      max_crawl_depth=8)
     run_crawl(cfg, corpus, out, log=lambda *_: None)
     return out, build_training_corpus(out, pack_window=64, n_merges=3)
 

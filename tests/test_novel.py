@@ -111,7 +111,6 @@ def dedup_crawl(ray_session, tmp_path_factory):
         max_waves=4,
         wave_duration_s=10.0,
         seen_shards=4,
-        corpus_buckets=8,
         max_crawl_depth=6,
         dedup_content=True,
     )

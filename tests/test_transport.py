@@ -83,39 +83,6 @@ def test_corpus_transport_matches_pruned_reader(corpus):
     assert len(got) >= len(urls) // 2
 
 
-def test_transport_stage_actor_pool(corpus, ray_session):
-    """TransportFetchStage drives a transport as an actor-pool
-    map_batches over (url, depth) rows; rows come back complete."""
-    import ray.data as rd
-
-    from abwcf_ray.stages.transport import (
-        CorpusTransport,
-        TransportFetchStage,
-    )
-
-    urls = _selected_urls(corpus)[:-1]  # only present urls
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "depth": pa.array(
-                    np.zeros(len(urls), dtype=np.int32), pa.int32()
-                ),
-            }
-        )
-    )
-    hashed = corpus.hashed_dir
-    out = ds.map_batches(
-        TransportFetchStage,
-        fn_constructor_args=(lambda: CorpusTransport(hashed),),
-        batch_format="pyarrow",
-        concurrency=2,
-        batch_size=64,
-    ).to_pandas()
-    assert sorted(out["url"]) == sorted(urls)
-    assert out["html"].notna().any()
-
-
 # ---------------------------------------------------------------- HTTP
 
 
@@ -300,33 +267,6 @@ def test_http_transport_throttle(http_server):
     assert dt >= 1.5
 
 
-def test_http_transport_actor_pool(http_server, ray_session):
-    """The HTTP transport composes with the actor-pool stage (transport
-    built once per actor, connections pooled)."""
-    import ray.data as rd
-
-    from abwcf_ray.stages.transport import HTTPTransport, TransportFetchStage
-
-    urls = [f"{http_server}/ok" for _ in range(20)]
-    ds = rd.from_arrow(
-        pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "depth": pa.array(np.zeros(20, dtype=np.int32), pa.int32()),
-            }
-        )
-    )
-    out = ds.map_batches(
-        TransportFetchStage,
-        fn_constructor_args=(lambda: HTTPTransport(timeout_s=5.0),),
-        batch_format="pyarrow",
-        concurrency=2,
-        batch_size=8,
-    ).to_pandas()
-    assert len(out) == 20
-    assert (out["status"] == 200).all()
-
-
 def test_crawl_with_corpus_transport_matches_fused_path(
     corpus, ray_session, tmp_path
 ):
@@ -348,7 +288,6 @@ def test_crawl_with_corpus_transport_matches_fused_path(
             max_waves=2,
             wave_duration_s=10.0,
             seen_shards=4,
-            corpus_buckets=corpus.num_buckets,
             max_crawl_depth=8,
             fetch_transport=transport,
         )
@@ -369,10 +308,9 @@ def test_crawl_with_corpus_transport_matches_fused_path(
 
 
 def test_crawl_with_transport_under_small_bandwidth_budget(corpus, ray_session, tmp_path):
-    """A bandwidth budget that caps the fetchers below the transport
-    pool's lower bound (300 kB/s / 200 kB/s -> 1 < 2) clamps the pool to
-    one actor instead of failing the wave, with the same frontier as the
-    fused path."""
+    """A bandwidth budget of one fetcher (300 kB/s / 200 kB/s -> 1) on the
+    transport path runs the wave with one fetch task in flight instead of
+    failing it, with the same frontier as the fused path."""
     import json
 
     import pandas as pd
@@ -389,7 +327,6 @@ def test_crawl_with_transport_under_small_bandwidth_budget(corpus, ray_session, 
             max_waves=2,
             wave_duration_s=10.0,
             seen_shards=4,
-            corpus_buckets=corpus.num_buckets,
             max_crawl_depth=8,
             **kw,
         )
@@ -403,11 +340,125 @@ def test_crawl_with_transport_under_small_bandwidth_budget(corpus, ray_session, 
         fetch_transport=lambda: CorpusTransport(hashed, max_content_length=cap),
         total_bandwidth_budget_bps=300_000,
     )
-    assert CrawlConfig().fetch_transport_concurrency[0] > 1
     manifest = json.loads((tmp_path / "capped" / "wave_0000" / "manifest.json").read_text())
     assert manifest["max_fetchers"] == 1 and s.waves == 2
     _, base = run(tmp_path / "fused")
     pd.testing.assert_frame_equal(capped, base)
+
+
+_ONE_CPU_CRAWL = """
+import json, os, sys, uuid
+sys.path.insert(0, sys.argv[1])
+base, out, calls = sys.argv[2], sys.argv[3], sys.argv[4]
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR", log_to_driver=False)
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from dataclasses import replace
+from abwcf_ray.config import CrawlConfig
+from abwcf_ray.pipelines.crawl import frontier_dataset, run_crawl
+from abwcf_ray.sources.corpus import generate_corpus
+from abwcf_ray.stages.transport import HTTPRobotsFetcher, HTTPTransport
+
+def transport():
+    open(os.path.join(calls, f"{os.getpid()}-{uuid.uuid4().hex}"), "w").close()
+    return HTTPTransport(timeout_s=5.0)
+
+cfg = CrawlConfig(max_waves=6, wave_duration_s=10.0, fetch_transport_batch_size=2)
+cfg = replace(cfg, fetch_transport=transport,
+              robots_transport=lambda: HTTPRobotsFetcher(cfg, timeout_s=5.0))
+# a small generated corpus stands in for the run's CorpusMeta; with both
+# transports set, every page and robots.txt comes over HTTP
+meta = generate_corpus(os.path.join(out, "corpus"), n_pages=50, seed=1)
+s = run_crawl(cfg, meta, os.path.join(out, "crawl"),
+              seeds=[base + "/", base + "/private/secret"], log=lambda *_: None)
+df = frontier_dataset(s.last_wave_dir).to_pandas()
+print(json.dumps(dict(zip(df["url"], df["status"]))))
+ray.shutdown()
+"""
+
+
+def test_http_crawl_runs_on_one_cpu(tmp_path):
+    """A crawl through HTTPTransport and HTTPRobotsFetcher on a one-CPU
+    cluster (a fresh process, under a timeout) against a localhost site:
+    linked pages, a 301 whose target is reached only through it, a
+    robots.txt that disallows a seeded page and a linked one, and
+    ``text/html; charset=utf-8`` pages. The final frontier is exact, and
+    each worker process built the transport once."""
+    import http.server
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    pages = {
+        "/": "<a href='/a'>a</a><a href='/old'>old</a><a href='/private/other'>p</a>",
+        "/a": "<a href='/b'>b</a><a href='/'>home</a>",
+        "/b": "<p>b</p><a href='/a'>a</a>",
+        "/c": "<p>c</p>",
+    }
+
+    class H(http.server.BaseHTTPRequestHandler):
+        def log_message(self, *a):
+            pass
+
+        def _send(self, status, body=b"", ctype=None, loc=None):
+            self.send_response(status)
+            if ctype:
+                self.send_header("Content-Type", ctype)
+            if loc:
+                self.send_header("Location", loc)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def do_GET(self):
+            if self.path == "/robots.txt":
+                self._send(200, b"User-agent: *\nDisallow: /private/\n", "text/plain")
+            elif self.path == "/old":
+                self._send(301, loc=f"{base}/c")
+            elif self.path in pages:
+                body = f"<html><body>{pages[self.path]}</body></html>".encode()
+                self._send(200, body, "text/html; charset=utf-8")
+            else:
+                self._send(404)
+
+    srv = http.server.ThreadingHTTPServer(("127.0.0.1", 0), H)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    base = f"http://127.0.0.1:{srv.server_address[1]}"
+    calls = tmp_path / "transport_calls"
+    calls.mkdir()
+    repo = str(Path(__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_CRAWL, repo, base, str(tmp_path), str(calls)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    )
+    try:
+        stdout, stderr = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the one-CPU HTTP crawl did not finish within 240 s")
+    finally:
+        srv.shutdown()
+    assert proc.returncode == 0, stderr[-3000:]
+    frontier = json.loads(stdout.strip().splitlines()[-1])
+    assert frontier == {
+        f"{base}/": "Processed",
+        f"{base}/a": "Processed",
+        f"{base}/b": "Processed",
+        f"{base}/old": "Processed",
+        f"{base}/c": "Processed",
+        f"{base}/private/secret": "Disallowed",
+    }
+    pids = [f.name.split("-")[0] for f in calls.iterdir()]
+    assert pids and len(pids) == len(set(pids)), "a worker built the transport twice"
 
 
 @pytest.fixture(scope="module")

@@ -207,8 +207,8 @@ def test_crawl_over_warc_ingested_corpus_matches_oracle(ray_session, tmp_path):
     """Full CC circle: corpus -> WARC shards (real HTTP messages) ->
     warc_to_corpus -> run_crawl over the INGESTED corpus equals the oracle
     run — statuses, content types, redirects and robots headers all
-    survive the WARC roundtrip, and the scan-fallback fetch path (no
-    hashed layout on ingested corpora) produces the same crawl."""
+    survive the WARC roundtrip. An ingested corpus has no hashed fetch
+    layout: run_crawl builds one at run start and crawls it the same way."""
     import json as _json
     import shutil
 
@@ -218,7 +218,7 @@ def test_crawl_over_warc_ingested_corpus_matches_oracle(ray_session, tmp_path):
     from abwcf_ray.config import CrawlConfig
     from abwcf_ray.pipelines.crawl import run_crawl
     from abwcf_ray.pipelines.oracle import run_oracle
-    from abwcf_ray.sources.corpus import CorpusMeta, generate_corpus
+    from abwcf_ray.sources.corpus import CorpusMeta, generate_corpus, layout_is_valid
 
     src = generate_corpus(tmp_path / "src", n_pages=500, seed=42, num_buckets=4)
     pages = rd.read_parquet(
@@ -235,12 +235,13 @@ def test_crawl_over_warc_ingested_corpus_matches_oracle(ray_session, tmp_path):
         n_pages=src.n_pages, seed=src.seed, num_buckets=src.num_buckets,
         n_hosts=src.n_hosts, out_dir=str(ing_root),
     )
-    assert not __import__("pathlib").Path(meta.hashed_dir).exists()  # scan fallback
+    assert not __import__("pathlib").Path(meta.hashed_dir).exists()  # no layout yet
 
     cfg = CrawlConfig(max_waves=4, wave_duration_s=10.0, seen_shards=4,
                       max_crawl_depth=6)
     out = tmp_path / "crawl"
     summary = run_crawl(cfg, meta, out, log=lambda *_: None)
+    assert layout_is_valid(meta)
     o = run_oracle(cfg, meta)
     from abwcf_ray.pipelines.crawl import frontier_dataset
 

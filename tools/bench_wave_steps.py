@@ -45,7 +45,7 @@ def main() -> None:
     )
     cfg = CrawlConfig(
         max_waves=n_waves, wave_duration_s=600.0, seen_shards=16,
-        corpus_buckets=corpus.num_buckets, max_crawl_depth=16,
+        max_crawl_depth=16,
     )
     out_dir = Path(f"/tmp/abwcf_wavesteps_{NUM_CPUS}")
     shutil.rmtree(out_dir, ignore_errors=True)
