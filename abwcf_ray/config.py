@@ -93,10 +93,6 @@ class CrawlConfig:
     # per-SHARD cuckoo capacity: size to expected_seen_urls / seen_shards
     # (e.g. 10^10 urls / 256 shards -> 40M; the table is ~2.8 B x capacity)
     seen_cuckoo_capacity: int = 4_000_000
-    # above this many eligible rows the wave's selected set is ranked with
-    # a distributed Ray sort (stages/schedule.rank_selected_ds) instead of
-    # driver pandas — identical output, parity-tested
-    rank_distributed_min: int = 1_000_000
 
     # B6 — approximate pre-dedup (UrlDeduplicator.scala: best-effort LRU in
     # front of the exact dedup): per-process cache of proposed (url_hash,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import encodings.idna as _idna
 import re
-from urllib.parse import urlsplit
+from urllib.parse import urljoin, urlsplit
 
 from abwcf_ray.config import NormalizationConfig
 
@@ -187,6 +187,19 @@ def normalize_urls(urls, config: NormalizationConfig = DEFAULT_CONFIG) -> list[s
     stage wraps this and filters the Nones (counting them as the reference
     counts normalization failures, UrlNormalizerMetrics)."""
     return [normalize_url(u, config) for u in urls]
+
+
+def resolve_location(page_url: str, location: str) -> str:
+    """A redirect's ``Location`` against the url of the page that sent it:
+    a relative reference (``/c``, legal per RFC 9110 §10.2.2) is joined with
+    ``page_url``; an absolute one, or one that does not parse, is returned
+    unchanged, byte for byte (the normalizer decides what to drop)."""
+    try:
+        if urlsplit(location).scheme:
+            return location
+        return urljoin(page_url, location)
+    except ValueError:
+        return location
 
 
 def get_scheme_and_authority(url: str) -> str | None:

@@ -1,9 +1,9 @@
 """The crawl wave driver (SURVEY.md §3.4).
 
 Each wave is a few rounds of plain Ray tasks over the frontier chain's
-parquet files and the fetch plan's work items — no Ray Data execution in
-the steady state; each task runs the per-batch arrow callables of the
-stages below in sequence:
+parquet files and the fetch plan's work items — a crawl starts no Ray Data
+execution, warm-up included; each task runs the per-batch arrow callables
+of the stages below in sequence:
 
     eligible  = frontier.filter(status == 'Discovered')
     host-prep : unknown/expired hosts -> robots fetch-sim -> hosts table
@@ -34,7 +34,9 @@ stages below in sequence:
 
 The steady-state wave contains NO all-to-all exchange and NO O(frontier)
 write (see stages/schedule, stages/fetch, state/seen docstrings for each
-replacement).
+replacement). Only the read helpers for finished waves
+(:func:`frontier_dataset`, :func:`restore_topk`) use Ray Data, and import
+it when called.
 
 :func:`run_crawl` is a loop over named step functions sharing one
 ``_Run`` (cross-wave state) and one ``_Wave`` per wave: open (resume or
@@ -68,7 +70,6 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
-import ray.data as rd
 
 from abwcf_ray.config import CrawlConfig
 from abwcf_ray.functions.hashing import hash64
@@ -82,7 +83,6 @@ from abwcf_ray.stages.schedule import (
     apply_stages,
     file_groups,
     rank_selected,
-    rank_selected_ds,
     scan_parts,
     select_wave,
 )
@@ -414,12 +414,15 @@ def _compact_frontier(chain: _FrontierChain, dest: Path, n_tasks: int) -> None:
     chain.reset(dest)
 
 
-def frontier_dataset(wave_dir: str | Path) -> "rd.Dataset":
-    """The logical frontier as of a completed wave: the materialized
-    ``frontier/`` dir if that wave compacted (or drained), else the chain
-    recorded in its manifest (base + deltas with status flips overlaid).
-    This is the read path a resume, a restore, or a downstream consumer
-    uses — the full frontier is never rewritten to serve a read."""
+def frontier_dataset(wave_dir: str | Path):
+    """The logical frontier as of a completed wave, as a Ray Data Dataset:
+    the materialized ``frontier/`` dir if that wave compacted (or drained),
+    else the chain recorded in its manifest (base + deltas with status
+    flips overlaid). This is the read path a resume, a restore, or a
+    downstream consumer uses — the full frontier is never rewritten to
+    serve a read."""
+    import ray.data as rd
+
     wd = Path(wave_dir)
     mat = wd / "frontier"
     if mat.exists() and any(mat.rglob("*.parquet")):
@@ -641,10 +644,9 @@ class _Wave:
     strict_robots: object = None
     lenient_robots: object = None
     sched_ref: object = None
-    # selected rows: unranked (or ranked by the distributed rank), then
-    # ranked and trimmed to the page budget by _write_selected
+    # selected rows: unranked, then ranked and trimmed to the page budget
+    # by _write_selected when the budget binds
     sel_df: pd.DataFrame | None = None
-    rank_distributed: bool = False
     rejects: pa.Table | None = None
     disallowed: np.ndarray | None = None
     sel_write_ref: object = None
@@ -827,24 +829,28 @@ def _seed(run: _Run, seeds: list[str]) -> None:
     run.prev_frontier_rows = frontier0.num_rows
 
 
+@ray.remote
+def _warm(t: pa.Table) -> pa.Table:
+    """Identity task of the warm-up. Unpickling it makes a task worker
+    import this module, and with it every stage a wave task runs (fetch,
+    transform, schedule, the html parser, pyarrow.parquet); the table round
+    trip loads Ray's Arrow table serializer in the worker and the driver."""
+    return t
+
+
 def _warm_up(run: _Run) -> None:
     """Session warm-up, outside the per-wave timers: the seen-shard actors
-    and Ray Data's exchange machinery spawn lazily on first use, which
-    would otherwise bill ~2 s of ONE-TIME bring-up to the first wave's
-    steps (measured: wave-0 select 2.6 s vs 0.63 s at wave 1+ on identical
-    input — tools/bench_wave_steps.py). A production run amortizes
-    bring-up over thousands of waves; recorded as summary.warmup_s so
-    single-wave benchmarks see steady-state waves."""
+    and the first task worker start lazily, and a worker pays its imports
+    on its first crawl task. Without the warm-up, wave 0 would bill that
+    one-time bring-up to its own steps. One identity task over an empty
+    frontier table runs while the shards answer their first call; recorded
+    as summary.warmup_s. No Ray Data runs: no crawl step needs it."""
     tw = time.perf_counter()
+    warm = _warm.remote(FRONTIER_SCHEMA.empty_table())
     run.seen.size()
     if run.content_seen is not None:
         run.content_seen.size()
-    (
-        rd.range(256)
-        .groupby("id")
-        .map_groups(lambda g: g, batch_format="pandas")
-        .materialize()
-    )
+    ray.get(warm)
     run.summary.warmup_s = round(time.perf_counter() - tw, 3)
 
 
@@ -928,36 +934,18 @@ def _prep_hosts(run: _Run, w: _Wave) -> None:
 
 
 def _select(run: _Run, w: _Wave) -> None:
-    """Strict robots (C2) + politeness selection (D1/D2): one pass per file
-    group; allowed rows and flagged rejects stream into the shuffle-free
-    partial top-k selection, which splits the rejects off.
-
-    Past rank_distributed_min eligible rows the selected set may be too
-    large to sort on the driver: a distributed merge keeps it a Dataset,
-    and the RANK venue then re-decides on the ACTUAL politeness-bounded
-    selected count (a 2.4M-eligible wave selecting 890k rows ranks cheaply
-    on the driver). materialize() pins the merge result so neither rank
-    venue re-runs it."""
-    cfg = run.cfg
-    selected, w.rejects = select_wave(
+    """Strict robots (C2) + politeness selection (D1/D2): one task per
+    file group runs the eligible filter and strict robots, keeps its
+    partial top-k per host and splits the flagged rejects off; the driver
+    merges the politeness-bounded partials (stages/schedule.select_wave).
+    The selected frame stays unranked here."""
+    w.sel_df, w.rejects = select_wave(
         w.eligible_files,
         [w.eligible, w.strict_robots],
         w.sched_ref,
         n_tasks=2 * run.n_cpu,
-        as_dataset=w.metrics["n_eligible"] > cfg.rank_distributed_min,
     )
-    if not isinstance(selected, pd.DataFrame):
-        # the distributed-merge venue was taken (partials over the driver
-        # cap): decide the rank venue on the actual selected count the
-        # same way
-        selected = selected.materialize()
-        if selected.count() > cfg.rank_distributed_min:
-            w.rank_distributed = True
-            selected = rank_selected_ds(selected)
-        else:
-            selected = selected.to_pandas()
-    w.sel_df = selected
-    w.n_selected = len(selected)
+    w.n_selected = len(w.sel_df)
     w.disallowed = w.rejects.column("url_hash").to_numpy()
     w.metrics["n_disallowed"] = int(len(w.disallowed))
     w.mark("select")
@@ -985,17 +973,13 @@ def _write_selected(run: _Run, w: _Wave) -> None:
     wave's fetch — and the FETCH set is rank-independent unless the page
     budget trims it (trim = lowest global ranks drop). So in the common
     untrimmed case the rank + parquet write run in ONE remote task
-    overlapping the fetch; the driver ranks inline only when trimming, or
-    when the distributed rank already produced the ranked frame."""
+    overlapping the fetch; the driver ranks inline only when trimming."""
     (w.wdir / "selected").mkdir(parents=True, exist_ok=True)
     sel_path = w.wdir / "selected" / "part-0.parquet"
     budget_left = run.cfg.max_pages - run.total_fetched
     sel_df = w.sel_df
-    if w.rank_distributed or len(sel_df) > budget_left:
-        if not w.rank_distributed:
-            sel_df = rank_selected(sel_df)
-        if len(sel_df) > budget_left:
-            sel_df = sel_df.iloc[: int(budget_left)].copy()
+    if len(sel_df) > budget_left:
+        sel_df = rank_selected(sel_df).iloc[: int(budget_left)].copy()
         sel_df["wave"] = np.int32(w.n)
         _write_selected_table(sel_df, sel_path)
     else:  # unranked; membership == fetch set
@@ -1272,6 +1256,8 @@ def restore_topk(frontier_dir: str | Path, k: int):
     ORDER BY crawl_priority DESC LIMIT k`` (SlickPageRepository.scala:58-61,
     PageRestorer.scala:37-53). The wave model restores everything by default;
     this is the bounded variant for driving a partial re-injection."""
+    import ray.data as rd
+
     ds = rd.read_parquet(str(frontier_dir)).map_batches(
         lambda t: t.filter(pc.equal(t["status"], STATUS_DISCOVERED)),
         batch_format="pyarrow",
@@ -1324,9 +1310,6 @@ def main() -> None:  # pragma: no cover — CLI entry
 
     if not ray.is_initialized():
         ray.init(address="local", include_dashboard=False, logging_level="ERROR")
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
 
     from abwcf_ray.sources.corpus import generate_corpus
 

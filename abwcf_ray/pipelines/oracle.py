@@ -17,7 +17,11 @@ import pyarrow.dataset as pads
 from abwcf_ray.config import CrawlConfig
 from abwcf_ray.functions.hashing import hash64_one
 from abwcf_ray.functions.htmlx import header_nofollow, parse_document
-from abwcf_ray.functions.urlnorm import get_scheme_and_authority, normalize_url
+from abwcf_ray.functions.urlnorm import (
+    get_scheme_and_authority,
+    normalize_url,
+    resolve_location,
+)
 from abwcf_ray.sources.corpus import CorpusMeta
 from abwcf_ray.stages.schedule import budget_for_delay
 from abwcf_ray.state.hosts import HostEntry, RobotsFetchSim
@@ -133,7 +137,7 @@ def run_oracle(cfg: CrawlConfig, corpus: CorpusMeta, seeds: list[str] | None = N
             links: list[str] = []
             child_depth = d + 1
             if status is not None and 300 <= status < 400 and row["location"]:
-                links = [row["location"]]
+                links = [resolve_location(u, row["location"])]
                 child_depth = d  # redirects keep depth (Fetcher.scala:129)
             elif (
                 row["html"] is not None

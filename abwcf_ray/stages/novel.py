@@ -5,26 +5,25 @@ content, so a mirror/alias fetched in wave 12 does not re-emit text first
 extracted in wave 3).
 
 Reuses the sharded, wave-versioned ``SeenSet`` actors (state/seen.py F1)
-keyed by ``hash64(text)``. Two passes, text never crosses an exchange:
+keyed by ``hash64(text)``. Two rounds of plain Ray tasks, one per group of
+processed parts (``schedule.file_groups``); text never leaves a task:
 
-1. **Slim arbitration** — stream the wave's processed checkpoint reading
-   only (url, text) for html rows, reduce each block to one (content_hash,
-   min url) pair per distinct hash (vectorized pandas partial), then an
-   exact hash-sharded merge picks the wave's winner url per hash, probes
-   the content-seen shards for hashes from EARLIER waves, and adds the
-   novel ones under this wave's tag. Only 8-byte hashes + winner urls
-   cross the exchange — never text.
-2. **Streaming emit** — re-read the processed parquet, keep rows whose
-   url is a novel winner (broadcast sorted url-hash array, searchsorted
-   probe), write one ``novel/`` part per source part (deterministic name
-   → a retried task overwrites identical bytes).
+1. **Slim arbitration** — each task reads only (url, text, is_html) of its
+   parts and reduces its html rows to one (content_hash, min url) pair per
+   distinct hash. The driver merges the pairs to the wave's winner url
+   per hash, probes the content-seen shards for hashes from EARLIER waves,
+   and adds the novel ones under this wave's tag. Only 8-byte hashes +
+   winner urls reach the driver — never text.
+2. **Emit** — each task re-reads its parts, keeps the rows whose url is a
+   novel winner (sorted url-hash array, searchsorted probe), and writes
+   one ``novel/`` part per source part (deterministic name → a retried
+   task overwrites identical bytes).
 
 Retry/idempotence: ``SeenSet.contains(before_wave=wave)`` ignores this
-wave's own adds and ``add`` is an idempotent hash-set union, so a retried
-or lineage-recomputed merge task reproduces exactly the same novel set;
-both write passes key part names to their inputs. The winner-url
-broadcast is wave-bounded (≤ the politeness budget), the same size class
-as the wave's selection broadcast.
+wave's own adds and ``add`` is an idempotent hash-set union, so a re-run of
+the same wave reproduces exactly the same novel set; the emit tasks key
+part names to their inputs. The winner-url array is wave-bounded (≤ the
+politeness budget), the same size class as the wave's selection broadcast.
 """
 
 from __future__ import annotations
@@ -34,6 +33,47 @@ from pathlib import Path
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+
+from abwcf_ray.functions.hashing import hash64
+from abwcf_ray.stages.schedule import file_groups
+
+
+@ray.remote
+def _slim(paths: list[str]) -> pd.DataFrame:
+    """(content_hash, min url) per distinct html text of a group of parts."""
+    t = pa.concat_tables(
+        [pq.read_table(p, columns=["url", "text", "is_html"]) for p in paths],
+        promote_options="default",
+    )
+    t = t.filter(t.column("is_html"))
+    df = pd.DataFrame(
+        {"content_hash": hash64(t.column("text")), "url": t.column("url").to_pandas()}
+    )
+    return df.groupby("content_hash", as_index=False)["url"].min()
+
+
+@ray.remote
+def _emit(paths: list[str], novel_dir: str, winners: np.ndarray) -> tuple[int, int]:
+    """Write the html rows of each part whose url hash is in the sorted
+    ``winners`` to ``novel_dir`` under the part's name; (html, kept) rows."""
+    n_html = n_kept = 0
+    for path in paths:
+        t = pq.read_table(path)
+        html = t.filter(t.column("is_html"))
+        uh = hash64(html.column("url"))
+        if len(winners):
+            pos = np.minimum(np.searchsorted(winners, uh), len(winners) - 1)
+            keep = winners[pos] == uh
+        else:
+            keep = np.zeros(len(uh), dtype=bool)
+        out = html.filter(pa.array(keep))
+        if out.num_rows:
+            pq.write_table(out, Path(novel_dir) / Path(path).name, compression="zstd")
+        n_html += html.num_rows
+        n_kept += out.num_rows
+    return n_html, n_kept
 
 
 def novel_extracted(
@@ -41,81 +81,24 @@ def novel_extracted(
     novel_dir: str | Path,
     content_seen,
     wave: int,
-    merge_partitions: int = 16,
 ) -> tuple[int, int]:
     """Filter the wave's processed checkpoint to never-seen-before content;
     write the surviving rows (all columns) under ``novel_dir``. Returns
     ``(n_html, n_novel)``. ``content_seen`` is a ``state.seen.SeenSet``
     dedicated to content hashes (NOT the URL seen set)."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    from abwcf_ray.functions.hashing import hash64
-
-    processed_dir = Path(processed_dir)
     novel_dir = Path(novel_dir)
     novel_dir.mkdir(parents=True, exist_ok=True)
-    files = sorted(str(p) for p in processed_dir.glob("*.parquet"))
+    files = sorted(str(p) for p in Path(processed_dir).glob("*.parquet"))
     if not files:
         return 0, 0
-
-    def slim(batch: pa.Table) -> pa.Table:
-        b = batch.filter(batch.column("is_html"))
-        ch = hash64(b.column("text"))
-        df = pd.DataFrame({"content_hash": ch, "url": b.column("url").to_pandas()})
-        g = df.groupby("content_hash", as_index=False)["url"].min()
-        g["pkey"] = (
-            g["content_hash"].to_numpy(dtype=np.uint64)
-            % np.uint64(merge_partitions)
-        ).astype(np.int64)
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    def merge(g: pa.Table) -> pa.Table:
-        df = g.to_pandas().groupby("content_hash", as_index=False)["url"].min()
-        hashes = df["content_hash"].to_numpy(dtype=np.uint64)
-        # earlier-wave membership only: this wave's own adds are invisible,
-        # so a retried merge task reproduces the identical novel set
-        seen_before = content_seen.contains(hashes, before_wave=wave)
-        novel = df[~seen_before]
-        content_seen.add(
-            novel["content_hash"].to_numpy(dtype=np.uint64), wave
-        )
-        return pa.table({"url": pa.array(novel["url"].tolist(), pa.string())})
-
-    winners = (
-        rd.read_parquet(files, columns=["url", "text", "is_html"])
-        .map_batches(slim, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(merge, batch_format="pyarrow")
-        .to_pandas()
-    )
-    # a wave with no html rows yields an empty (column-less) merge result
-    if "url" in winners.columns and len(winners):
-        win_hashes = np.sort(hash64(winners["url"].tolist()))
-    else:
-        win_hashes = np.empty(0, np.uint64)
-    win_ref = ray.put(win_hashes)
-
-    @ray.remote
-    def emit(path: str) -> tuple[int, int]:
-        wh = ray.get(win_ref) if isinstance(win_ref, ray.ObjectRef) else win_ref
-        t = pq.read_table(path)
-        html = t.filter(t.column("is_html"))
-        uh = hash64(html.column("url"))
-        if len(wh):
-            pos = np.minimum(np.searchsorted(wh, uh), len(wh) - 1)
-            keep = wh[pos] == uh
-        else:
-            keep = np.zeros(len(uh), dtype=bool)
-        out = html.filter(pa.array(keep))
-        if out.num_rows:
-            pq.write_table(
-                out, Path(novel_dir) / Path(path).name, compression="zstd"
-            )
-        return html.num_rows, out.num_rows
-
-    counts = ray.get([emit.remote(f) for f in files])
-    n_html = sum(c[0] for c in counts)
-    n_novel = sum(c[1] for c in counts)
-    return n_html, n_novel
+    groups = file_groups(files, 2 * max(1, int(ray.cluster_resources().get("CPU", 1))))
+    pairs = pd.concat(ray.get([_slim.remote(g) for g in groups]), ignore_index=True)
+    best = pairs.groupby("content_hash", as_index=False)["url"].min()
+    hashes = best["content_hash"].to_numpy(dtype=np.uint64)
+    # earlier-wave membership only: this wave's own adds are invisible, so
+    # a re-run of the wave reproduces the identical novel set
+    novel = ~content_seen.contains(hashes, before_wave=wave)
+    content_seen.add(hashes[novel], wave)
+    winners = ray.put(np.sort(hash64(best["url"].to_numpy()[novel].tolist())))
+    counts = ray.get([_emit.remote(g, str(novel_dir), winners) for g in groups])
+    return sum(c[0] for c in counts), sum(c[1] for c in counts)

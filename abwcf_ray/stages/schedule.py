@@ -14,15 +14,15 @@ plain Ray task over a group of frontier files) independently keeps its
 local top-``k_h`` per host (one vectorized sort+cumcount — no Python per
 host), which is a superset of that group's contribution to the global
 top-k; the partials (≤ k_h per host per task, bounded by the politeness
-budget) are then merged with one final top-k pass. No all-to-all shuffle,
-and a heavy-hitter host never materializes as a single group — every task
-prunes it to k_h rows first
-(this subsumes the salted-repartition design in SURVEY.md §4.2: pruning
-before the exchange is strictly stronger than salting the exchange).
+budget) are then merged with one final top-k pass on the driver. No
+all-to-all shuffle, and a heavy-hitter host never materializes as a single
+group — every task prunes it to k_h rows first (this subsumes the
+salted-repartition design in SURVEY.md §4.2: pruning before the merge is
+strictly stronger than salting an exchange).
 
-The merge is a single driver-side vectorized pass up to
-``driver_partials_max`` partial rows (Σ_h k_h × #tasks worst case) and a
-hash(host)-sharded Ray Data exchange past it (:func:`select_wave`).
+The merge has one venue: a single driver-side vectorized pass over the
+collected partials, at most Σ_h k_h rows per task (SCALE.md §5 gives the
+memory ceiling).
 """
 
 from __future__ import annotations
@@ -181,10 +181,7 @@ def select_wave(
     *,
     columns: list[str] | None = None,
     n_tasks: int | None = None,
-    merge_partitions: int = 16,
-    as_dataset: bool = False,
-    driver_partials_max: int = 2_000_000,
-):
+) -> tuple[pd.DataFrame, pa.Table]:
     """Parquet files of frontier rows -> the wave's fetch set with exact
     per-host top-k under the politeness budget.
 
@@ -195,36 +192,22 @@ def select_wave(
     ``HostsState.sched_payload`` object ref (sorted host hashes +
     precomputed budgets, zero-copy numpy).
 
-    Returns ``(selected, rejects)``. ``selected`` is a pandas frame, or a
-    Dataset when the merge ran distributed AND ``as_dataset`` (the
-    huge-wave caller contract) — callers must handle both. Rows flagged by
-    an optional bool ``rejected`` column (the strict robots filter's
-    known-rule rejects, C2) bypass the ranking; ``rejects`` is their
-    ``(url_hash, host)`` table, unique by hash and sorted by it.
+    Returns ``(selected, rejects)``: ``selected`` is an unranked pandas
+    frame. Rows flagged by an optional bool ``rejected`` column (the
+    strict robots filter's known-rule rejects, C2) bypass the ranking;
+    ``rejects`` is their ``(url_hash, host)`` table, unique by hash and
+    sorted by it.
 
     Two levels: (1) plain Ray tasks, one per contiguous group of
     ``sources`` (``min(#files, n_tasks)`` groups; ``n_tasks`` defaults to
     twice the cluster's CPUs), each scanning its files through
     ``stages`` and keeping its partial top-k (a superset of its
-    contribution) and its reject keys — no Dataset is built, so a small
-    wave pays task dispatch, not a Ray Data execution; then (2) the exact
-    per-host merge, whose venue is chosen on the MEASURED partials size —
-    at or under ``driver_partials_max`` rows the driver runs one
-    vectorized arrow topk over the collected partials (politeness-bounded,
-    ~96 B/row; measured 0.75 s flat at 300k rows vs ~1.4 s for the
-    16-partition sort exchange, and ~1.5 s at 940k vs ~4.3 s). Past the
-    cap the merge is a keyed exchange over ``rd.from_arrow_refs`` of the
-    partials, sharded by ``hash(host) % merge_partitions`` — every host
-    lands wholly in one partition, one vectorized topk per partition (the
-    coarse key keeps group count at ``merge_partitions``, not #hosts).
-    The driver never pulls more than the cap; the partial counts travel
-    as their own task returns, so the venue choice fetches no rows.
-    Both venues compute the identical exact per-host top-k and reject set
-    (tests/test_schedule_seen.py::test_select_wave_merge_paths_agree)."""
-    import ray.data as rd
-
-    from abwcf_ray.functions.hashing import hash64
-
+    contribution) and its reject keys; then (2) the exact per-host merge,
+    one vectorized arrow top-k on the driver over the collected partials
+    (politeness-bounded: each holds at most Σ_h k_h rows, ~96 B/row;
+    measured 0.75 s at 300k partial rows and ~1.5 s at 940k). The partial
+    counts travel as their own task returns, so an empty wave fetches no
+    partial."""
     if n_tasks is None:
         n_tasks = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
     groups = file_groups(sources, n_tasks)
@@ -234,35 +217,9 @@ def select_wave(
     partials = [t[1] for t, n in zip(tasks, counts) if n]
     if not partials:
         return _empty_selected(), rejects
-
-    if sum(counts) <= driver_partials_max:
-        t = pa.concat_tables(ray.get(partials), promote_options="default").combine_chunks()
-        merged = topk_per_host_arrow(t, ray.get(sched_ref))
-        return merged.to_pandas().reset_index(drop=True), rejects
-
-    def add_pkey(t: pa.Table) -> pa.Table:
-        pkey = (hash64(t.column("host")) % np.uint64(merge_partitions)).astype(
-            np.int64
-        )
-        return t.append_column("pkey", pa.array(pkey, pa.int64()))
-
-    def merge_topk(g: pa.Table) -> pa.Table:
-        return topk_per_host_arrow(g.select(_SELECT_COLS), ray.get(sched_ref))
-
-    merged_ds = (
-        rd.from_arrow_refs(partials)
-        .map_batches(add_pkey, batch_format="pyarrow")
-        .groupby("pkey")
-        .map_groups(merge_topk, batch_format="pyarrow")
-    )
-    if as_dataset:
-        # huge waves: keep the exact selected set distributed so the caller
-        # can rank it with rank_selected_ds instead of a driver sort
-        return merged_ds, rejects
-    merged = merged_ds.to_pandas()
-    if merged.empty:
-        return _empty_selected(), rejects
-    return merged.reset_index(drop=True), rejects
+    t = pa.concat_tables(ray.get(partials), promote_options="default").combine_chunks()
+    merged = topk_per_host_arrow(t, ray.get(sched_ref))
+    return merged.to_pandas().reset_index(drop=True), rejects
 
 
 def rank_selected(selected_df: pd.DataFrame) -> pd.DataFrame:
@@ -274,96 +231,3 @@ def rank_selected(selected_df: pd.DataFrame) -> pd.DataFrame:
     df["global_rank"] = np.arange(len(df), dtype=np.int32)
     df["rank_in_host"] = df.groupby("host").cumcount().astype(np.int32)
     return df
-
-
-def rank_selected_ds(selected) -> pd.DataFrame:
-    """Distributed :func:`rank_selected` for waves whose selected set is too
-    large to sort on the driver (round-3 VERDICT 'Missing' #2; the driver
-    path is fine while the set is politeness-bounded small): a Ray ``sort``
-    by (priority desc, url asc) does the heavy reorder cluster-side, then
-    per-sorted-block rank columns are assembled from block-level metadata —
-    ``global_rank`` from the blocks' row-count prefix sums, ``rank_in_host``
-    from per-host counts accumulated ACROSS blocks in sort order (a row's
-    in-host rank equals its local in-block cumcount plus the number of
-    same-host rows in all earlier blocks, because the global order is the
-    sort order). The driver touches only 16-byte (host_hash, count) pairs —
-    never re-sorts rows — and receives the final ranked blocks.
-
-    Output is identical to ``rank_selected`` row-for-row and dtype-for-dtype
-    (int32 ranks: a single wave's selected set beyond 2^31 rows is out of
-    scope; widen here and in rank_selected together)."""
-    from abwcf_ray.functions.hashing import hash64
-
-    sorted_ds = selected.sort(["priority", "url"], descending=[True, False])
-    refs = sorted_ds.to_arrow_refs()
-    if not refs:
-        return rank_selected(pd.DataFrame({c: [] for c in _SELECT_COLS}))
-
-    @ray.remote
-    def block_meta(block):
-        if block.num_rows == 0:  # empty sort output blocks carry NO schema
-            return 0, np.empty(0, np.uint64), np.empty(0, np.int64)
-        hh = hash64(block.column("host"))
-        uh, counts = np.unique(hh, return_counts=True)
-        return block.num_rows, uh, counts
-
-    metas = ray.get([block_meta.remote(r) for r in refs])
-    # drop empty blocks: a zero-row selection sorts into one SCHEMA-LESS
-    # block that would crash the rank pass (and contributes nothing)
-    keep = [i for i, m in enumerate(metas) if m[0] > 0]
-    if not keep:
-        return rank_selected(pd.DataFrame({c: [] for c in _SELECT_COLS}))
-    refs = [refs[i] for i in keep]
-    metas = [metas[i] for i in keep]
-    g_offsets = np.concatenate([[0], np.cumsum([m[0] for m in metas])])[:-1]
-
-    # host-count prefix across blocks: merge each block's (hash, count)
-    # into a running sorted accumulator; the block's base = accumulator
-    # value BEFORE its own counts are folded in
-    acc_h = np.empty(0, np.uint64)
-    acc_c = np.empty(0, np.int64)
-    bases = []
-    for _, uh, counts in metas:
-        if len(acc_h):
-            pos = np.minimum(np.searchsorted(acc_h, uh), len(acc_h) - 1)
-            base = np.where(acc_h[pos] == uh, acc_c[pos], 0)
-        else:
-            base = np.zeros(len(uh), dtype=np.int64)
-        bases.append((uh, base))
-        mh = np.concatenate([acc_h, uh])
-        mc = np.concatenate([acc_c, base + counts])  # new totals win
-        order = np.argsort(mh, kind="stable")
-        mh, mc = mh[order], mc[order]
-        keep = np.ones(len(mh), dtype=bool)
-        keep[:-1] = mh[1:] != mh[:-1]  # keep LAST per hash = updated total
-        acc_h, acc_c = mh[keep], mc[keep]
-
-    @ray.remote
-    def rank_block(block, g_off, bh, bbase):
-        import pyarrow as pa
-
-        hh = hash64(block.column("host"))
-        order = np.argsort(hh, kind="stable")  # equal hosts stay in sort order
-        sh = hh[order]
-        starts = np.ones(len(sh), dtype=bool)
-        starts[1:] = sh[1:] != sh[:-1]
-        first_idx = np.flatnonzero(starts)
-        seg = np.cumsum(starts) - 1
-        local_sorted = np.arange(len(sh), dtype=np.int64) - first_idx[seg]
-        local = np.empty(len(sh), dtype=np.int64)
-        local[order] = local_sorted
-        pos = np.searchsorted(bh, hh)  # every block host is in bh
-        rank_in_host = (local + bbase[pos]).astype(np.int32)
-        global_rank = (g_off + np.arange(block.num_rows)).astype(np.int32)
-        return block.append_column(
-            "global_rank", pa.array(global_rank, pa.int32())
-        ).append_column("rank_in_host", pa.array(rank_in_host, pa.int32()))
-
-    ranked = ray.get(
-        [
-            rank_block.remote(r, int(off), uh, base)
-            for r, off, (uh, base) in zip(refs, g_offsets, bases)
-        ]
-    )
-    out = pa.concat_tables(ranked).to_pandas()
-    return out.reset_index(drop=True)

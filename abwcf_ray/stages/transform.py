@@ -24,7 +24,7 @@ from abwcf_ray.config import CrawlConfig
 from abwcf_ray.functions.hashing import hash64
 from abwcf_ray.functions.htmlx import header_nofollow, parse_document
 from abwcf_ray.functions.robots import RobotRules
-from abwcf_ray.functions.urlnorm import normalize_url
+from abwcf_ray.functions.urlnorm import normalize_url, resolve_location
 
 CANDIDATE_SCHEMA = pa.schema([("url", pa.string()), ("depth", pa.int32())])
 FRONTIER_SCHEMA = pa.schema(
@@ -547,8 +547,8 @@ def make_process_fetched_stage(cfg: CrawlConfig):
         (CrawlDepthLimiter.scala:22-29, applied before parsing) AND no
         X-Robots-Tag nofollow (RobotsHeaderFilter.scala:26-37) -> link
         extraction with depth+1 (HtmlParser.scala:45);
-      - 3xx -> the Location URL re-enters as a candidate at the SAME depth
-        (Fetcher.scala:129);
+      - 3xx -> the Location URL, resolved against the page url, re-enters
+        as a candidate at the SAME depth (Fetcher.scala:129);
       - 4xx/5xx -> consumed only (logged; page ends Processed either way,
         FetchResultConsumer.scala:29-50).
     The html column is dropped here — binary payloads never cross a shuffle
@@ -582,7 +582,7 @@ def make_process_fetched_stage(cfg: CrawlConfig):
         ):
             if status is not None and 300 <= status < 400 and loc:
                 texts.append(None)
-                links_col.append([loc])
+                links_col.append([resolve_location(url, loc)])
                 child_depths.append(depth)  # redirects keep the depth
                 is_html.append(False)
                 continue

@@ -696,22 +696,22 @@ def test_pack_bins_hypothesis_differential(ray_session):
             for _ in range(n)
         ]
         df = pd.DataFrame({"doc_id": ids, "text": texts})
-        out = (
-            pack_bins(
-                rd.from_pandas(df).repartition(blocks),
-                window=window,
-                buckets=buckets,
-                merge_partitions=3,
-            )
-            .to_pandas()
-            .sort_values(["bin_id", "doc_id"])
-            .reset_index(drop=True)
+        out = pack_bins(
+            rd.from_pandas(df).repartition(blocks),
+            window=window,
+            buckets=buckets,
+            merge_partitions=3,
+        ).to_pandas()
+        exp = _pack_brute(df, window)
+        if out.empty:
+            # every doc drew zero tokens: Ray drops the schema of a
+            # zero-row result on to_pandas (see test_pack_bins_empty_input)
+            assert exp.empty
+            return
+        key = ["bin_id", "doc_id"]
+        pd.testing.assert_frame_equal(
+            out.sort_values(key).reset_index(drop=True),
+            exp.sort_values(key).reset_index(drop=True),
         )
-        exp = (
-            _pack_brute(df, window)
-            .sort_values(["bin_id", "doc_id"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(out, exp)
 
     inner()

@@ -79,13 +79,14 @@ def test_partial_topk_is_exact(ray_session, tmp_path, n_files):
 
 
 def test_select_wave_merge_paths_agree(ray_session, tmp_path):
-    """The driver merge (small-wave latency path) and the distributed
-    partition merge must produce the identical exact selection, and split
-    off the identical reject set: rows flagged ``rejected`` bypass the
+    """The per-task partials merged on the driver must produce the exact
+    selection a single top-k pass over every allowed row produces, and
+    split off the exact reject set: rows flagged ``rejected`` bypass the
     ranking and come back as unique-by-hash (url_hash, host) pairs."""
     import ray
 
     from abwcf_ray.functions.hashing import hash64
+    from abwcf_ray.stages.schedule import topk_per_host
 
     t = _mk_frontier(n=800, hosts=11, seed=7)
     # every 5th row is a strict-robots reject; host h0's rows all are
@@ -95,29 +96,23 @@ def test_select_wave_merge_paths_agree(ray_session, tmp_path):
     t = t.append_column("rejected", pa.array(rejected))
     delays = {f"https://h{h}.example": 500 * (1 + h % 4) for h in range(11)}
     cfg = CrawlConfig(wave_duration_s=10.0)
+    payload = sched_payload_from_delays(delays, cfg.wave_duration_s)
     files = _write_parts(t, 6, tmp_path)
     key = ["priority", "url"]
-    dist, dist_rej = select_wave(
-        files,
-        [],
-        ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s)),
-        # the merge venue is now chosen on the measured partials size;
-        # a zero cap forces the distributed exchange for the parity
-        driver_partials_max=0,
-    )
-    dist = dist.sort_values(key, ascending=[False, True]).reset_index(drop=True)
-    driver, driver_rej = select_wave(
-        files, [], ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s))
-    )
+    driver, driver_rej = select_wave(files, [], ray.put(payload))
     driver = driver.sort_values(key, ascending=[False, True]).reset_index(drop=True)
+    one_pass = (
+        topk_per_host(t.filter(pa.array(~rejected)).to_pandas(), payload)
+        .sort_values(key, ascending=[False, True])
+        .reset_index(drop=True)
+    )
     pd.testing.assert_frame_equal(
-        dist[["url", "host", "priority"]], driver[["url", "host", "priority"]]
+        driver[["url", "host", "priority"]], one_pass[["url", "host", "priority"]]
     )
     # no reject is selected, and every host but the all-rejected one is
     assert not set(driver["url"]) & set(t.filter(pa.array(rejected)).column("url").to_pylist())
     assert set(driver["host"]) == {f"https://h{h}.example" for h in range(1, 11)}
 
-    assert dist_rej.equals(driver_rej)
     rej = t.filter(pa.array(rejected))
     want = sorted(zip(hash64(rej.column("url")).tolist(), rej.column("host").to_pylist()))
     assert list(zip(driver_rej.column("url_hash").to_pylist(), driver_rej.column("host").to_pylist())) == want
@@ -315,55 +310,6 @@ def test_claim_chunk_retry_rewrites_part_and_counts(ray_session, tmp_path):
     n3, counts3 = ray.get(_claim_chunk.remote(4, seen, 1, cfg, str(tmp_path), *blocks))
     assert (n3, counts3) == (0, {})
     seen.shutdown()
-
-
-def test_rank_selected_distributed_parity(ray_session):
-    """rank_selected_ds (distributed Ray sort + block-assembled rank
-    columns) must equal rank_selected (driver pandas) row-for-row and
-    dtype-for-dtype, on a skewed multi-block selected set."""
-    import ray.data as rd
-
-    from abwcf_ray.stages.schedule import rank_selected, rank_selected_ds
-
-    rng = np.random.default_rng(3)
-    n = 4000
-    host_ids = rng.integers(0, 37, n)
-    # heavy-hitter host + priority ties to exercise the url tiebreak
-    host_ids[: n // 4] = 5
-    t = pa.table(
-        {
-            "url": pa.array([f"https://h{h}.example/p{i:05d}" for i, h in enumerate(host_ids)]),
-            "host": pa.array([f"https://h{h}.example" for h in host_ids]),
-            "depth": pa.array(np.zeros(n, dtype=np.int32), pa.int32()),
-            "priority": pa.array(rng.integers(0, 50, n).astype(np.int64), pa.int64()),
-        }
-    )
-    want = rank_selected(t.to_pandas())
-    got = rank_selected_ds(rd.from_arrow(t).repartition(9))
-    pd.testing.assert_frame_equal(
-        got[want.columns.tolist()].reset_index(drop=True), want
-    )
-
-
-def test_rank_selected_distributed_empty(ray_session):
-    """A zero-row selection sorts into one SCHEMA-LESS block; the
-    distributed ranking must return a properly-shaped empty frame instead
-    of crashing on the missing host column."""
-    import ray.data as rd
-
-    from abwcf_ray.stages.schedule import rank_selected_ds
-
-    empty = pa.table(
-        {
-            "url": pa.array([], pa.string()),
-            "host": pa.array([], pa.string()),
-            "depth": pa.array([], pa.int32()),
-            "priority": pa.array([], pa.int64()),
-        }
-    )
-    out = rank_selected_ds(rd.from_arrow(empty))
-    assert len(out) == 0
-    assert {"url", "host", "depth", "priority", "global_rank", "rank_in_host"} <= set(out.columns)
 
 
 def test_topk_arrow_matches_pandas():

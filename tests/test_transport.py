@@ -382,10 +382,11 @@ ray.shutdown()
 def test_http_crawl_runs_on_one_cpu(tmp_path):
     """A crawl through HTTPTransport and HTTPRobotsFetcher on a one-CPU
     cluster (a fresh process, under a timeout) against a localhost site:
-    linked pages, a 301 whose target is reached only through it, a
-    robots.txt that disallows a seeded page and a linked one, and
-    ``text/html; charset=utf-8`` pages. The final frontier is exact, and
-    each worker process built the transport once."""
+    linked pages, two 301s whose targets are reached only through them (one
+    with an absolute ``Location``, one with a relative one that resolves
+    against the page url), a robots.txt that disallows a seeded page and a
+    linked one, and ``text/html; charset=utf-8`` pages. The final frontier
+    is exact, and each worker process built the transport once."""
     import http.server
     import json
     import os
@@ -395,10 +396,12 @@ def test_http_crawl_runs_on_one_cpu(tmp_path):
     from pathlib import Path
 
     pages = {
-        "/": "<a href='/a'>a</a><a href='/old'>old</a><a href='/private/other'>p</a>",
+        "/": "<a href='/a'>a</a><a href='/old'>old</a><a href='/moved'>m</a>"
+        "<a href='/private/other'>p</a>",
         "/a": "<a href='/b'>b</a><a href='/'>home</a>",
         "/b": "<p>b</p><a href='/a'>a</a>",
         "/c": "<p>c</p>",
+        "/d": "<p>d</p>",
     }
 
     class H(http.server.BaseHTTPRequestHandler):
@@ -420,6 +423,8 @@ def test_http_crawl_runs_on_one_cpu(tmp_path):
                 self._send(200, b"User-agent: *\nDisallow: /private/\n", "text/plain")
             elif self.path == "/old":
                 self._send(301, loc=f"{base}/c")
+            elif self.path == "/moved":
+                self._send(301, loc="/d")
             elif self.path in pages:
                 body = f"<html><body>{pages[self.path]}</body></html>".encode()
                 self._send(200, body, "text/html; charset=utf-8")
@@ -455,6 +460,8 @@ def test_http_crawl_runs_on_one_cpu(tmp_path):
         f"{base}/b": "Processed",
         f"{base}/old": "Processed",
         f"{base}/c": "Processed",
+        f"{base}/moved": "Processed",
+        f"{base}/d": "Processed",
         f"{base}/private/secret": "Disallowed",
     }
     pids = [f.name.split("-")[0] for f in calls.iterdir()]

@@ -16,6 +16,7 @@ from abwcf_ray.functions.urlnorm import (
     get_scheme_and_authority,
     normalize_url,
     normalize_urls,
+    resolve_location,
 )
 
 VECTORS = [
@@ -83,6 +84,18 @@ def test_idempotence(url):
     once = normalize_url(url, STRICT_NORMALIZATION)
     assert once is not None
     assert normalize_url(once, STRICT_NORMALIZATION) == once
+
+
+def test_resolve_location():
+    """A relative redirect Location joins the page url; an absolute one
+    comes back byte for byte, even where urljoin would rewrite it."""
+    page = "http://h.example/a/b"
+    assert resolve_location(page, "/c") == "http://h.example/c"
+    assert resolve_location(page, "c?x=1") == "http://h.example/a/c?x=1"
+    assert resolve_location(page, "//g.example/d") == "http://g.example/d"
+    for absolute in ("https://g.example/d", "HTTP://H.EXAMPLE/y#", "http://h.example/y?"):
+        assert resolve_location(page, absolute) == absolute
+    assert resolve_location(page, "http://[::1") == "http://[::1"
 
 
 def test_scheme_and_authority():

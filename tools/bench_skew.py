@@ -2,16 +2,16 @@
 
 Claim under test (README "Shuffle-free politeness scheduler",
 stages/schedule.py module docstring): a heavy-hitter host never
-materializes as a single group — every block prunes it to k_h rows before
-the exchange, so select_wave's cost is flat in host skew where a
-groupby(host) shuffle would funnel the hot host through one task.
+materializes as a single group — every selection task prunes it to k_h
+rows before the driver merge, so select_wave's cost is flat in host skew
+where a groupby(host) shuffle would funnel the hot host through one task.
 
 Builds an n-row frontier at three skews (uniform over 12k hosts; one host
 holding 50%; one host holding 90%), runs the real ``select_wave`` over
 each in the same Ray session, and prints one JSON line with wall times and
 selected sizes. The selected set stays politeness-bounded (the hot host
 still yields only k_h rows), so output size SHRINKS with skew while wall
-time stays flat — the signature of pruning-before-exchange.
+time stays flat — the signature of pruning before the merge.
 
 Usage: python tools/bench_skew.py [--rows 600000] [--cpus 16]
 """
