@@ -49,7 +49,7 @@ class CrawlConfig:
       - wave_duration_s: the politeness window; per-wave per-host fetch budget
         k_h = max(1, floor(wave_duration_s / crawl_delay_h)).
       - seen_shards: the seen-set partitioning knob (None: one seen-set
-        shard actor per cluster CPU, or the checkpoint's count on resume).
+        shard actor per cluster CPU).
     """
 
     # Scope / filtering
@@ -79,9 +79,9 @@ class CrawlConfig:
     max_pages: int = 2**63 - 1  # total fetched-page budget
 
     # Partitioning / parallelism (derive from cluster size where possible).
-    # Seen-set shard actors; None = the cluster's CPU count at run start
-    # (on resume: the count stored in the seen checkpoint, whose files are
-    # partitioned by url_hash % shards).
+    # Seen-set shard actors; None = the cluster's CPU count at run start.
+    # A resume may change it: the shards are reloaded from the frontier
+    # chain and routed by the new count (pipelines/crawl._resume).
     seen_shards: int | None = None
     # URL-seen membership backend: "exact" (sorted uint64 hash + wave per
     # url, 12 B/url, zero error) or "cuckoo" (the north star's sharded
@@ -94,30 +94,12 @@ class CrawlConfig:
     # (e.g. 10^10 urls / 256 shards -> 40M; the table is ~2.8 B x capacity)
     seen_cuckoo_capacity: int = 4_000_000
 
-    # B6 — approximate pre-dedup (UrlDeduplicator.scala: best-effort LRU in
-    # front of the exact dedup): per-process cache of proposed (url_hash,
-    # min_depth) that SKIPS redundant seen-shard propose RPCs (it never
-    # filters rows — block content stays a pure function of block input).
-    # The cache resets past this many distinct hashes (bounded memory,
-    # best-effort like the reference's LRU).
-    prededup_cache_size: int = 2_000_000
-
     # Cross-wave novel-content filter (stages/novel.py): when True, each
     # wave additionally writes wave_N/novel/ — the processed html rows
     # whose extracted text was never seen in ANY earlier wave (content-hash
     # seen set sharded like the URL seen set; min-url winner within the
     # wave). Off by default: the reference consumes every fetch.
     dedup_content: bool = False
-
-    # Robots-filter join strategy: up to this many LIVE hosts the filters
-    # read one broadcast rules payload (numpy columns are zero-copy per
-    # node; only ALLOW_SOME rules strings are per-worker). Above it the
-    # filters switch to a hash(host)-bucketed join over 2**hosts_bucket_bits
-    # contiguous hash ranges (stages/transform.apply_robots_filter_bucketed)
-    # so no worker compiles rules outside its bucket — the 10^8-host path
-    # (state/hosts.py module docstring).
-    hosts_broadcast_max: int = 5_000_000
-    hosts_bucket_bits: int = 6
 
     # Frontier checkpoint model: each wave appends a DELTA (new Discovered
     # rows) plus a flips file (politeness-bounded status changes) instead of

@@ -7,11 +7,12 @@ of entity ids (PageManager.scala:19,24 — entity id = url).
 
 Primary implementation is polars' vectorized 64-bit hash (xxh3-based, a
 public, stable-within-version kernel); a pure-Python FNV-1a fallback keeps
-the package importable without polars. Determinism within one run/pipeline
-is what correctness relies on (shard routing + checkpoint round-trip store
-raw hashes, so cross-version stability is not required for resume: seen-set
-checkpoints store the *urls'* hashes produced by the same function that
-routes them).
+the package importable without polars. Hashes are stable only within one
+implementation, and two on-disk artifacts store raw hashes: the frontier
+chain's flips files and the corpus's hashed fetch layout. So both record
+:func:`impl_id`, and a resume or a layout reuse under a different id is
+refused or rebuilt. The seen sets store no file of their own: a resume
+rehashes the chain's urls.
 """
 
 from __future__ import annotations
@@ -35,6 +36,14 @@ def _fnv1a64(s: str, seed: int = 0) -> int:
     for b in s.encode("utf-8"):
         h = ((h ^ b) * _FNV_PRIME) & _MASK
     return h
+
+
+def impl_id() -> str:
+    """Names the implementation behind :func:`hash64`; equal ids give equal
+    hashes."""
+    if _HAS_POLARS:
+        return f"polars-{pl.__version__}"
+    return "fnv1a64"
 
 
 def hash64(strings, seed: int = 0) -> np.ndarray:

@@ -42,15 +42,17 @@ it when called.
 ``_Run`` (cross-wave state) and one ``_Wave`` per wave: open (resume or
 seed, then warm-up), host prep, select, selected-manifest write, fetch and
 candidates, claim and frontier write, ledger update, compaction, and the
-finish step (seen checkpoint + manifest) that every wave, the drain wave
-included, ends with.
+finish step (the manifest) that every wave, the drain wave included, ends
+with.
 
-Control returns to the driver only at wave boundaries. All cross-wave state
-(frontier, hosts, seen shards) is parquet-checkpointed per wave with a
-manifest recording per-file row counts — the per-partition lineage that
-makes a killed run resumable from the last completed wave
-(:func:`run_crawl` with ``resume=True``; the reference's equivalent is the
-pages/hosts SQL tables, SURVEY.md §3.3).
+Control returns to the driver only at wave boundaries. The frontier chain
+and the hosts table are parquet-checkpointed per wave with a manifest
+recording per-file row counts — the per-partition lineage that makes a
+killed run resumable from the last completed wave (:func:`run_crawl` with
+``resume=True``; the reference's equivalent is the pages/hosts SQL tables,
+SURVEY.md §3.3). The seen sets write nothing: the chain's urls are the URL
+seen set and the ``novel/`` parts' texts the content seen set, and a
+resume reloads the shards from them.
 
 The virtual clock is ``now = wave_index * wave_duration`` (SURVEY.md §2 G):
 robots TTLs and the politeness window are functions of the wave index, never
@@ -72,7 +74,7 @@ import pyarrow.parquet as pq
 import ray
 
 from abwcf_ray.config import CrawlConfig
-from abwcf_ray.functions.hashing import hash64
+from abwcf_ray.functions.hashing import hash64, impl_id
 from abwcf_ray.sources.corpus import CorpusMeta, build_hashed_layout, layout_is_valid
 from abwcf_ray.stages.fetch import (
     empty_fetched_table,
@@ -92,7 +94,6 @@ from abwcf_ray.stages.transform import (
     STATUS_DISCOVERED,
     STATUS_PROCESSED,
     explode_links,
-    make_bucketed_robots_filter,
     make_eligible_filter,
     make_lenient_robots_filter,
     make_normalize_stage,
@@ -148,10 +149,6 @@ def _file_lineage(directory: Path) -> list[dict]:
     for f in sorted(directory.rglob("*.parquet")):
         out.append({"file": str(f.relative_to(directory)), "rows": pq.read_metadata(f).num_rows})
     return out
-
-
-def _parquet_rows(directory: Path) -> int:
-    return sum(pq.read_metadata(f).num_rows for f in directory.rglob("*.parquet"))
 
 
 class _HostLedger:
@@ -237,7 +234,7 @@ class _FrontierChain:
         self.cum_disallowed = np.empty(0, dtype=np.uint64)
 
     def sources(self) -> list[str]:
-        # read_parquet's multi-path form takes FILES; expand each dir (the
+        # every part FILE of the chain, for the per-file-group tasks (the
         # listing is O(chain length × part files), driver-side, cheap).
         # rglob: a compacted base is status-split into discovered/ +
         # settled/ subdirs (see _compact_frontier)
@@ -620,7 +617,7 @@ class _Run:
     # hosts table itself (state/hosts.py).
     host_ledger: _HostLedger | None = None
     # previous frontier's row count, so n_new never needs a metadata rescan
-    prev_frontier_rows: int | None = None
+    prev_frontier_rows: int = 0
     # ray.put(cfg.fetch_transport), or None: pruned reads of the layout
     transport_ref: object = None
     process_fetched: object = None
@@ -691,7 +688,7 @@ def run_crawl(
             break
     summary = run.summary
     summary.total_fetched = run.total_fetched
-    summary.final_frontier_rows = int(run.prev_frontier_rows or 0)
+    summary.final_frontier_rows = run.prev_frontier_rows
     summary.seen_size = run.seen.size()
     run.seen.shutdown()
     if run.content_seen is not None:
@@ -725,16 +722,12 @@ def _open_run(
         # 'wave_10000')
         key=lambda d: int(d.name.split("_")[1]),
     )
-    num_shards = cfg.seen_shards
-    if num_shards is None:
-        # a resumed pool keeps its checkpoint's routing (h % num_shards);
-        # an explicit count that disagrees is refused by SeenSet.restore
-        stored = SeenSet.checkpoint_shards(completed[-1] / "seen") if completed else None
-        num_shards = stored or n_cpu
 
     def seen_set() -> SeenSet:
         return SeenSet(
-            num_shards, backend=cfg.seen_backend, cuckoo_capacity=cfg.seen_cuckoo_capacity
+            cfg.seen_shards or n_cpu,
+            backend=cfg.seen_backend,
+            cuckoo_capacity=cfg.seen_cuckoo_capacity,
         )
 
     run = _Run(
@@ -765,22 +758,55 @@ def _open_run(
     return run
 
 
+@ray.remote
+def _load_seen(seen_set: SeenSet, paths: list[str], column: str, wave: int) -> None:
+    """Resume task: hash one string column of a group of parquet files and
+    bulk-load the hashes into the seen shards, stamped ``wave``."""
+    tables = [pq.read_table(p, columns=[column]) for p in paths]
+    seen_set.load(hash64(pa.concat_tables(tables).column(column)), wave)
+
+
 def _resume(run: _Run, completed: list[Path]) -> None:
+    """Restart after the last completed wave: its manifest names the
+    frontier chain and the hosts checkpoint. The seen sets are rebuilt, not
+    restored — the chain's urls are the URL seen set and the completed
+    waves' ``novel/`` texts the content seen set — by one round of load
+    tasks that call the shards directly, stamped with the last completed
+    wave so the next wave's probes see all of it."""
     last = completed[-1]
     manifest = json.loads((last / "manifest.json").read_text())
-    run.start_wave = manifest["wave"] + 1
+    # the flips files store url hashes, and the rebuilt seen set is compared
+    # with freshly computed ones: both need the writer's hash function
+    if manifest.get("hash_impl") != impl_id():
+        raise RuntimeError(
+            f"checkpoint {last} was written with hash implementation "
+            f"{manifest.get('hash_impl')!r} but this process uses {impl_id()!r}; "
+            "url-hash membership would silently miss — re-crawl or pin the "
+            "original library version"
+        )
+    wave = manifest["wave"]
+    run.start_wave = wave + 1
     run.total_fetched = manifest["total_fetched"]
-    run.seen.restore(last / "seen")
-    if run.content_seen is not None and (last / "content_seen").exists():
-        run.content_seen.restore(last / "content_seen")
     run.hosts_state.restore(last / "hosts.parquet")
     run.summary.per_wave = [json.loads((d / "manifest.json").read_text()) for d in completed]
     run.chain = _FrontierChain.from_manifest(run.out, manifest)
+    n_tasks = 2 * run.n_cpu
+    loads = [
+        _load_seen.remote(run.seen, g, "url", wave)
+        for g in file_groups(run.chain.sources(), n_tasks)
+    ]
+    if run.content_seen is not None:
+        novel = [str(p) for d in completed for p in sorted((d / "novel").glob("*.parquet"))]
+        loads += [
+            _load_seen.remote(run.content_seen, g, "text", wave)
+            for g in file_groups(novel, n_tasks)
+        ]
+    ray.get(loads)
     # a no-op resume (last completed wave was max_waves-1) must still point
     # last_wave_dir at the completed wave, not wave_-001
     run.summary.waves = run.start_wave
-    run.prev_frontier_rows = manifest.get("n_frontier")
-    run.log(f"[crawl] resuming after wave {manifest['wave']}")
+    run.prev_frontier_rows = manifest["n_frontier"]
+    run.log(f"[crawl] resuming after wave {wave}")
 
 
 def _seed(run: _Run, seeds: list[str]) -> None:
@@ -806,13 +832,13 @@ def _seed(run: _Run, seeds: list[str]) -> None:
             init_dir / "frontier" / f"part-{part:05d}.parquet",
         )
     run.seen.add_urls(frontier0.column("url").to_pylist(), wave=-1)
-    run.seen.checkpoint(init_dir / "seen")
     run.hosts_state.checkpoint(init_dir / "hosts.parquet")
     (init_dir / "manifest.json").write_text(
         json.dumps(
             {
                 "wave": -1,
                 "completed": True,
+                "hash_impl": impl_id(),
                 "total_fetched": 0,
                 "n_frontier": frontier0.num_rows,
                 "files": {"frontier": _file_lineage(init_dir / "frontier")},
@@ -907,23 +933,9 @@ def _prep_hosts(run: _Run, w: _Wave) -> None:
     n_robots = _host_prep(cfg, hosts_state, run.corpus.robots_path, hosts_needed, w.now_s)
     w.wdir.mkdir(parents=True, exist_ok=True)
     hosts_state.checkpoint(w.wdir / "hosts.parquet")
-    rules_payload = hosts_state.rules_payload(w.now_s)
-    if len(rules_payload["hash"]) > cfg.hosts_broadcast_max:
-        # 10^8-host path: hash(host)-bucketed robots join — a task compiles
-        # only the buckets its rows touch (config.py knobs)
-        bucket_refs = [
-            ray.put(p)
-            for p in hosts_state.bucketed_rules_payload(w.now_s, cfg.hosts_bucket_bits)
-        ]
-        w.strict_robots, w.lenient_robots = (
-            make_bucketed_robots_filter(bucket_refs, cfg.hosts_bucket_bits, strict=strict)
-            for strict in (True, False)
-        )
-    else:
-        hosts_ref = ray.put(rules_payload)
-        w.strict_robots = make_strict_robots_filter(hosts_ref)
-        w.lenient_robots = make_lenient_robots_filter(hosts_ref)
-    del rules_payload
+    hosts_ref = ray.put(hosts_state.rules_payload(w.now_s))
+    w.strict_robots = make_strict_robots_filter(hosts_ref)
+    w.lenient_robots = make_lenient_robots_filter(hosts_ref)
     w.sched_ref = ray.put(hosts_state.sched_payload(w.now_s, cfg.wave_duration_s))
     w.metrics.update(
         n_eligible=n_eligible,
@@ -960,7 +972,6 @@ def _drain(run: _Run, w: _Wave) -> None:
         flips_path = w.wdir / "flips.parquet"
         _write_flips(flips_path, empty, w.disallowed)
         run.chain.add_wave(None, flips_path, empty, w.disallowed)
-    _resolve_prev_frontier_rows(run)
     _compact_frontier(run.chain, w.wdir / "frontier", run.n_cpu)
     w.mark("frontier_compact")
     for sub in ("processed", "selected"):
@@ -1051,12 +1062,7 @@ def _fetch_candidates(run: _Run, w: _Wave) -> None:
         run.normalize,
         run.scope,
         w.lenient_robots,
-        make_propose(
-            run.seen,
-            w.n,
-            run_key=f"{w.wdir}:{run.seen.cache_token()}",
-            cache_size=cfg.prededup_cache_size,
-        ),
+        make_propose(run.seen, w.n, run_key=f"{w.wdir}:{run.seen.cache_token()}"),
     ]
     w.mark("fetch_prep")  # sel hashing + broadcast puts + work items
     in_flight: list = []
@@ -1150,10 +1156,6 @@ def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
         w.mark("novel_filter")
     flips_path = w.wdir / "flips.parquet"
     _write_flips(flips_path, w.sel_sorted, w.disallowed)
-    # resolve the old-manifest fallback BEFORE this wave's delta enters the
-    # chain (and possibly compacts into base) — computing it after a
-    # compaction would double-count this wave's n_new
-    _resolve_prev_frontier_rows(run)
     w.claims = ray.get(claim_refs)
     w.n_new = sum(n for n, _ in w.claims)
     if not any(delta_dir.glob("*.parquet")):
@@ -1161,14 +1163,6 @@ def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
         pq.write_table(FRONTIER_SCHEMA.empty_table(), delta_dir / "part-empty.parquet")
     run.chain.add_wave(delta_dir, flips_path, w.sel_sorted, w.disallowed)
     w.mark("frontier_write")
-
-
-def _resolve_prev_frontier_rows(run: _Run) -> None:
-    # a resumed manifest without n_frontier: count the chain's rows once
-    if run.prev_frontier_rows is None:
-        run.prev_frontier_rows = _parquet_rows(Path(run.chain.base)) + sum(
-            _parquet_rows(d) for d in run.chain.deltas
-        )
 
 
 def _update_ledger(run: _Run, w: _Wave) -> None:
@@ -1207,12 +1201,8 @@ def _compact_if_due(run: _Run, w: _Wave) -> None:
 
 
 def _finish_wave(run: _Run, w: _Wave, done_msg: str | None = None) -> None:
-    """Checkpoint the seen sets and write the wave's manifest (every wave,
-    the drain wave included, completes here)."""
-    run.seen.checkpoint(w.wdir / "seen")
-    if run.content_seen is not None:
-        run.content_seen.checkpoint(w.wdir / "content_seen")
-    w.mark("seen_ckpt")
+    """Write the wave's manifest (every wave, the drain wave included,
+    completes here)."""
     run.total_fetched += w.n_selected
     if w.sel_write_ref is not None:
         ray.get(w.sel_write_ref)
@@ -1237,6 +1227,7 @@ def _finish_wave(run: _Run, w: _Wave, done_msg: str | None = None) -> None:
         duration_s=round(time.perf_counter() - w.t0, 3),
         step_times=w.step_times,
         completed=True,
+        hash_impl=impl_id(),
         files=lineage,
         frontier_chain=run.chain.manifest_entry(),
     )

@@ -5,9 +5,10 @@ Generates the three fixture inputs the crawl engine consumes:
 - ``pages`` — Common-Crawl-style page table matching BASELINE.json's
   ``input_hint`` columns ``(url, warc_ts, html: binary, text, lang)`` plus
   simulation columns ``(status, content_type, location, x_robots_tag)``.
-  Written as one parquet part per generation chunk (deterministic content;
-  the fetch stage is a broadcast semi-join over a parallel scan, so no
-  bucketed layout is required).
+  Written as one parquet part per generation chunk (deterministic content).
+  The crawl fetches from a second copy, the hashed layout
+  (:func:`build_hashed_layout`: sorted by ``url_hash``), reading only the
+  row groups that hold a wave's url hashes.
 - ``robots.parquet`` — per-host robots.txt fetch outcomes
   ``(host, status, redirect_hops, body)``.
 - ``seeds.json`` — crawl entry points (canonical + non-canonical + one
@@ -33,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from abwcf_ray.functions.hashing import hash64
+from abwcf_ray.functions.hashing import hash64, impl_id
 
 LANGS = ["en", "de", "fr", "es", "zz"]
 LANG_WEIGHTS = [0.55, 0.15, 0.12, 0.10, 0.08]
@@ -398,14 +399,16 @@ def build_hashed_layout(meta: CorpusMeta) -> str:
     parts = sorted(p.name for p in out.glob("part-*.parquet"))
     n_rows = sum(pq.read_metadata(out / p).num_rows for p in parts)
     (out / "_LAYOUT_OK.json").write_text(
-        json.dumps({"n_rows": n_rows, "n_files": len(parts)})
+        json.dumps({"n_rows": n_rows, "n_files": len(parts), "hash_impl": impl_id()})
     )
     return str(out)
 
 
 def layout_is_valid(meta: CorpusMeta) -> bool:
     """True iff ``meta.hashed_dir`` carries a completion marker that matches
-    the files on disk and the corpus row count."""
+    the files on disk, the corpus row count and this process's hash
+    implementation (the layout is sorted and looked up by ``url_hash``: under
+    another implementation every fetch would miss)."""
     out = Path(meta.hashed_dir)
     marker = out / "_LAYOUT_OK.json"
     if not marker.exists():
@@ -415,7 +418,11 @@ def layout_is_valid(meta: CorpusMeta) -> bool:
     except (OSError, json.JSONDecodeError):
         return False
     parts = list(out.glob("part-*.parquet"))
-    return len(parts) == rec.get("n_files") and rec.get("n_rows") == meta.n_pages
+    return (
+        len(parts) == rec.get("n_files")
+        and rec.get("n_rows") == meta.n_pages
+        and rec.get("hash_impl") == impl_id()
+    )
 
 
 def generate_corpus(

@@ -458,9 +458,9 @@ def host_pagerank(
 
     Shape: (src_host, dst_host) string pairs explode map-side (one regex
     kernel per batch); distinct hosts settle in a keyed merge and densify
-    to 0..n-1 ids on the driver under ``max_hosts_driver`` (the
-    ``hosts_broadcast_max`` convention — the crawl's own hosts table is
-    driver-resident at this bound); the sorted host array broadcasts once
+    to 0..n-1 ids on the driver under ``max_hosts_driver`` (the crawl's
+    own hosts table is driver-resident too); the sorted host array
+    broadcasts once
     and edges id-map via searchsorted into :func:`pagerank`.
 
     Returns a pandas DataFrame (host, rank_scaled) sorted by

@@ -455,48 +455,6 @@ def make_strict_robots_filter(hosts_ref):
     return strict_robots
 
 
-def make_bucketed_robots_filter(bucket_refs: list, bits: int, *, strict: bool):
-    """C1/C2 at 10^8-host scale: a hash(host)-bucketed robots JOIN instead
-    of a whole-table broadcast (state/hosts.py module docstring; the
-    crossover knob is ``CrawlConfig.hosts_broadcast_max``).
-
-    ``bucket_refs[b]`` holds the rules of the hosts whose
-    ``hash64(host) >> (64 - bits)`` is ``b`` — the contiguous hash ranges
-    ``HostsState.bucketed_rules_payload`` splits the hosts table into.
-    The per-batch callable groups the batch's rows by bucket and runs the
-    broadcast filter (strict or lenient) over one bucket's payload at a
-    time, so a worker compiles only the buckets its rows touch and no
-    exchange is needed: the crawl runs it inside the same per-file and
-    per-item tasks as the broadcast filters. Semantics are identical to
-    the broadcast filters (tests/test_transform_stages.py equivalence
-    test); rows come out grouped by bucket."""
-    from abwcf_ray.functions.hashing import hash64
-
-    shift = np.uint64(64 - bits)
-    make = make_strict_robots_filter if strict else make_lenient_robots_filter
-
-    def bucketed_robots(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return make(None)(batch)
-        b = hash64(batch.column("host")) >> shift
-        return pa.concat_tables(
-            [
-                make(bucket_refs[int(bucket)])(batch.filter(pa.array(b == bucket)))
-                for bucket in np.unique(b)
-            ]
-        )
-
-    return bucketed_robots
-
-
-def apply_robots_filter_bucketed(ds, bucket_refs: list, bits: int, *, strict: bool):
-    """:func:`make_bucketed_robots_filter` over a Ray Dataset."""
-    return ds.map_batches(
-        make_bucketed_robots_filter(bucket_refs, bits, strict=strict),
-        batch_format="pyarrow",
-    )
-
-
 # --------------------------------------------------------------------------
 # B7 — prioritizer
 # --------------------------------------------------------------------------
@@ -729,6 +687,10 @@ def make_eligible_filter(flips_ref: "ray.ObjectRef"):
 # therefore process-wide per (run, wave): sharing across tasks only
 # increases RPC savings, never changes any block's content.
 _PREDEDUP: dict = {}
+# B6 — approximate pre-dedup (UrlDeduplicator.scala: best-effort LRU in
+# front of the exact dedup): a cache resets past this many distinct hashes
+# (bounded memory, best-effort like the reference's LRU)
+PREDEDUP_CACHE_SIZE = 2_000_000
 
 
 def _prededup_state(key, cache_size: int) -> dict:
@@ -746,7 +708,9 @@ def _prededup_state(key, cache_size: int) -> dict:
     return st
 
 
-def make_propose(seen_set, wave: int, run_key: str = "", cache_size: int = 2_000_000):
+def make_propose(
+    seen_set, wave: int, run_key: str = "", cache_size: int = PREDEDUP_CACHE_SIZE
+):
     """Register each candidate's (url_hash, depth) with its seen shard's
     wave-min table (phase 1 of the shuffle-free wave-dedup; see
     state/seen.SeenShard.propose), after a best-effort pre-dedup (B6):

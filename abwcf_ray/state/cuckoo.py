@@ -26,11 +26,18 @@ Better Than Bloom", CoNEXT 2014; public):
   - everything is a pure function of the input hashes — no RNG — so a
     retried Ray task reproduces the exact same filter state (the same
     determinism contract as the exact shard, see state/seen.py:11-19).
+  - answers depend only on the SET of keys added, not on their order or
+    batching: a probe matches only a stored key of the same fingerprint
+    and the same bucket pair (eviction moves a fingerprint only between
+    its own two buckets; the stash stores the pair), and ``add`` skips
+    keys already reported present. So a resume that re-adds the crawl's
+    urls in one batch answers every probe as the filter it replaces.
+    ``count`` can differ only by two keys of one (fingerprint, bucket
+    pair) class that one batch inserts twice and two batches once — about
+    n^2 / 2^(16 + log2 nbuckets) pairs among n keys.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -39,9 +46,6 @@ _INDEX_MIX = np.uint64(0x9E3779B97F4A7C15)  # golden-ratio remix for the home bu
 _SLOTS = 4
 _MAX_KICKS = 500
 _STASH_MAX = 128
-# bump when _derive's bucket/fingerprint layout changes: a checkpoint from
-# another layout would silently mis-probe if restored
-_LAYOUT = 2
 
 
 def _next_pow2(n: int) -> int:
@@ -201,41 +205,6 @@ class CuckooFilter:
                 f"{self.nbuckets * _SLOTS} slots — filter is over its design "
                 "load; raise `capacity`"
             )
-
-    # -- checkpoint ------------------------------------------------------------
-    def state(self) -> tuple[np.ndarray, str]:
-        """(flat uint16 table, json metadata) for parquet checkpointing."""
-        meta = json.dumps(
-            {
-                "capacity": self.capacity,
-                "nbuckets": self.nbuckets,
-                "count": self.count,
-                "stash": sorted(self._stash),
-                "layout": _LAYOUT,
-            }
-        )
-        return self.table.reshape(-1), meta
-
-    @classmethod
-    def from_state(cls, flat: np.ndarray, meta_json: str) -> "CuckooFilter":
-        meta = json.loads(meta_json)
-        if meta.get("layout", 1) != _LAYOUT:
-            raise RuntimeError(
-                f"cuckoo checkpoint layout {meta.get('layout', 1)} != "
-                f"{_LAYOUT} — the bucket/fingerprint derivation changed; "
-                "membership against this table would silently mis-probe. "
-                "Re-fold from the exact checkpoint or re-crawl."
-            )
-        self = cls(meta["capacity"])
-        if self.nbuckets != meta["nbuckets"]:  # pragma: no cover - defensive
-            raise RuntimeError("cuckoo checkpoint nbuckets mismatch")
-        self.table = (
-            np.asarray(flat, dtype=np.uint16).reshape(self.nbuckets, _SLOTS).copy()
-        )
-        self.count = int(meta["count"])
-        self._stash = set(int(k) for k in meta["stash"])
-        self._stash_arr = None
-        return self
 
     @property
     def nbytes(self) -> int:

@@ -6,7 +6,7 @@ The rebuild keeps a ``hosts`` table maintained wave-over-wave:
 
 - host-prep per wave: hosts of eligible pages that are unknown or expired
   (``valid_until <= now``) are "fetched" through :class:`RobotsFetchSim`
-  (a Ray Data stage over the robots corpus) and merged back;
+  (a lookup into the robots corpus, called on the driver) and merged back;
 - TTLs use the virtual wave clock (wave_index × wave_duration), making runs
   reproducible (SURVEY.md §2 G: the reference uses wall-clock Instant.now);
 - outcome classification mirrors RobotsFetcher.scala:72-138 +
@@ -23,10 +23,7 @@ The rebuild keeps a ``hosts`` table maintained wave-over-wave:
   shares ONE copy of the (hash, mode, k) columns instead of each holding a
   deserialized Python dict. Only the ALLOW_SOME rules strings (a small
   fraction of hosts on the real web) are pickled per worker process, and
-  past ``CrawlConfig.hosts_broadcast_max`` live hosts the robots filters
-  switch to a hash(host)-bucketed join (``bucketed_rules_payload`` +
-  ``stages.transform.apply_robots_filter_bucketed``) so no worker ever
-  compiles more than one bucket's rules.
+  each worker compiles the rules once per wave (SCALE.md, robots row).
 
 Host identity follows the repo-wide hash convention (the seen set stores
 ``hash64(url)``): two distinct hosts colliding under xxh3-64 would share
@@ -148,11 +145,12 @@ def classify_robots_fetch(
 
 
 class RobotsFetchSim:
-    """Ray Data actor-pool stage: batch of ``host`` rows -> parsed host rows.
+    """Robots fetch simulator: batch of ``host`` rows -> parsed host rows.
 
-    ``__init__`` loads the robots corpus once per actor (the stand-in for the
-    per-node robots fetcher of the reference, gate of 5 concurrent fetches —
-    RobotsFetcherManager.scala:39-65; here concurrency is the pool size).
+    ``__init__`` loads the robots corpus once per crawl (the stand-in for
+    the per-node robots fetcher of the reference, RobotsFetcherManager.scala:
+    39-65); the crawl's host prep calls it on the driver for the wave's
+    unknown or expired hosts.
     """
 
     def __init__(self, robots_path: str, cfg: CrawlConfig):
@@ -441,32 +439,6 @@ class HostsState:
             "hash": self._hash[live],
             "k": budgets_for_delays(self._delay[live], wave_duration_s),
         }
-
-    def bucketed_rules_payload(self, now_s: float, bits: int) -> list[dict]:
-        """``rules_payload`` split into ``2**bits`` contiguous hash ranges
-        (bucket of host = ``hash64(host) >> (64 - bits)``) for the bucketed
-        robots join past ``cfg.hosts_broadcast_max`` live hosts: each
-        worker/partition then deserializes and compiles ONE bucket's rules,
-        not the whole web's."""
-        live = self._live(now_s)
-        h, m = self._hash[live], self._mode[live]
-        rules = self._rules[live]
-        some = m == MODE_SOME
-        bounds = np.arange(1, 2**bits, dtype=np.uint64) << np.uint64(64 - bits)
-        cuts = np.searchsorted(h, bounds)
-        out = []
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(h)]):
-            mb = m[lo:hi]
-            sb = some[lo:hi]
-            out.append(
-                {
-                    "hash": h[lo:hi],
-                    "mode": mb,
-                    "some_hash": h[lo:hi][sb],
-                    "some_rules": rules[lo:hi][sb].tolist(),
-                }
-            )
-        return out
 
     # -- checkpoint / resume ---------------------------------------------
     def checkpoint(self, path: str | Path) -> None:

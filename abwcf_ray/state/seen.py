@@ -18,18 +18,16 @@ re-adding is a no-op. Within-wave duplicates are arbitrated by the shards
 themselves via the two-phase propose/claim protocol below, mirroring
 PageManager.scala:107 where a Discover for a known url is swallowed.
 
-Checkpoint: each shard persists its own parquet file (parallel, one file per
-shard) so resume re-creates the pool without rescanning the frontier.
+No checkpoint: the seen set is exactly the set of urls in the frontier
+chain (every seed and every claimed url gets a frontier row), as the
+reference's ``pages`` table is both its frontier and its seen state. A
+resume bulk-loads the chain's url hashes into empty shards with
+:meth:`SeenSet.load`, routed by the new pool's shard count.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
-import pyarrow as pa
-import pyarrow.parquet as pq
 import ray
 
 from abwcf_ray.functions.hashing import hash64
@@ -50,17 +48,6 @@ class _ExactSeenShard:
     the candidate stream."""
 
     def __init__(self) -> None:
-        # single-purpose actor: pin arrow's pools to 1 thread. At 256-shard
-        # pools the DEFAULT per-process pools (os.cpu_count() threads each)
-        # exhausted the box's thread budget during a parallel checkpoint
-        # restore (boost 'thread: Resource temporarily unavailable' aborts —
-        # found by tools/bench_cuckoo.py at 10^8 urls / 256 shards); a
-        # membership shard's parquet IO is one small file either way.
-        try:
-            pa.set_cpu_count(1)
-            pa.set_io_thread_count(1)
-        except Exception:  # pragma: no cover - arrow without the setters
-            pass
         # membership store: SORTED uint64 hashes + aligned wave-added. The
         # shard is the crawl's hottest serialized path, so probes must be
         # numpy-rate (searchsorted), not Python-dict loops; recent adds land
@@ -82,22 +69,26 @@ class _ExactSeenShard:
 
     # -- storage helpers --------------------------------------------------
     def _compact(self) -> None:
-        """Merge pending adds into the sorted store (first-entry-wins, i.e.
-        dict-setdefault semantics: existing entries keep their wave)."""
+        """Merge pending adds into the sorted store."""
         if not self._pend:
             return
         ph = np.fromiter(self._pend.keys(), dtype=np.uint64, count=len(self._pend))
         pw = np.fromiter(self._pend.values(), dtype=np.int64, count=len(self._pend))
+        self._merge(ph, pw)
+        self._pend = {}
+        self._pend_stale = False
+
+    def _merge(self, ph: np.ndarray, pw: np.ndarray) -> None:
+        """Sort-and-merge (hash, wave) arrays into the store, first entry
+        wins (dict-setdefault semantics: existing entries keep their wave)."""
         h = np.concatenate([self._h, ph])
         w = np.concatenate([self._hw.astype(np.int64), pw])
-        order = np.argsort(h, kind="stable")  # stable: existing precedes pending
+        order = np.argsort(h, kind="stable")  # stable: existing precedes new
         h, w = h[order], w[order]
         keep = np.ones(len(h), dtype=bool)
         keep[1:] = h[1:] != h[:-1]
         self._h = h[keep]
         self._hw = w[keep].astype(np.int32)
-        self._pend = {}
-        self._pend_stale = False
 
     def _lookup(self, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(found mask, wave-added values; undefined where not found) against
@@ -114,6 +105,13 @@ class _ExactSeenShard:
         self._compact()
         found, waves = self._lookup(hashes)
         return found & (waves < before_wave)
+
+    def load(self, hashes: np.ndarray, wave: int) -> None:
+        """Bulk add for a resume: one array merge, no per-key pending
+        entry."""
+        self._compact()
+        h = np.asarray(hashes, dtype=np.uint64)
+        self._merge(h, np.full(len(h), wave, dtype=np.int64))
 
     def add(self, hashes: np.ndarray, wave: int) -> int:
         if len(hashes) == 0:
@@ -210,28 +208,6 @@ class _ExactSeenShard:
         self._compact()
         return int(self._h.nbytes + self._hw.nbytes)
 
-    def checkpoint(self, path: str) -> int:
-        self._compact()  # sorted store -> deterministic checkpoint bytes
-        pq.write_table(
-            pa.table(
-                {
-                    "url_hash": pa.array(self._h, pa.uint64()),
-                    "wave": pa.array(self._hw, pa.int32()),
-                }
-            ),
-            path,
-        )
-        return len(self._h)
-
-    def restore(self, path: str) -> int:
-        t = pq.read_table(path)
-        h = t.column("url_hash").to_numpy(zero_copy_only=False).astype(np.uint64)
-        w = t.column("wave").to_numpy(zero_copy_only=False).astype(np.int32)
-        order = np.argsort(h)  # checkpoints are sorted; re-sort defensively
-        self._h, self._hw = h[order], w[order]
-        self._pend = {}
-        return len(self._h)
-
 
 class _CuckooSeenShard(_ExactSeenShard):
     """Memory-bounded shard: the north star's "sharded cuckoo-filter URL-seen
@@ -256,6 +232,10 @@ class _CuckooSeenShard(_ExactSeenShard):
         probe raises loudly instead of answering wrong.
       - the per-wave propose/claim arbitration state is inherited unchanged —
         it is wave-scoped and exact in both backends.
+      - a resume's :meth:`load` inserts straight into the filter. The
+        filter's answers depend only on its set of keys (state/cuckoo.py),
+        so loading the chain's urls answers every probe as the straight
+        run's filter would.
     """
 
     def __init__(self, capacity: int = 4_000_000) -> None:
@@ -357,39 +337,9 @@ class _CuckooSeenShard(_ExactSeenShard):
             self._fold(max(self._pend.values()) + 1)
         return int(self._filter.nbytes)
 
-    def checkpoint(self, path: str) -> int:
-        # checkpoints happen at wave completion (pipelines/crawl.py:1031) —
-        # fold everything; a resumed run restarts at the NEXT wave, so every
-        # post-restore probe has before_wave > folded_through
-        if self._pend:
-            self._fold(max(self._pend.values()) + 1)
-        flat, meta = self._filter.state()
-        t = pa.table({"slot": pa.array(flat, pa.uint16())})
-        t = t.replace_schema_metadata(
-            {
-                "abwcf_backend": "cuckoo",
-                "abwcf_filter": meta,
-                "abwcf_folded_through": str(self._folded_through),
-            }
-        )
-        pq.write_table(t, path)
-        return self._filter.count
-
-    def restore(self, path: str) -> int:
-        t = pq.read_table(path)
-        md = t.schema.metadata or {}
-        if md.get(b"abwcf_backend") != b"cuckoo":
-            raise RuntimeError(
-                "seen-set checkpoint is not a cuckoo checkpoint — it was "
-                "written by the exact backend; restore with "
-                "seen_backend='exact' or re-crawl"
-            )
-        flat = t.column("slot").to_numpy(zero_copy_only=False)
-        self._filter = CuckooFilter.from_state(flat, md[b"abwcf_filter"].decode())
-        self._folded_through = int(md[b"abwcf_folded_through"])
-        self._pend = {}
-        self._pend_snap = None
-        return self._filter.count
+    def load(self, hashes: np.ndarray, wave: int) -> None:
+        self._filter.add(hashes)
+        self._folded_through = max(self._folded_through, wave)
 
 
 SeenShard = ray.remote(num_cpus=0)(_ExactSeenShard)
@@ -420,7 +370,7 @@ class SeenSet:
     def cache_token(self) -> str:
         """Unique per shard-POOL instance (the first shard's actor id).
         The propose-RPC-skip cache (stages/transform._PREDEDUP) must key on
-        this: a resumed/restored run re-executes the same (out_dir, wave)
+        this: a resumed run re-executes the same (out_dir, wave)
         with a FRESH pool whose wave-min state is empty, and a cache entry
         left in a surviving worker process by the previous pool would skip
         proposes the new shards have never seen — silently losing those
@@ -494,82 +444,16 @@ class SeenSet:
     def mem_bytes(self) -> int:
         return sum(ray.get([s.mem_bytes.remote() for s in self.shards]))
 
-    # -- checkpoint / resume ---------------------------------------------
-    @staticmethod
-    def _hash_impl() -> str:
-        try:
-            import polars
-
-            return f"polars-{polars.__version__}"
-        except ImportError:  # pragma: no cover
-            return "fnv1a64"
-
-    def checkpoint(self, ckpt_dir: str | Path) -> None:
-        d = Path(ckpt_dir)
-        d.mkdir(parents=True, exist_ok=True)
-        # the checkpoint stores HASHES; membership after restore compares
-        # them against freshly computed ones, so the hash implementation
-        # must be identical across the checkpoint boundary
-        (d / "hash_impl.json").write_text(
-            json.dumps(
-                {
-                    "impl": self._hash_impl(),
-                    "backend": self.backend,
-                    "num_shards": len(self.shards),
-                }
-            )
-        )
+    def load(self, hashes: np.ndarray, wave: int) -> None:
+        """Bulk-load hashes stamped ``wave`` (a resume, into empty shards):
+        one array merge per shard instead of :meth:`add`'s per-key pending
+        entries. Callable from inside a Ray task."""
+        idx = self._route(hashes)
         ray.get(
             [
-                shard.checkpoint.remote(str(d / f"shard_{s:04d}.parquet"))
-                for s, shard in enumerate(self.shards)
-            ]
-        )
-
-    @staticmethod
-    def checkpoint_shards(ckpt_dir: str | Path) -> int | None:
-        """Shard count a checkpoint was written with (None if unrecorded)."""
-        impl_file = Path(ckpt_dir) / "hash_impl.json"
-        if not impl_file.exists():
-            return None
-        return json.loads(impl_file.read_text()).get("num_shards")
-
-    def restore(self, ckpt_dir: str | Path) -> None:
-        d = Path(ckpt_dir)
-        impl_file = d / "hash_impl.json"
-        if impl_file.exists():
-            info = json.loads(impl_file.read_text())
-            stored = info["impl"]
-            stored_backend = info.get("backend", "exact")
-            if stored_backend != self.backend:
-                raise RuntimeError(
-                    f"seen-set checkpoint was written by the "
-                    f"{stored_backend!r} backend but this pool uses "
-                    f"{self.backend!r} — restore with the matching "
-                    "seen_backend"
-                )
-            if stored != self._hash_impl():
-                raise RuntimeError(
-                    f"seen-set checkpoint was written with hash impl "
-                    f"{stored!r} but this process uses {self._hash_impl()!r}; "
-                    "url-hash membership would silently miss — re-crawl or "
-                    "pin the original library version"
-                )
-            stored_shards = info.get("num_shards")
-            # shard files are partitioned by h % num_shards at write time;
-            # restoring into a different shard count would route probes to
-            # the wrong shard (silent membership loss), so refuse
-            if stored_shards is not None and stored_shards != len(self.shards):
-                raise RuntimeError(
-                    f"seen-set checkpoint was written with "
-                    f"{stored_shards} shards but this pool has "
-                    f"{len(self.shards)} — resume with seen_shards="
-                    f"{stored_shards} or seen_shards=None"
-                )
-        ray.get(
-            [
-                shard.restore.remote(str(d / f"shard_{s:04d}.parquet"))
-                for s, shard in enumerate(self.shards)
+                self.shards[s].load.remote(hashes[ix], wave)
+                for s, ix in enumerate(idx)
+                if len(ix)
             ]
         )
 

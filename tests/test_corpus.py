@@ -119,3 +119,29 @@ def test_corrupt_layout_detected_and_rebuilt(tmp_path):
     assert not layout_is_valid(meta)
     build_hashed_layout(meta)
     assert layout_is_valid(meta)
+
+
+def test_layout_from_another_hash_impl_is_rebuilt(ray_session, tmp_path):
+    """The hashed layout is sorted and looked up by ``url_hash``: a layout
+    whose marker names another hash implementation is invalid (every fetch
+    would silently miss), and run_crawl rebuilds it before wave 0."""
+    import json
+    from pathlib import Path
+
+    from abwcf_ray.config import CrawlConfig
+    from abwcf_ray.functions.hashing import impl_id
+    from abwcf_ray.pipelines.crawl import run_crawl
+    from abwcf_ray.sources.corpus import layout_is_valid
+
+    meta = generate_corpus(tmp_path / "c", n_pages=300, seed=7, num_buckets=4)
+    marker = Path(meta.hashed_dir) / "_LAYOUT_OK.json"
+    rec = json.loads(marker.read_text())
+    assert rec["hash_impl"] == impl_id() and layout_is_valid(meta)
+    marker.write_text(json.dumps({**rec, "hash_impl": "polars-0.0.0"}))
+    assert not layout_is_valid(meta)
+    summary = run_crawl(
+        CrawlConfig(max_waves=1, seen_shards=2), meta, tmp_path / "out", log=lambda *_: None
+    )
+    assert json.loads(marker.read_text())["hash_impl"] == impl_id()
+    assert layout_is_valid(meta)
+    assert summary.total_fetched > 0

@@ -303,38 +303,16 @@ def test_robots_ttl_expiry_matches_oracle(ray_session, corpus, tmp_path_factory)
     assert refetches > 0
 
 
-def test_bucketed_hosts_wave_matches_oracle(ray_session, corpus, tmp_path_factory, oracle):
-    """Full crawl with the robots filters forced onto the 10^8-host bucketed
-    join path (hosts_broadcast_max=0): final frontier must equal the oracle,
-    i.e. the bucketed join is semantically invisible."""
-    from abwcf_ray.pipelines.crawl import run_crawl
-
-    cfg = CrawlConfig(
-        **{**CFG.__dict__, "hosts_broadcast_max": 0, "hosts_bucket_bits": 3}
-    )
-    out = tmp_path_factory.mktemp("bucketed")
-    summary = run_crawl(cfg, corpus, out, log=lambda *_: None)
-    got = _final_frontier(out, summary)
-    exp = (
-        pd.DataFrame(
-            [(u, s, d, p) for u, (s, d, p) in oracle.frontier.items()],
-            columns=["url", "status", "depth", "priority"],
-        )
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    assert len(got) == len(exp)
-    pd.testing.assert_frame_equal(
-        got[["url", "status", "depth", "priority"]].astype({"depth": "int64"}),
-        exp.astype({"depth": "int64"}),
-    )
-
-
 def test_compaction_status_split_prunes_eligible_scan(ray_session, corpus, tmp_path_factory):
     """Compaction writes the frontier status-split (discovered/ + settled/)
     and the next wave's eligible scan reads ONLY the discovered split +
     deltas — O(Discovered), not O(frontier), on a mature crawl."""
-    from abwcf_ray.pipelines.crawl import _FrontierChain, _parquet_rows, run_crawl
+    import pyarrow.parquet as pq
+
+    from abwcf_ray.pipelines.crawl import _FrontierChain, run_crawl
+
+    def _parquet_rows(d: Path) -> int:
+        return sum(pq.read_metadata(f).num_rows for f in d.rglob("*.parquet"))
 
     cfg = CrawlConfig(**{**CFG.__dict__, "frontier_compact_every": 2})
     out = tmp_path_factory.mktemp("split")
@@ -587,32 +565,17 @@ def test_noop_resume_last_wave_dir_valid(ray_session, corpus, tmp_path_factory):
     )
 
 
-def test_resume_rejects_shard_count_change(ray_session, corpus, tmp_path_factory):
-    """Restoring the seen set into a different shard count must refuse
-    loudly (shard files are partitioned by h % num_shards — a different
-    count silently mis-routes probes)."""
-    import pytest as _pytest
-
+@pytest.mark.parametrize("resume_shards", [2, None])
+def test_resume_with_changed_shard_count(
+    ray_session, corpus, tmp_path_factory, oracle, resume_shards
+):
+    """A resume may change the seen-set shard count: the shards are
+    reloaded from the frontier chain and routed by the new count. A run
+    written with 3 shards resumes with 2, and with None (the session's 4
+    CPUs), and ends oracle-exact."""
     from abwcf_ray.pipelines.crawl import run_crawl
 
     out = tmp_path_factory.mktemp("shard_change")
-    cfg2 = CrawlConfig(**{**CFG.__dict__, "max_waves": 2})
-    run_crawl(cfg2, corpus, out, log=lambda *_: None)
-    bad = CrawlConfig(**{**CFG.__dict__, "max_waves": 3, "seen_shards": 2})
-    with _pytest.raises(RuntimeError, match="shards"):
-        run_crawl(bad, corpus, out, resume=True, log=lambda *_: None)
-
-
-def test_resume_derives_shard_count_from_checkpoint(
-    ray_session, corpus, tmp_path_factory, oracle
-):
-    """seen_shards=None on resume takes the shard count stored in the seen
-    checkpoint. The checkpoint is written with 3 shards, not the session's
-    4 CPUs, so a count derived from the CPUs would be refused by restore;
-    the resumed crawl must end oracle-exact."""
-    from abwcf_ray.pipelines.crawl import run_crawl
-
-    out = tmp_path_factory.mktemp("derived_shards")
     run_crawl(
         CrawlConfig(**{**CFG.__dict__, "max_waves": 2, "seen_shards": 3}),
         corpus,
@@ -620,7 +583,7 @@ def test_resume_derives_shard_count_from_checkpoint(
         log=lambda *_: None,
     )
     summary = run_crawl(
-        CrawlConfig(**{**CFG.__dict__, "seen_shards": None}),
+        CrawlConfig(**{**CFG.__dict__, "seen_shards": resume_shards}),
         corpus,
         out,
         resume=True,
@@ -632,6 +595,99 @@ def test_resume_derives_shard_count_from_checkpoint(
         got[["url", "status", "depth", "priority"]].itertuples(index=False, name=None)
     ) == exp
     assert summary.seen_size == len(oracle.seen)
+
+
+def test_resume_rebuilds_seen_set_from_chain(ray_session, corpus, tmp_path_factory):
+    """No crawl writes a seen-set checkpoint; a resume rebuilds the exact
+    seen set from the frontier chain, so its size is the last manifest's
+    n_frontier."""
+    from abwcf_ray.pipelines.crawl import run_crawl
+
+    out = tmp_path_factory.mktemp("seen_rebuild")
+    cfg = CrawlConfig(**{**CFG.__dict__, "max_waves": 2})
+    first = run_crawl(cfg, corpus, out, log=lambda *_: None)
+    for d in [out / "init", *out.glob("wave_*")]:
+        assert not {"seen", "content_seen", "hash_impl.json"} & {p.name for p in d.iterdir()}
+    last = json.loads((Path(first.last_wave_dir) / "manifest.json").read_text())
+    again = run_crawl(cfg, corpus, out, resume=True, log=lambda *_: None)
+    assert again.waves == first.waves  # nothing left to crawl: the size is the rebuild's
+    assert again.seen_size == last["n_frontier"] == first.seen_size
+
+
+def test_resume_refuses_foreign_hash_impl(ray_session, corpus, tmp_path_factory):
+    """The checkpoint's url hashes are only comparable under the hash
+    implementation that wrote them: a manifest naming another one is
+    refused, and the error names both."""
+    from abwcf_ray.functions.hashing import impl_id
+    from abwcf_ray.pipelines.crawl import run_crawl
+
+    out = tmp_path_factory.mktemp("foreign_impl")
+    cfg = CrawlConfig(**{**CFG.__dict__, "max_waves": 1})
+    run_crawl(cfg, corpus, out, log=lambda *_: None)
+    mpath = out / "wave_0000" / "manifest.json"
+    m = json.loads(mpath.read_text())
+    assert m["hash_impl"] == impl_id()
+    mpath.write_text(json.dumps({**m, "hash_impl": "polars-0.0.0"}))
+    with pytest.raises(RuntimeError) as err:
+        run_crawl(CFG, corpus, out, resume=True, log=lambda *_: None)
+    assert "polars-0.0.0" in str(err.value) and impl_id() in str(err.value)
+
+
+def _mirror_corpus(out: Path):
+    """The fixture corpus with every third page past p2 of a host a mirror
+    of the host's p0 (same html and text), so later waves fetch text that
+    wave 0 already extracted."""
+    import re
+    import shutil
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    meta = generate_corpus(out, n_pages=N_PAGES, seed=42, num_buckets=8)
+    parts = sorted(Path(meta.pages_dir).glob("*.parquet"))
+    t = pa.concat_tables([pq.read_table(p) for p in parts])
+    html, text = t.column("html").to_pylist(), t.column("text").to_pylist()
+    keys = [re.fullmatch(r"(.*)/p(\d+)", u).groups() for u in t.column("url").to_pylist()]
+    home = {host: i for i, (host, k) in enumerate(keys) if k == "0"}
+    for i, (host, k) in enumerate(keys):
+        if int(k) >= 3 and int(k) % 3 == 0 and host in home:
+            html[i], text[i] = html[home[host]], text[home[host]]
+    t = t.set_column(t.schema.get_field_index("html"), "html", pa.array(html, pa.binary()))
+    t = t.set_column(t.schema.get_field_index("text"), "text", pa.array(text, pa.string()))
+    for p in parts:
+        p.unlink()
+    pq.write_table(t, parts[0])
+    shutil.rmtree(meta.hashed_dir)  # run_crawl rebuilds the fetch layout
+    return meta
+
+
+def test_dedup_content_resume_matches_straight_run(ray_session, tmp_path_factory):
+    """A dedup_content crawl stopped after wave 1 and resumed rebuilds the
+    content seen set from the completed waves' novel/ parts: every wave
+    writes the same novel/ url set as a straight crawl."""
+    from abwcf_ray.pipelines.crawl import run_crawl
+
+    corpus = _mirror_corpus(tmp_path_factory.mktemp("c_mirror"))
+    cfg = CrawlConfig(**{**CFG.__dict__, "dedup_content": True})
+
+    def novel_urls(out: Path) -> dict[str, set]:
+        return {
+            d.name: set(pads.dataset(str(d / "novel")).to_table(columns=["url"])["url"].to_pylist())
+            for d in sorted(out.glob("wave_*"))
+            if (d / "novel").exists()
+        }
+
+    straight = tmp_path_factory.mktemp("novel_straight")
+    run_crawl(cfg, corpus, straight, log=lambda *_: None)
+    out = tmp_path_factory.mktemp("novel_resume")
+    run_crawl(CrawlConfig(**{**cfg.__dict__, "max_waves": 2}), corpus, out, log=lambda *_: None)
+    run_crawl(cfg, corpus, out, resume=True, log=lambda *_: None)
+    want, got = novel_urls(straight), novel_urls(out)
+    assert len(want) > 2 and got == want
+    # the rebuild must matter: a resumed wave suppresses text first seen
+    # before the stop
+    manifests = [json.loads(p.read_text()) for p in sorted(out.glob("wave_*/manifest.json"))]
+    assert any(m["n_novel"] < m["n_extracted"] for m in manifests[2:])
 
 
 def test_one_cpu_starts_one_shard_actor(ray_session, corpus, tmp_path, monkeypatch):

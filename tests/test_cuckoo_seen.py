@@ -3,7 +3,7 @@ _CuckooSeenShard) — the north star's "sharded cuckoo-filter URL-seen set".
 
 Covers: filter membership guarantees (no false negatives, bounded false
 positives, determinism, memory), batch-vs-incremental equivalence,
-checkpoint roundtrips, the wave-versioned shard protocol on the cuckoo
+key-set-only answers and the resume's bulk load, the wave-versioned shard protocol on the cuckoo
 backend, exact-vs-cuckoo claim parity, and the loud failure on probes the
 fold model cannot answer.
 """
@@ -53,15 +53,19 @@ def test_cuckoo_filter_batch_matches_incremental_and_deterministic():
 
 
 def test_cuckoo_filter_checkpoint_roundtrip():
+    """The filter's checkpoint is its key set: membership is a function of
+    the SET of keys added, so one batch (a resume's bulk load) and shuffled
+    chunks (the straight run's per-wave folds) answer every probe alike,
+    false positives included."""
     keys = _keys(80_000, seed=5)
     f = CuckooFilter(capacity=100_000)
     f.add(keys)
-    flat, meta = f.state()
-    g = CuckooFilter.from_state(flat, meta)
-    assert g.count == f.count
-    assert np.array_equal(g.table, f.table)
-    probe = np.concatenate([keys[:1000], _keys(1000, seed=6)])
+    g = CuckooFilter(capacity=100_000)
+    for chunk in np.array_split(np.random.default_rng(6).permutation(keys), 7):
+        g.add(chunk)
+    probe = np.concatenate([keys, _keys(200_000, seed=6)])
     assert (g.contains(probe) == f.contains(probe)).all()
+    assert f.contains(_keys(200_000, seed=6)).any()  # the probe hits FPs
 
 
 def test_cuckoo_filter_over_capacity_raises():
@@ -129,25 +133,26 @@ def test_cuckoo_exact_claim_parity(ray_session):
 
 
 def test_cuckoo_seen_checkpoint_roundtrip(ray_session, tmp_path):
+    """The cuckoo seen set's checkpoint is the frontier's url column too: a
+    resume's load task folds its hashes straight into the filters."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from abwcf_ray.pipelines.crawl import _load_seen
     from abwcf_ray.state.seen import SeenSet
 
+    part = str(tmp_path / "part-0.parquet")
+    pq.write_table(pa.table({"url": [f"u{i}" for i in range(500)]}), part)
     seen = SeenSet(3, backend="cuckoo", cuckoo_capacity=50_000)
-    seen.add_urls([f"u{i}" for i in range(500)], wave=2)
-    seen.checkpoint(tmp_path / "seen")
-    seen.shutdown()
-
-    seen2 = SeenSet(3, backend="cuckoo", cuckoo_capacity=50_000)
-    seen2.restore(tmp_path / "seen")
-    assert seen2.size() == 500
-    # checkpoint folds through wave 2 -> a resumed run probes at wave >= 3
-    assert seen2.contains_urls(["u0", "u499", "nope"], before_wave=3).tolist() == [
+    ray.get(_load_seen.remote(seen, [part], "url", 2))
+    assert seen.size() == 500
+    # a load folds through its wave -> a resumed run probes at wave >= 3
+    assert seen.contains_urls(["u0", "u499", "nope"], before_wave=3).tolist() == [
         True,
         True,
         False,
     ]
-    # backend mismatch is a loud error, not silent wrong membership
-    seen3 = SeenSet(2, backend="exact")
-    with pytest.raises(RuntimeError, match="backend"):
-        seen3.restore(tmp_path / "seen")
-    seen3.shutdown()
-    seen2.shutdown()
+    with pytest.raises(Exception, match="folded"):
+        seen.contains_urls(["u0"], before_wave=2)
+    seen.shutdown()

@@ -252,14 +252,6 @@ def test_columnar_state_matches_dict_model():
         k_by_hash = {int(x): budget_for_delay(live[h][2], 10.0) for x, h in zip(hh, live)}
         assert {int(a): int(b) for a, b in zip(sp["hash"], sp["k"])} == k_by_hash
 
-        # bucketed split is a partition of the rules payload
-        bp = state.bucketed_rules_payload(now, bits=3)
-        assert sorted(int(x) for b in bp for x in b["hash"]) == sorted(
-            int(x) for x in rp["hash"]
-        )
-        for bi, b in enumerate(bp):
-            assert all(int(x) >> 61 == bi for x in b["hash"])
-
 
 def test_merge_fetched_rejects_unknown_mode():
     """A corrupted/hand-edited checkpoint with a mode outside the three

@@ -148,23 +148,39 @@ def test_seen_set_protocol(ray_session):
 
 
 def test_seen_set_checkpoint_roundtrip(ray_session, tmp_path):
+    """The seen set's checkpoint is the frontier's url column: a resume's
+    load tasks hash it back into shards of any count, and the result
+    answers like the adds it replaces. The loaded wave is kept, an
+    overlapping load is a no-op, and a later add of a loaded url keeps the
+    loaded wave (setdefault)."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from abwcf_ray.pipelines.crawl import _load_seen
     from abwcf_ray.state.seen import SeenSet
 
-    seen = SeenSet(3)
-    seen.add_urls([f"u{i}" for i in range(500)], wave=2)
-    seen.checkpoint(tmp_path / "seen")
-    seen.shutdown()
-
-    seen2 = SeenSet(3)
-    seen2.restore(tmp_path / "seen")
-    assert seen2.size() == 500
-    assert seen2.contains_urls(["u0", "u499", "nope"], before_wave=3).tolist() == [
-        True,
-        True,
-        False,
-    ]
-    assert not seen2.contains_urls(["u0"], before_wave=2)[0]  # wave preserved
-    seen2.shutdown()
+    urls = [f"u{i}" for i in range(500)]
+    parts = []
+    for i, chunk in enumerate((urls[:300], urls[200:])):
+        parts.append(str(tmp_path / f"part-{i}.parquet"))
+        pq.write_table(pa.table({"url": pa.array(chunk, pa.string())}), parts[-1])
+    added = SeenSet(3)
+    added.add_urls(urls, wave=2)
+    for n_shards in (2, 3):
+        seen = SeenSet(n_shards)
+        ray.get([_load_seen.remote(seen, [p], "url", 2) for p in parts])
+        assert seen.size() == 500
+        probe = ["u0", "u499", "nope"]
+        for before in (2, 3):
+            assert (
+                seen.contains_urls(probe, before_wave=before).tolist()
+                == added.contains_urls(probe, before_wave=before).tolist()
+            )
+        seen.add_urls(["u0", "new"], wave=3)
+        assert seen.size() == 501
+        assert seen.contains_urls(["u0", "new"], before_wave=3).tolist() == [True, False]
+        seen.shutdown()
+    added.shutdown()
 
 
 def test_propose_prededup_semantics(ray_session):

@@ -181,85 +181,6 @@ def test_strict_filter_defers_unknown_hosts(ray_session):
     assert rej.column("host").to_pandas().value_counts().to_dict() == {known: 1}
 
 
-def test_bucketed_robots_filter_matches_broadcast(ray_session):
-    """The 10^8-host bucketed join path (hash(host)-range buckets +
-    per-partition rules) must pass/reject EXACTLY the rows the broadcast
-    filters do, for both lenient (C1) and strict (C2) semantics."""
-    import numpy as np
-    import ray
-    import ray.data as rd
-
-    from abwcf_ray.functions.hashing import hash64
-    from abwcf_ray.functions.robots import parse_robots_txt
-    from abwcf_ray.state.hosts import HostsState, RobotsFetchSim  # noqa: F401
-    from abwcf_ray.stages.transform import (
-        apply_robots_filter_bucketed,
-        make_lenient_robots_filter,
-        make_strict_robots_filter,
-    )
-
-    rng = np.random.default_rng(11)
-    n_hosts = 60
-    hosts = [f"https://h{i}.example" for i in range(n_hosts)]
-    state = HostsState(CrawlConfig())
-    bodies = {
-        0: b"User-agent: *\nDisallow: /private/\nAllow: /private/ok\n",
-        1: b"User-agent: *\nDisallow: /\n",
-        2: b"User-agent: *\nDisallow:\n",
-    }
-    rows = {"host": [], "rule_mode": [], "robot_rules": [], "crawl_delay_ms": [], "valid_until_s": []}
-    for i, h in enumerate(hosts[: n_hosts - 10]):  # last 10 hosts stay UNKNOWN
-        r = parse_robots_txt(bodies[i % 3])
-        if i % 7 == 0:
-            mode, rstr, delay = "ALLOW_NONE", "", 1000
-        else:
-            mode, rstr, delay = r.mode, r.serialize_rules(), r.crawl_delay_ms
-        rows["host"].append(h)
-        rows["rule_mode"].append(mode)
-        rows["robot_rules"].append(rstr)
-        rows["crawl_delay_ms"].append(delay)
-        rows["valid_until_s"].append(1e9)
-    state.merge_fetched(pa.table(rows))
-
-    host_ix = rng.integers(0, n_hosts, 600)
-    paths = rng.choice(["/private/x", "/private/ok", "/ok", "/a?q=1", "/robots.txt"], 600)
-    cand = pa.table(
-        {
-            "url": pa.array([hosts[i] + p for i, p in zip(host_ix, paths)]),
-            "host": pa.array([hosts[i] for i in host_ix]),
-        }
-    )
-    payload_ref = ray.put(state.rules_payload(0.0))
-    bits = 3
-    bucket_refs = [ray.put(p) for p in state.bucketed_rules_payload(0.0, bits)]
-
-    ds = rd.from_arrow(cand).repartition(5)
-
-    # lenient (fail-open)
-    want = sorted(
-        make_lenient_robots_filter(payload_ref)(cand).column("url").to_pylist()
-    )
-    got = sorted(
-        apply_robots_filter_bucketed(ds, bucket_refs, bits, strict=False)
-        .to_pandas()["url"]
-        .tolist()
-    )
-    assert got == want and len(want) < cand.num_rows
-
-    # strict (fail-close + flagged rejects)
-    def split(df):
-        allowed = sorted(df.loc[~df["rejected"], "url"])
-        rejected = sorted(hash64(df.loc[df["rejected"], "url"].tolist()).tolist())
-        return allowed, rejected
-
-    want_s, rej_a = split(make_strict_robots_filter(payload_ref)(cand).to_pandas())
-    got_s, rej_b = split(
-        apply_robots_filter_bucketed(ds, bucket_refs, bits, strict=True).to_pandas()
-    )
-    assert got_s == want_s and len(want_s) < len(want)
-    assert rej_a == rej_b and len(rej_a)
-
-
 @given(
     scheme=st.sampled_from(["http", "HTTP", "https", "HtTpS", "ftp"]),
     host=st.from_regex(r"[A-Za-z0-9][A-Za-z0-9.\-]{0,15}", fullmatch=True),

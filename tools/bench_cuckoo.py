@@ -1,7 +1,8 @@
 """Cuckoo seen-set backend load bench (round-4 verdict #7): fold a
 large synthetic url stream into both backends at production shard
-count, then checkpoint + resume, reporting fold wall, probe wall,
-checkpoint/restore wall, and resident memory per url.
+count, then bulk-load the same hashes into a fresh pool as a resume
+does, reporting fold wall, probe wall, load wall, and resident memory
+per url.
 
 The stream arrives in per-wave chunks (like a crawl's claim traffic),
 urls are built vectorized in polars (string building would otherwise
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
 import sys
 import time
 from pathlib import Path
@@ -50,7 +50,7 @@ def _url_hashes(lo: int, n: int) -> np.ndarray:
     return hash64(urls.to_arrow())
 
 
-def bench_backend(backend: str, n_urls: int, shards: int, ckpt: Path) -> dict:
+def bench_backend(backend: str, n_urls: int, shards: int) -> dict:
     import ray
 
     from abwcf_ray.state.seen import SeenSet
@@ -86,13 +86,7 @@ def bench_backend(backend: str, n_urls: int, shards: int, ckpt: Path) -> dict:
     mem = seen.mem_bytes()
     size = seen.size()
 
-    shutil.rmtree(ckpt, ignore_errors=True)
-    t0 = time.perf_counter()
-    seen.checkpoint(ckpt)
-    ckpt_s = time.perf_counter() - t0
-    ckpt_bytes = sum(p.stat().st_size for p in ckpt.glob("*"))
-
-    # tear the first pool down BEFORE spawning the restore pool: two
+    # tear the first pool down BEFORE spawning the resume pool: two
     # 256-actor pools alive at once (plus Ray's prestarted workers) trip
     # the box's thread budget (pthread_create EAGAIN at ~900 workers)
     seen.shutdown()
@@ -101,12 +95,21 @@ def bench_backend(backend: str, n_urls: int, shards: int, ckpt: Path) -> dict:
         backend=backend,
         cuckoo_capacity=max(1024, int(n_urls / shards / 0.8)),
     )
-    t0 = time.perf_counter()
-    seen2.restore(ckpt)
-    restore_s = time.perf_counter() - t0
+    seen2.size()
+    # a resume's bulk load, chunk by chunk as its load tasks send it (the
+    # hashing is timed apart: a resume hashes the chain's url column)
+    hash_s = load_s = 0.0
+    for lo in range(0, n_urls, CHUNK):
+        t0 = time.perf_counter()
+        h = _url_hashes(lo, min(CHUNK, n_urls - lo))
+        t1 = time.perf_counter()
+        seen2.load(h, wave - 1)
+        hash_s += t1 - t0
+        load_s += time.perf_counter() - t1
     # resume correctness spot-check on one chunk
     again = seen2.contains(probe_present, before_wave=wave + 1)
-    assert (again == m1).all(), "restore changed membership"
+    assert (again == m1).all(), "load changed membership"
+    assert (seen2.contains(probe_absent, before_wave=wave + 1) == m2).all()
     seen2.shutdown()
     return {
         "backend": backend,
@@ -121,9 +124,8 @@ def bench_backend(backend: str, n_urls: int, shards: int, ckpt: Path) -> dict:
         "size": size,
         "mem_bytes": mem,
         "bytes_per_url": round(mem / max(1, size), 3),
-        "checkpoint_s": round(ckpt_s, 2),
-        "checkpoint_bytes": ckpt_bytes,
-        "restore_s": round(restore_s, 2),
+        "load_hash_s": round(hash_s, 2),
+        "load_s": round(load_s, 2),
     }
 
 
@@ -144,10 +146,7 @@ def main() -> None:
         "metric": f"seen-set backends at {n_urls} urls / {shards} shards",
         "num_cpus": NUM_CPUS,
         "backends": [
-            bench_backend(
-                b, n_urls, shards, Path(f"/tmp/abwcf_cuckoo_bench_{b}")
-            )
-            for b in ("cuckoo", "exact")
+            bench_backend(b, n_urls, shards) for b in ("cuckoo", "exact")
         ],
     }
     print(json.dumps(out))

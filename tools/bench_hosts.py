@@ -1,8 +1,8 @@
 """Synthetic 10^6-host host-prep microbench (round-2 VERDICT 'Next round'
 #8): measures the driver-side hosts-table operations a wave performs —
-merge_fetched of a fetched batch, rules_payload / sched_payload /
-bucketed_rules_payload over the full live table, checkpoint + restore — at
-1M hosts, and prints one JSON line. Run: python tools/bench_hosts.py
+merge_fetched of a fetched batch, rules_payload / sched_payload over the
+full live table, checkpoint + restore — at 1M hosts, and prints one JSON
+line. Run: python tools/bench_hosts.py
 """
 
 from __future__ import annotations
@@ -57,23 +57,14 @@ def main() -> None:
     state.sched_payload(now_s=0.0, wave_duration_s=10.0)
     out["sched_payload_1m_s"] = round(time.perf_counter() - t0, 3)
 
-    t0 = time.perf_counter()
-    buckets = state.bucketed_rules_payload(now_s=0.0, bits=6)
-    out["bucketed_rules_payload_1m_s"] = round(time.perf_counter() - t0, 3)
-    assert sum(len(b["hash"]) for b in buckets) == len(payload["hash"])
-
-    # crossover evidence for CrawlConfig.hosts_broadcast_max: the broadcast
-    # path's hidden per-WORKER cost is building _HostRulesIndex (flat rule
-    # table + compiled regexes) over the whole live table; the bucketed
-    # join pays it per PARTITION over 1/2^bits of the hosts instead
+    # the broadcast filters' hidden per-WORKER cost, paid once per wave:
+    # building _HostRulesIndex (flat rule table + compiled regexes) over
+    # the whole live table
     from abwcf_ray.stages.transform import _HostRulesIndex
 
     t0 = time.perf_counter()
     _HostRulesIndex(payload)
     out["rules_index_full_1m_s"] = round(time.perf_counter() - t0, 3)
-    t0 = time.perf_counter()
-    _HostRulesIndex(buckets[0])
-    out["rules_index_one_bucket_s"] = round(time.perf_counter() - t0, 4)
     import pickle
 
     out["rules_payload_pickle_mb"] = round(len(pickle.dumps(payload)) / 1e6, 1)
