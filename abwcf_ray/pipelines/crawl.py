@@ -1,7 +1,7 @@
 """The crawl wave driver (SURVEY.md §3.4).
 
 Each wave is a few rounds of plain Ray tasks over the frontier chain's
-parquet files and the fetch plan's work items — a crawl starts no Ray Data
+parquet files and chunks of the selected urls — a crawl starts no Ray Data
 execution, warm-up included; each task runs the per-batch arrow callables
 of the stages below in sequence:
 
@@ -11,11 +11,11 @@ of the stages below in sequence:
     select    : shuffle-free partial top-k_h per host (politeness, D1/D2),
                 one task per group of chain files; the flagged rejects
                 split off as the wave's Disallowed set
-    fetch     : one task per work item (A2): a pruned-fetch item reads
-                only the row groups holding the wave's url hashes; with a
-                ``cfg.fetch_transport`` an item is a chunk of selected
-                urls the transport fetches. Both go through the same
-                fused tee, which writes the item's processed part
+    fetch     : one task per chunk of selected urls (A2), fetched by the
+                run's transport — by default a ``CorpusTransport`` that
+                copies only the chunk's records out of the memory-mapped
+                hashed layout — in the fused tee, which writes the
+                chunk's processed part
     process   : extract text (A7) + links (B1-B3) in one html pass
     cand'     : explode -> normalize (B4) -> scope (B5) -> lenient (C1)
                 -> propose, in the fetch task; a ray.wait on every fetch
@@ -61,6 +61,7 @@ wall clock, so runs are reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -79,7 +80,7 @@ from abwcf_ray.sources.corpus import CorpusMeta, build_hashed_layout, layout_is_
 from abwcf_ray.stages.fetch import (
     empty_fetched_table,
     make_fetch_process_tee,
-    plan_pruned_fetch,
+    plan_pruned_fetch,  # noqa: F401 — a stub the benchmark's tracer wraps by name
 )
 from abwcf_ray.stages.schedule import (
     apply_stages,
@@ -105,6 +106,7 @@ from abwcf_ray.stages.transform import (
     make_update_status,
 )
 from abwcf_ray.stages.transform import partial_host_counts
+from abwcf_ray.stages.transport import CorpusTransport
 from abwcf_ray.state.hosts import HostsState, RobotsFetchSim
 from abwcf_ray.state.seen import SeenSet
 
@@ -618,7 +620,8 @@ class _Run:
     host_ledger: _HostLedger | None = None
     # previous frontier's row count, so n_new never needs a metadata rescan
     prev_frontier_rows: int = 0
-    # ray.put(cfg.fetch_transport), or None: pruned reads of the layout
+    # ray.put of the fetch transport's factory (cfg.fetch_transport, or a
+    # CorpusTransport over the hashed layout)
     transport_ref: object = None
     process_fetched: object = None
     normalize: object = None
@@ -748,12 +751,15 @@ def _open_run(
     run.process_fetched = make_process_fetched_stage(cfg)
     run.normalize = make_normalize_stage(cfg)
     run.scope = make_scope_filter_stage(cfg)
-    # one fetch path: a url-chunk transport, or pruned reads of the hashed
-    # corpus layout — built here once for a corpus that lacks it
-    if cfg.fetch_transport is not None:
-        run.transport_ref = ray.put(cfg.fetch_transport)
-    elif not layout_is_valid(corpus):
-        build_hashed_layout(corpus)
+    # one fetch path: url chunks through a transport, by default a
+    # CorpusTransport over the hashed layout — built here once for a corpus
+    # that lacks it
+    factory = cfg.fetch_transport
+    if factory is None:
+        if not layout_is_valid(corpus):
+            build_hashed_layout(corpus)
+        factory = functools.partial(CorpusTransport, corpus.hashed_dir, cfg.max_content_length)
+    run.transport_ref = ray.put(factory)
     _warm_up(run)
     return run
 
@@ -1011,10 +1017,10 @@ def _fetch_candidates(run: _Run, w: _Wave) -> None:
     retry-safe), and passes only (links, child_depth) on to the candidate
     chain in the same task — html never leaves it and nothing is re-read.
 
-    A work item is a ``plan_pruned_fetch`` (path, row groups) item — read
-    only the row groups holding the wave's url hashes — or, with a fetch
-    transport, a chunk of ``fetch_transport_batch_size`` selected urls in
-    url-hash order."""
+    A work item is a contiguous chunk of the selected urls in url-hash
+    order: ``min(ceil(n_selected / fetch_transport_batch_size), 2·CPUs)``
+    chunks, at least one, so a small wave runs one task and a large one
+    spreads over the cluster."""
     cfg = run.cfg
     sel_hashes = hash64(w.sel_df["url"].tolist())
     order = np.argsort(sel_hashes)
@@ -1022,26 +1028,16 @@ def _fetch_candidates(run: _Run, w: _Wave) -> None:
     depths = w.sel_df["depth"].to_numpy()[order].astype(np.int32)
     processed_dir = w.wdir / "processed"
     processed_dir.mkdir(parents=True, exist_ok=True)
-    if run.transport_ref is None:
-        sel_ref = ray.put((w.sel_sorted, depths))
-        items = plan_pruned_fetch(run.corpus.hashed_dir, w.sel_sorted)
-        w.metrics["fetch_row_groups"] = int(sum(len(i["rgs"]) for i in items))
-    else:
-        sel_ref = None
-        urls = w.sel_df["url"].to_numpy(dtype=object)[order]
-        b = max(1, int(cfg.fetch_transport_batch_size))
-        items = [
-            {"chunk": i, "urls": urls[s : s + b].tolist(), "depths": depths[s : s + b].tolist()}
-            for i, s in enumerate(range(0, len(urls), b))
-        ]
+    urls = w.sel_df["url"].to_numpy(dtype=object)[order]
+    b = max(1, int(cfg.fetch_transport_batch_size))
+    n_items = max(1, min(-(-len(urls) // b), 2 * run.n_cpu))
+    bounds = [len(urls) * i // n_items for i in range(n_items + 1)]
+    items = [
+        {"chunk": i, "urls": urls[s:e].tolist(), "depths": depths[s:e].tolist()}
+        for i, (s, e) in enumerate(zip(bounds, bounds[1:]))
+    ]
     w.metrics["fetch_tasks"] = len(items)
-    tee = make_fetch_process_tee(
-        sel_ref,
-        run.process_fetched,
-        str(processed_dir),
-        cfg.max_content_length,
-        transport_ref=run.transport_ref,
-    )
+    tee = make_fetch_process_tee(run.process_fetched, str(processed_dir), run.transport_ref)
     # E2 — bandwidth split: the budget's binding consequence is the
     # concurrent-fetcher cap (FetcherManager.scala:66); apply it as the
     # number of fetch tasks in flight (results identical, parallelism
@@ -1064,7 +1060,7 @@ def _fetch_candidates(run: _Run, w: _Wave) -> None:
         w.lenient_robots,
         make_propose(run.seen, w.n, run_key=f"{w.wdir}:{run.seen.cache_token()}"),
     ]
-    w.mark("fetch_prep")  # sel hashing + broadcast puts + work items
+    w.mark("fetch_prep")  # sel hashing + work items
     in_flight: list = []
     for item in items:
         if max_fetchers and len(in_flight) >= max_fetchers:
@@ -1290,12 +1286,11 @@ def main() -> None:  # pragma: no cover — CLI entry
     parser.add_argument("--resume", action="store_true")
     parser.add_argument(
         "--transport",
-        choices=["fused", "corpus", "http"],
-        default="fused",
-        help="fetcher: 'fused' (default pruned reads of the hashed layout), "
-        "'corpus' (the injectable CorpusTransport — same results, exercises "
-        "the FetchTransport seam), 'http' (real network via HTTPTransport; "
-        "urls must be reachable)",
+        choices=["corpus", "http"],
+        default="corpus",
+        help="fetcher: 'corpus' (default: CorpusTransport over the hashed "
+        "layout), 'http' (real network via HTTPTransport; urls must be "
+        "reachable)",
     )
     args = parser.parse_args()
 
@@ -1314,19 +1309,13 @@ def main() -> None:  # pragma: no cover — CLI entry
             max_crawl_depth=args.max_depth,
             wave_duration_s=args.wave_duration,
         )
-    if args.transport != "fused":
+    if args.transport == "http":
         from dataclasses import replace as _dc_replace
 
-        from abwcf_ray.stages.transport import CorpusTransport, HTTPTransport
+        from abwcf_ray.stages.transport import HTTPTransport
 
-        if args.transport == "corpus":
-            hashed = corpus.hashed_dir
-            cap = cfg.max_content_length
-            factory = lambda: CorpusTransport(hashed, max_content_length=cap)  # noqa: E731
-        else:
-            cap = cfg.max_content_length
-            factory = lambda: HTTPTransport(max_content_length=cap)  # noqa: E731
-        cfg = _dc_replace(cfg, fetch_transport=factory)
+        cap = cfg.max_content_length
+        cfg = _dc_replace(cfg, fetch_transport=lambda: HTTPTransport(max_content_length=cap))
     summary = run_crawl(cfg, corpus, args.out, resume=args.resume)
     print(
         json.dumps(

@@ -7,8 +7,8 @@ Generates the three fixture inputs the crawl engine consumes:
   simulation columns ``(status, content_type, location, x_robots_tag)``.
   Written as one parquet part per generation chunk (deterministic content).
   The crawl fetches from a second copy, the hashed layout
-  (:func:`build_hashed_layout`: sorted by ``url_hash``), reading only the
-  row groups that hold a wave's url hashes.
+  (:func:`build_hashed_layout`: sorted by ``url_hash``, uncompressed Arrow
+  IPC), reading only the records of a wave's url hashes.
 - ``robots.parquet`` — per-host robots.txt fetch outcomes
   ``(host, status, redirect_hops, body)``.
 - ``seeds.json`` — crawl entry points (canonical + non-canonical + one
@@ -93,8 +93,8 @@ class CorpusMeta:
     @property
     def hashed_dir(self) -> str:
         """Fetch substrate: the pages re-laid-out SORTED by ``url_hash``
-        with small row groups, so a wave's fetch reads only the row groups
-        that contain selected hashes (O(selected), not O(corpus))."""
+        in uncompressed Arrow IPC files, so a wave's fetch copies only the
+        selected records (O(selected), not O(corpus))."""
         return str(Path(self.out_dir) / "pages_hashed")
 
     @property
@@ -292,17 +292,26 @@ def _generate_chunk(
 
 
 # --- hash-sorted fetch layout --------------------------------------------
-# The fetch simulation is a semi-join of the wave's selected url hashes
-# against the corpus. In the flat layout every wave scans the whole corpus
-# (O(corpus)); the hashed layout stores the fetch columns SORTED by
-# ``url_hash`` with small row groups, so the fetch reads only row groups
-# whose [min,max] hash range contains a selected hash — O(selected) row
-# groups at low selectivity, never worse than the full scan.
+# The fetch simulation looks each selected url up in the corpus. The hashed
+# layout stores the fetch columns SORTED by ``url_hash``, one uncompressed
+# Arrow IPC file per part of _HASHED_FILE_ROWS rows, and its marker records
+# each file's hash range. A reader memory-maps only the files whose range
+# holds a selected hash and copies only the selected rows
+# (stages/transport.CorpusTransport): O(selected) bytes, no decompression.
 FETCH_LAYOUT_COLUMNS = [
     "url", "status", "content_type", "location", "x_robots_tag", "html",
 ]
-HASHED_ROW_GROUP = 2048
+_LAYOUT_SCHEMA = pa.schema(
+    [(f.name, f.type) for f in PAGES_SCHEMA if f.name in FETCH_LAYOUT_COLUMNS]
+    + [("url_hash", pa.uint64())]
+)
 _HASHED_FILE_ROWS = 8192
+# the marker's ``format``: a marker without it is the older parquet layout
+LAYOUT_FORMAT = "arrow-ipc-1"
+# one marker entry per layout file
+_LAYOUT_ENTRY = pa.schema(
+    [("name", pa.string()), ("min", pa.uint64()), ("max", pa.uint64()), ("rows", pa.int64())]
+)
 
 
 def _add_url_hash(t: pa.Table) -> pa.Table:
@@ -310,23 +319,25 @@ def _add_url_hash(t: pa.Table) -> pa.Table:
 
 
 def _write_hashed_batch(batch: pa.Table, out_dir: str) -> pa.Table:
-    """One sorted batch -> one part file. The name leads with the batch's
-    min hash (keeps directory listing in hash order) plus a uuid suffix:
-    two batches CAN share a min hash (duplicate urls, or a hash value
-    spanning a batch boundary after the sort), and min-hash-only names
-    silently overwrote one of them — dropping rows from the fetch
-    substrate (round-2 ADVICE)."""
+    """One sorted batch -> one Arrow IPC file; returns its marker entry
+    (name, min and max ``url_hash``). The name leads with the batch's min
+    hash (keeps directory listing in hash order) plus a uuid suffix: two
+    batches CAN share a min hash (duplicate urls, or a hash value spanning a
+    batch boundary after the sort), and min-hash-only names silently
+    overwrote one of them — dropping rows from the fetch substrate (round-2
+    ADVICE)."""
     import uuid
 
     if batch.num_rows == 0:
-        return pa.table({"rows": pa.array([], pa.int64())})
-    mn = batch.column("url_hash")[0].as_py()
-    pq.write_table(
-        batch,
-        Path(out_dir) / f"part-{mn:016x}-{uuid.uuid4().hex[:8]}.parquet",
-        row_group_size=HASHED_ROW_GROUP,
+        return _LAYOUT_ENTRY.empty_table()
+    batch = batch.select(_LAYOUT_SCHEMA.names).cast(_LAYOUT_SCHEMA)
+    lo, hi = batch.column("url_hash")[0].as_py(), batch.column("url_hash")[-1].as_py()
+    name = f"part-{lo:016x}-{uuid.uuid4().hex[:8]}.arrow"
+    with pa.ipc.new_file(Path(out_dir) / name, _LAYOUT_SCHEMA) as writer:
+        writer.write_table(batch)
+    return pa.Table.from_pylist(
+        [{"name": name, "min": lo, "max": hi, "rows": batch.num_rows}], _LAYOUT_ENTRY
     )
-    return pa.table({"rows": pa.array([batch.num_rows], pa.int64())})
 
 
 def build_hashed_layout(meta: CorpusMeta) -> str:
@@ -338,12 +349,6 @@ def build_hashed_layout(meta: CorpusMeta) -> str:
     if out.exists():
         shutil.rmtree(out)
     out.mkdir(parents=True, exist_ok=True)
-    # a rebuild in the same driver process must not plan against the old
-    # layout's cached footers (the cache key is mtime-fingerprinted too —
-    # this is the belt to that suspender)
-    from abwcf_ray.stages.fetch import invalidate_rg_index
-
-    invalidate_rg_index(str(out))
 
     use_ray = False
     if meta.n_pages >= 50_000:
@@ -356,7 +361,7 @@ def build_hashed_layout(meta: CorpusMeta) -> str:
     if use_ray:
         import ray.data as rd
 
-        (
+        entries = (
             rd.read_parquet(meta.pages_dir, columns=FETCH_LAYOUT_COLUMNS)
             .map_batches(_add_url_hash, batch_format="pyarrow")
             .sort("url_hash")
@@ -365,7 +370,7 @@ def build_hashed_layout(meta: CorpusMeta) -> str:
                 batch_format="pyarrow",
                 batch_size=_HASHED_FILE_ROWS,
             )
-            .count()
+            .take_all()
         )
     else:
         import pyarrow.dataset as pads
@@ -375,8 +380,8 @@ def build_hashed_layout(meta: CorpusMeta) -> str:
         )
         # 64-bit offsets before the sort: sort_by takes (concatenates) the
         # whole table, and >2 GB of html in 32-bit-offset binary overflows
-        # ("offset overflow while concatenating arrays"); parquet stores
-        # BYTE_ARRAY either way, so readers see the usual types
+        # ("offset overflow while concatenating arrays"); each file is cast
+        # back to the layout schema when written
         schema = pa.schema(
             [
                 pa.field(
@@ -389,40 +394,61 @@ def build_hashed_layout(meta: CorpusMeta) -> str:
             ]
         )
         t = t.cast(schema).sort_by("url_hash")
-        for start in range(0, max(t.num_rows, 1), _HASHED_FILE_ROWS):
-            _write_hashed_batch(t.slice(start, _HASHED_FILE_ROWS), str(out))
+        entries = []
+        for start in range(0, t.num_rows, _HASHED_FILE_ROWS):
+            entries += _write_hashed_batch(t.slice(start, _HASHED_FILE_ROWS), str(out)).to_pylist()
 
     # completion marker: a partial build (crash mid-write) or a corrupted
     # one (two drivers racing on the same dir append distinct uuid-suffixed
     # part files → silently duplicated fetch rows) must not be reusable.
-    # Footer reads here are the same ones the pruned-fetch planner caches.
-    parts = sorted(p.name for p in out.glob("part-*.parquet"))
-    n_rows = sum(pq.read_metadata(out / p).num_rows for p in parts)
+    # It lists each file's hash range, the readers' only index.
+    entries.sort(key=lambda e: (e["min"], e["name"]))
     (out / "_LAYOUT_OK.json").write_text(
-        json.dumps({"n_rows": n_rows, "n_files": len(parts), "hash_impl": impl_id()})
+        json.dumps(
+            {
+                "format": LAYOUT_FORMAT,
+                "n_rows": sum(e["rows"] for e in entries),
+                "n_files": len(entries),
+                "hash_impl": impl_id(),
+                "files": [[e["name"], e["min"], e["max"]] for e in entries],
+            }
+        )
     )
     return str(out)
 
 
-def layout_is_valid(meta: CorpusMeta) -> bool:
-    """True iff ``meta.hashed_dir`` carries a completion marker that matches
-    the files on disk, the corpus row count and this process's hash
-    implementation (the layout is sorted and looked up by ``url_hash``: under
-    another implementation every fetch would miss)."""
-    out = Path(meta.hashed_dir)
-    marker = out / "_LAYOUT_OK.json"
-    if not marker.exists():
-        return False
+def read_layout(hashed_dir: str | Path) -> dict:
+    """The completion marker of the hashed layout under ``hashed_dir``,
+    checked against the files on disk and this process's hash
+    implementation (the layout is sorted and looked up by ``url_hash``:
+    under another implementation every fetch would miss). Raises
+    ``ValueError`` naming the directory when the layout is missing,
+    partial, of another format (a marker without ``format`` is the older
+    parquet layout) or hashed otherwise."""
+    out = Path(hashed_dir)
     try:
-        rec = json.loads(marker.read_text())
-    except (OSError, json.JSONDecodeError):
+        rec = json.loads((out / "_LAYOUT_OK.json").read_text())
+    except (OSError, json.JSONDecodeError) as e:
+        raise ValueError(f"no valid fetch layout in {out}: {e}") from None
+    n_files = len(list(out.glob("part-*.arrow")))
+    if rec.get("format") != LAYOUT_FORMAT:
+        problem = f"format {rec.get('format')!r}, not {LAYOUT_FORMAT!r}"
+    elif rec.get("hash_impl") != impl_id():
+        problem = f"hash implementation {rec.get('hash_impl')!r}, not {impl_id()!r}"
+    elif n_files != rec.get("n_files"):
+        problem = f"{n_files} part files on disk, the marker lists {rec.get('n_files')}"
+    else:
+        return rec
+    raise ValueError(f"fetch layout in {out} is not usable: {problem}")
+
+
+def layout_is_valid(meta: CorpusMeta) -> bool:
+    """True iff ``meta.hashed_dir`` holds a complete layout
+    (:func:`read_layout`) of the corpus's row count."""
+    try:
+        return read_layout(meta.hashed_dir)["n_rows"] == meta.n_pages
+    except ValueError:
         return False
-    parts = list(out.glob("part-*.parquet"))
-    return (
-        len(parts) == rec.get("n_files")
-        and rec.get("n_rows") == meta.n_pages
-        and rec.get("hash_impl") == impl_id()
-    )
 
 
 def generate_corpus(

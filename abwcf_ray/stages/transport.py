@@ -30,14 +30,15 @@ Output contract — every transport returns the FETCHED SCHEMA of
     location string, x_robots_tag string, html binary,
     length_exceeded bool
 
-Deployment shape: ``CrawlConfig.fetch_transport`` is a zero-arg factory.
-The wave cuts its selected ``(url, depth)`` rows into chunks of
-``fetch_transport_batch_size`` and runs one plain Ray task per chunk
-through the same fused fetch->process->checkpoint tee as the corpus
-read (``stages/fetch.make_fetch_process_tee``). The factory is
-``ray.put`` once per run and each worker process builds the transport
-from it once (``stages/fetch._transport``), so per-process state
-(connection pools, the corpus row-group index, token buckets) builds
+Deployment shape: ``CrawlConfig.fetch_transport`` is a zero-arg factory;
+None means :class:`CorpusTransport` over the corpus's hashed layout. The
+wave cuts its selected ``(url, depth)`` rows, in url-hash order, into
+``min(ceil(n_selected / fetch_transport_batch_size), 2·CPUs)`` chunks (at
+least one) and runs one plain Ray task per chunk through the fused
+fetch->process->checkpoint tee (``stages/fetch.make_fetch_process_tee``).
+The factory is ``ray.put`` once per run and each worker process builds
+the transport from it once (``stages/fetch._transport``), so per-process
+state (connection pools, the layout's file index, token buckets) builds
 once in ``__init__``, not per chunk.
 """
 
@@ -49,6 +50,8 @@ import numpy as np
 import pyarrow as pa
 
 from abwcf_ray.functions.hashing import hash64
+from abwcf_ray.sources.corpus import read_layout
+from abwcf_ray.stages.fetch import FETCH_COLUMNS, _emit_fetched, empty_fetched_table
 
 FETCHED_SCHEMA = pa.schema(
     [
@@ -82,53 +85,59 @@ class FetchTransport:
 
 
 class CorpusTransport(FetchTransport):
-    """The default (sandbox) transport: the "web" is the hashed corpus
-    layout, fetched O(selected) — per batch, the urls hash, the
-    per-process row-group index (built once from parquet footers in
-    ``__init__``)
-    plans the touched row groups, and the shared pruned-read kernel
-    (``fetch._read_item_fetched``) membership-filters them. Semantics
-    (cap, redirect reporting, 404-by-absence) are identical to the fused
-    wave path — parity-tested in tests/test_transport.py."""
+    """The default (sandbox) transport: the "web" is the corpus's hashed
+    layout (sources/corpus.build_hashed_layout), hash-sorted uncompressed
+    Arrow IPC files whose url-hash ranges the layout's marker lists.
+    ``__init__`` reads the marker and raises, naming the directory, if the
+    layout is missing or unusable. Per batch the urls hash; each file whose
+    range holds one of them is memory-mapped (a zero-copy open) and, per
+    record batch, a ``searchsorted`` left and right on the stored
+    ``url_hash`` column finds the hit rows, and ``take`` copies them out:
+    only the selected records' bytes are copied, nothing is decompressed. A url
+    stored twice returns both rows; an absent url returns none (the driver
+    counts it a 404). Tested against the O(corpus) reference
+    ``stages/fetch.make_fetch_scan`` in tests/test_fetch_pruned.py and
+    tests/test_transport.py."""
 
     def __init__(self, hashed_dir: str, max_content_length: int | None = None):
-        from abwcf_ray.stages.fetch import _hashed_index
-
         self.hashed_dir = str(hashed_dir)
         self.max_content_length = max_content_length
-        # build the row-group index ONCE per process (footer reads)
-        self._index = _hashed_index(self.hashed_dir)
+        files = read_layout(self.hashed_dir)["files"]
+        self._paths = [f"{self.hashed_dir}/{name}" for name, _, _ in files]
+        self._mins = np.array([lo for _, lo, _ in files], dtype=np.uint64)
+        self._maxs = np.array([hi for _, _, hi in files], dtype=np.uint64)
 
     def fetch(self, urls: list[str], depths: np.ndarray) -> pa.Table:
-        from abwcf_ray.stages.fetch import (
-            _read_item_fetched,
-            empty_fetched_table,
+        # each distinct hash once, with the depth of its first url
+        hs, first = np.unique(hash64(list(urls)), return_index=True)
+        ds = np.asarray(depths, dtype=np.int32)[first]
+        # the files whose [min, max] holds a selected hash
+        lo = np.searchsorted(hs, self._mins, side="left")
+        hi = np.searchsorted(hs, self._maxs, side="right")
+        hits, hit_depths = [], []
+        for f in np.flatnonzero(lo < hi):
+            sel, sel_d = hs[lo[f] : hi[f]], ds[lo[f] : hi[f]]
+            with pa.memory_map(self._paths[f]) as source:
+                reader = pa.ipc.open_file(source)
+                for b in range(reader.num_record_batches):
+                    batch = reader.get_batch(b)
+                    stored = batch.column("url_hash").to_numpy()
+                    left = np.searchsorted(stored, sel, side="left")
+                    n = np.searchsorted(stored, sel, side="right") - left
+                    total = int(n.sum())
+                    if not total:
+                        continue
+                    # rows [left_i, left_i + n_i) of every selected hash i;
+                    # take copies them out of the mapping
+                    starts = np.repeat(left - np.cumsum(n) + n, n)
+                    rows = starts + np.arange(total)
+                    hits.append(batch.select(FETCH_COLUMNS).take(pa.array(rows)))
+                    hit_depths.append(np.repeat(sel_d, n))
+        if not hits:
+            return empty_fetched_table()
+        return _emit_fetched(
+            pa.Table.from_batches(hits), np.concatenate(hit_depths), self.max_content_length
         )
-
-        if not urls:
-            return empty_fetched_table()
-        h = hash64(list(urls))
-        order = np.argsort(h)
-        hs = h[order]
-        ds = np.asarray(depths, dtype=np.int32)[order]
-        paths, file_ids, rg_ids, mins, maxs = self._index
-        if len(mins) == 0:
-            return empty_fetched_table()
-        lo = np.searchsorted(hs, mins, side="left")
-        hi = np.searchsorted(hs, maxs, side="right")
-        hit = lo < hi
-        outs = []
-        for f_id in np.unique(file_ids[hit]):
-            rgs = rg_ids[hit & (file_ids == f_id)]
-            outs.append(
-                _read_item_fetched(
-                    paths[int(f_id)], [int(r) for r in rgs], hs, ds,
-                    self.max_content_length,
-                )
-            )
-        if not outs:
-            return empty_fetched_table()
-        return pa.concat_tables(outs)
 
 
 class _TokenBucket:

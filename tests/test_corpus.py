@@ -98,21 +98,22 @@ def test_corrupt_layout_detected_and_rebuilt(tmp_path):
     meta = generate_corpus(tmp_path / "c", n_pages=500, seed=7, num_buckets=4)
     hashed = Path(meta.hashed_dir)
     assert layout_is_valid(meta)
-    parts_before = sorted(p.name for p in hashed.glob("part-*.parquet"))
+    parts_before = sorted(p.name for p in hashed.glob("part-*.arrow"))
 
     # intact reuse: same params -> no rebuild (file set unchanged)
     meta2 = generate_corpus(tmp_path / "c", n_pages=500, seed=7, num_buckets=4)
-    assert sorted(p.name for p in hashed.glob("part-*.parquet")) == parts_before
+    assert sorted(p.name for p in hashed.glob("part-*.arrow")) == parts_before
 
     # corrupt: duplicate a part file under a new uuid-suffixed name
-    src = next(hashed.glob("part-*.parquet"))
-    shutil.copy(src, hashed / (src.stem + "-deadbeef.parquet"))
+    src = next(hashed.glob("part-*.arrow"))
+    shutil.copy(src, hashed / (src.stem + "-deadbeef.arrow"))
     assert not layout_is_valid(meta)
     meta3 = generate_corpus(tmp_path / "c", n_pages=500, seed=7, num_buckets=4)
     assert layout_is_valid(meta3)
     import pyarrow.dataset as pads
 
-    assert pads.dataset([str(p) for p in hashed.glob("part-*.parquet")]).count_rows() == 500
+    parts = [str(p) for p in hashed.glob("part-*.arrow")]
+    assert pads.dataset(parts, format="ipc").count_rows() == 500
 
     # partial: a missing marker is also invalid
     (hashed / "_LAYOUT_OK.json").unlink()
@@ -145,3 +146,43 @@ def test_layout_from_another_hash_impl_is_rebuilt(ray_session, tmp_path):
     assert json.loads(marker.read_text())["hash_impl"] == impl_id()
     assert layout_is_valid(meta)
     assert summary.total_fetched > 0
+
+
+def test_parquet_layout_is_rebuilt(ray_session, tmp_path):
+    """The older fetch layout (hash-sorted parquet parts, a marker without
+    ``format``) is invalid: generate_corpus and run_crawl rebuild it as the
+    Arrow record layout instead of crawling it as an all-404 web."""
+    import json
+    from pathlib import Path
+
+    import pyarrow.parquet as pq
+
+    from abwcf_ray.config import CrawlConfig
+    from abwcf_ray.functions.hashing import impl_id
+    from abwcf_ray.pipelines.crawl import run_crawl
+    from abwcf_ray.sources.corpus import layout_is_valid
+
+    def write_parquet_layout(meta):
+        hashed = Path(meta.hashed_dir)
+        for p in hashed.iterdir():
+            p.unlink()
+        pq.write_table(pads.dataset(meta.pages_dir).to_table(), hashed / "part-0-0.parquet")
+        (hashed / "_LAYOUT_OK.json").write_text(
+            json.dumps({"n_rows": meta.n_pages, "n_files": 1, "hash_impl": impl_id()})
+        )
+
+    meta = generate_corpus(tmp_path / "c", n_pages=300, seed=7, num_buckets=4)
+    marker = Path(meta.hashed_dir) / "_LAYOUT_OK.json"
+    write_parquet_layout(meta)
+    assert not layout_is_valid(meta)
+    meta = generate_corpus(tmp_path / "c", n_pages=300, seed=7, num_buckets=4)
+    assert layout_is_valid(meta) and "format" in json.loads(marker.read_text())
+
+    write_parquet_layout(meta)
+    summary = run_crawl(
+        CrawlConfig(max_waves=1, seen_shards=2), meta, tmp_path / "out", log=lambda *_: None
+    )
+    assert layout_is_valid(meta)
+    assert summary.total_fetched > 0
+    proc = pads.dataset(str(tmp_path / "out" / "wave_0000" / "processed")).to_table()
+    assert proc.num_rows == summary.total_fetched

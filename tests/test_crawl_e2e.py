@@ -170,6 +170,22 @@ def test_manifest_lineage(ray_run):
     assert "wave_0000/flips.parquet" in chain["flips"]
 
 
+def test_small_wave_runs_one_fetch_task(ray_run):
+    """A wave's fetch runs min(ceil(n_selected / fetch_transport_batch_size),
+    2·CPUs) url chunks, at least one: a wave of at most
+    ``fetch_transport_batch_size`` selected urls is one fetch task."""
+    import ray
+
+    out, _ = ray_run
+    b = CFG.fetch_transport_batch_size
+    cap = 2 * int(ray.cluster_resources()["CPU"])
+    manifests = [json.loads(m.read_text()) for m in sorted(out.glob("wave_*/manifest.json"))]
+    fetching = [m for m in manifests if m["n_selected"]]
+    assert any(m["n_selected"] <= b for m in fetching)
+    for m in fetching:
+        assert m["fetch_tasks"] == max(1, min(-(-m["n_selected"] // b), cap)), m["wave"]
+
+
 def test_frontier_compaction_matches_oracle(ray_session, corpus, tmp_path_factory, oracle):
     """With aggressive compaction (every 2 waves) the folded frontier must
     equal the delta-chain result and the oracle exactly."""
@@ -402,19 +418,21 @@ def test_flips_size_triggers_compaction(ray_session, corpus, oracle, tmp_path_fa
         assert got == expected, f"wave {wave} fetch order diverges (flips-cap run)"
 
 
-def test_bandwidth_budget_caps_fetchers(ray_session, oracle, tmp_path_factory, monkeypatch):
+def test_bandwidth_budget_caps_fetchers(
+    ray_session, corpus, oracle, tmp_path_factory, monkeypatch
+):
     """E2 (reference.conf:137,144 / FetcherManager.scala:66): a bandwidth
     budget caps concurrent fetchers at total // min-per-fetcher. The cap
     is recorded in the wave manifest, no two fetch tasks run at once under
-    a one-fetcher cap although waves have several work items — row-group
-    items, or url chunks of a CorpusTransport crawl — and the crawl output
-    is IDENTICAL to the uncapped run (parallelism-only knob)."""
+    a one-fetcher cap although waves have several url chunks — with the
+    default transport and with a user-supplied CorpusTransport factory —
+    and the crawl output is IDENTICAL to the uncapped run (parallelism-only
+    knob)."""
     import dataclasses
     import json as _json
 
     from abwcf_ray.pipelines import crawl
     from abwcf_ray.pipelines.crawl import run_crawl
-    from abwcf_ray.sources import corpus as corpus_mod
     from abwcf_ray.stages.transport import CorpusTransport
 
     # each fetch records its (start, end) on the shared monotonic clock
@@ -438,19 +456,14 @@ def test_bandwidth_budget_caps_fetchers(ray_session, oracle, tmp_path_factory, m
         return timed
 
     monkeypatch.setattr(crawl, "make_fetch_process_tee", recording_tee)
-    # the same pages in 64-row row groups, so waves have several work items
-    monkeypatch.setattr(corpus_mod, "HASHED_ROW_GROUP", 64)
-    small_rg = generate_corpus(
-        tmp_path_factory.mktemp("c_rg64"), n_pages=N_PAGES, seed=42, num_buckets=8
-    )
     cfg = dataclasses.replace(
         CFG,
         total_bandwidth_budget_bps=200_000,  # 200 kB/s / 200 kB/s -> 1 fetcher
         min_bandwidth_per_fetcher_bps=200_000,
+        # small chunks, so waves have several fetch tasks
+        fetch_transport_batch_size=16,
     )
-    hashed = small_rg.hashed_dir
-    # the same budget on the url-chunk path: a CorpusTransport crawl with
-    # several chunks per wave
+    hashed = corpus.hashed_dir
     for name, run_cfg in (
         ("crawl_bw", cfg),
         (
@@ -458,14 +471,13 @@ def test_bandwidth_budget_caps_fetchers(ray_session, oracle, tmp_path_factory, m
             dataclasses.replace(
                 cfg,
                 fetch_transport=lambda: CorpusTransport(hashed),
-                fetch_transport_batch_size=16,
             ),
         ),
     ):
         for f in spans_dir.iterdir():
             f.unlink()
         out = tmp_path_factory.mktemp(name)
-        summary = run_crawl(run_cfg, small_rg, out, log=lambda *_: None)
+        summary = run_crawl(run_cfg, corpus, out, log=lambda *_: None)
         manifests = [_json.loads(m.read_text()) for m in sorted(out.glob("wave_*/manifest.json"))]
         assert manifests[0]["max_fetchers"] == 1
         assert max(m.get("fetch_tasks", 0) for m in manifests) > 1

@@ -1,163 +1,118 @@
-"""Pruned fetch path: the hash-sorted corpus layout + row-group planner
-must read O(selected) row groups, not O(corpus), and return exactly the
-selected pages (SURVEY.md §2 A2 scale path; VERDICT round-1 item 1)."""
+"""Record fetch over the hash-sorted corpus layout: ``CorpusTransport``
+must open only the layout files whose hash range holds a selected url and
+return exactly the rows the O(corpus) reference ``make_fetch_scan`` returns
+— present, absent and duplicated urls, the body cap, chunks that span a
+file boundary (SURVEY.md §2 A2)."""
 
 from __future__ import annotations
 
+import shutil
+from pathlib import Path
+
 import numpy as np
+import pandas as pd
+import pyarrow as pa
+import pyarrow.dataset as pads
 import pytest
 
 from abwcf_ray.functions.hashing import hash64
-from abwcf_ray.sources.corpus import generate_corpus
+from abwcf_ray.sources import corpus as corpus_mod
+from abwcf_ray.sources.corpus import CorpusMeta, generate_corpus
+from abwcf_ray.stages.fetch import FETCH_COLUMNS, make_fetch_scan
+from abwcf_ray.stages.transport import CorpusTransport
+
+# an odd file size, so the layout of the doubled corpus (every hash stored
+# twice, at sorted positions 2k and 2k+1) splits some pairs across files
+FILE_ROWS = 301
 
 
 @pytest.fixture(scope="module")
-def corpus(ray_session, tmp_path_factory):
-    return generate_corpus(tmp_path_factory.mktemp("pc"), n_pages=30_000, seed=11)
+def corpus(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_mod, "_HASHED_FILE_ROWS", FILE_ROWS)
+        return generate_corpus(tmp_path_factory.mktemp("pc"), n_pages=2000, seed=11)
 
 
-def test_planner_prunes_row_groups(corpus):
-    from abwcf_ray.stages.fetch import _hashed_index, plan_pruned_fetch
-
-    paths, file_ids, rg_ids, mins, maxs = _hashed_index(corpus.hashed_dir)
-    total_rgs = len(rg_ids)
-    assert total_rgs >= 10, "fixture corpus should span many row groups"
-
-    import pyarrow.dataset as pads
-
-    urls = (
-        pads.dataset(corpus.pages_dir)
-        .to_table(columns=["url"])
-        .column("url")
-        .to_pylist()[::6000]  # 5 spread-out pages
+@pytest.fixture(scope="module")
+def doubled(corpus, tmp_path_factory):
+    """The same corpus with every page stored twice, in a layout of
+    ``FILE_ROWS``-row files."""
+    root = tmp_path_factory.mktemp("doubled")
+    pages = root / "pages"
+    pages.mkdir()
+    for p in sorted(Path(corpus.pages_dir).glob("*.parquet")):
+        shutil.copy(p, pages / p.name)
+        shutil.copy(p, pages / f"dup-{p.name}")
+    meta = CorpusMeta(
+        n_pages=2 * corpus.n_pages, seed=corpus.seed, num_buckets=corpus.num_buckets,
+        n_hosts=corpus.n_hosts, out_dir=str(root),
     )
-    sel = np.sort(hash64(urls))
-    items = plan_pruned_fetch(corpus.hashed_dir, sel)
-    n_rgs = sum(len(i["rgs"]) for i in items)
-    assert n_rgs <= len(urls)  # at most one row group per selected hash
-    assert n_rgs < total_rgs  # and strictly fewer than a full scan
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_mod, "_HASHED_FILE_ROWS", FILE_ROWS)
+        corpus_mod.build_hashed_layout(meta)
+    return meta
 
 
-def test_pruned_reader_returns_exact_selection(ray_session, corpus):
-    import ray
-    import ray.data as rd
+def _urls(meta) -> list[str]:
+    return pads.dataset(meta.pages_dir).to_table(columns=["url"]).column("url").to_pylist()
 
-    from abwcf_ray.stages.fetch import make_pruned_fetch_reader, plan_pruned_fetch
 
-    import pyarrow.dataset as pads
+def _canon(t: pa.Table) -> pd.DataFrame:
+    df = t.to_pandas().sort_values(["url", "depth"]).reset_index(drop=True)
+    df["html"] = df["html"].map(lambda b: None if b is None else bytes(b))
+    return df
 
+
+def test_reader_opens_only_files_holding_selected_hashes(corpus, monkeypatch):
+    n_files = len(list(Path(corpus.hashed_dir).glob("part-*.arrow")))
+    assert n_files == -(-corpus.n_pages // FILE_ROWS)
+    opened = []
+    real = pa.memory_map
+    monkeypatch.setattr(pa, "memory_map", lambda path, *a: opened.append(path) or real(path, *a))
+    urls = _urls(corpus)[::700]  # 3 spread-out pages
+    got = CorpusTransport(corpus.hashed_dir).fetch(urls, np.zeros(len(urls), np.int32))
+    assert sorted(got.column("url").to_pylist()) == sorted(urls)
+    assert 1 <= len(opened) <= len(urls) < n_files
+
+
+def test_pruned_reader_returns_exact_selection(corpus):
     pages = pads.dataset(corpus.pages_dir).to_table(columns=["url", "html"])
-    urls = pages.column("url").to_pylist()[100:400:7]
-    h = hash64(urls)
-    order = np.argsort(h)
+    urls = pages.column("url").to_pylist()[100:1900:7]
     depths = np.arange(len(urls), dtype=np.int32)
-    ref = ray.put((h[order], depths[order]))
-
-    items = plan_pruned_fetch(corpus.hashed_dir, h[order])
-    out = (
-        rd.from_items(items, override_num_blocks=len(items))
-        .map_batches(make_pruned_fetch_reader(ref), batch_format="pyarrow")
-        .to_pandas()
-    )
-    assert set(out["url"]) == set(urls)
+    out = CorpusTransport(corpus.hashed_dir).fetch(urls, depths).to_pandas()
+    assert sorted(out["url"]) == sorted(urls)
     # depths align to their urls
-    by_url = dict(zip(out["url"], out["depth"]))
-    for u, d in zip(urls, depths):
-        assert by_url[u] == d
+    assert dict(zip(out["url"], out["depth"])) == dict(zip(urls, depths))
     # bodies are the corpus bodies, byte-identical
     want = dict(zip(pages.column("url").to_pylist(), pages.column("html").to_pylist()))
-    got = dict(zip(out["url"], out["html"]))
-    assert all(got[u] == want[u] for u in urls if want[u])
+    assert all(bytes(h) == want[u] for u, h in zip(out["url"], out["html"]))
 
 
-def test_pruned_and_scan_paths_agree(ray_session, corpus):
-    """The pruned reader and the full-scan semi-join must fetch identical
-    row sets."""
-    import ray
-    import ray.data as rd
+def test_pruned_and_scan_paths_agree(doubled):
+    """Reader == reference on a layout storing every url twice: a present
+    url returns both rows (one pair split across two files), an absent
+    url none, and the body cap drops oversize bodies alike."""
+    rec = corpus_mod.read_layout(doubled.hashed_dir)
+    assert rec["n_files"] > 2 and rec["n_rows"] == doubled.n_pages
+    # a hash stored at the end of one file and the start of the next
+    hi0 = rec["files"][0][2]
+    assert hi0 == rec["files"][1][1]
+    urls = _urls(doubled)[: doubled.n_pages // 2]
+    split = [u for u, h in zip(urls, hash64(urls)) if h == hi0]
+    assert split
+    sel = urls[3::40] + split + ["https://nowhere.example/missing"]
+    depths = np.arange(len(sel), dtype=np.int32)
+    html_len = pads.dataset(doubled.pages_dir).to_table(columns=["html"]).column("html")
+    cap = int(np.median([len(b) for b in html_len.to_pylist()]))
 
-    from abwcf_ray.stages.fetch import (
-        FETCH_COLUMNS,
-        make_fetch_scan,
-        make_pruned_fetch_reader,
-        plan_pruned_fetch,
+    got = CorpusTransport(doubled.hashed_dir, max_content_length=cap).fetch(sel, depths)
+    ref = make_fetch_scan(sel, depths, cap)(
+        pads.dataset(doubled.pages_dir).to_table(columns=FETCH_COLUMNS)
     )
-
-    import pyarrow.dataset as pads
-
-    urls = (
-        pads.dataset(corpus.pages_dir)
-        .to_table(columns=["url"])
-        .column("url")
-        .to_pylist()[50:2000:13]
-    )
-    h = hash64(urls)
-    order = np.argsort(h)
-    ref = ray.put((h[order], np.zeros(len(urls), dtype=np.int32)[order]))
-
-    scan = (
-        rd.read_parquet(corpus.pages_dir, columns=FETCH_COLUMNS)
-        .map_batches(make_fetch_scan(ref), batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    items = plan_pruned_fetch(corpus.hashed_dir, h[order])
-    pruned = (
-        rd.from_items(items, override_num_blocks=len(items))
-        .map_batches(make_pruned_fetch_reader(ref), batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("url")
-        .reset_index(drop=True)
-    )
-    import pandas as pd
-
-    pd.testing.assert_frame_equal(
-        scan[["url", "depth", "status"]], pruned[["url", "depth", "status"]]
-    )
-
-
-def test_sharded_footer_index_matches_serial(corpus, monkeypatch):
-    """Parallel (Ray-task) footer reads must produce the identical planner
-    index — and therefore identical plans — as the serial driver path."""
-    import abwcf_ray.stages.fetch as F
-
-    F._RG_INDEX_CACHE.clear()
-    serial = F._hashed_index(corpus.hashed_dir)
-
-    F._RG_INDEX_CACHE.clear()
-    monkeypatch.setattr(F, "_PARALLEL_FOOTER_THRESHOLD", 0)
-    parallel = F._hashed_index(corpus.hashed_dir)
-
-    assert serial[0] == parallel[0]  # same paths, same order
-    # same (file, rg, min, max) SET — chunked reads interleave row order
-    def entry_set(idx):
-        return set(zip(idx[1].tolist(), idx[2].tolist(), idx[3].tolist(), idx[4].tolist()))
-
-    assert entry_set(serial) == entry_set(parallel)
-    # identical plans for an arbitrary selection
-    sel = np.sort(hash64([f"u{i}" for i in range(50)]))
-    p1 = F.plan_pruned_fetch(corpus.hashed_dir, sel)
-    F._RG_INDEX_CACHE.clear()
-    monkeypatch.setattr(F, "_PARALLEL_FOOTER_THRESHOLD", 10**9)
-    p2 = F.plan_pruned_fetch(corpus.hashed_dir, sel)
-    key = lambda it: (it["path"], tuple(it["rgs"]))
-    assert sorted(map(key, p1)) == sorted(map(key, p2))
-
-
-def test_rg_index_invalidated_on_rebuild(ray_session, corpus):
-    """Rebuilding the hashed layout must invalidate the planner cache —
-    stale footers would plan reads of files that no longer exist."""
-    import abwcf_ray.stages.fetch as F
-    from abwcf_ray.sources.corpus import build_hashed_layout
-
-    idx_before = F._hashed_index(corpus.hashed_dir)
-    build_hashed_layout(corpus)
-    idx_after = F._hashed_index(corpus.hashed_dir)
-    # every planned path must exist on disk (the stale-cache failure mode
-    # was paths from the pre-rebuild listing)
-    from pathlib import Path
-
-    assert all(Path(p).exists() for p in idx_after[0])
-    # and the cache holds only the new layout's entry
-    assert len([k for k in F._RG_INDEX_CACHE if k[0] == str(corpus.hashed_dir)]) == 1
+    pd.testing.assert_frame_equal(_canon(got), _canon(ref))
+    counts = pd.Series(got.column("url").to_pylist()).value_counts()
+    assert (counts == 2).all() and len(counts) == len(sel) - 1
+    assert got.column("length_exceeded").to_numpy().any()
+    # a chunk spanning the file boundary alone
+    one = CorpusTransport(doubled.hashed_dir).fetch(split, np.zeros(len(split), np.int32))
+    assert one.num_rows == 2 * len(split)

@@ -1,5 +1,5 @@
 """FetchTransport interface (stages/transport.py, round-4 verdict #3):
-the corpus-sim transport must match the wave's pruned fetch path
+the corpus-sim transport must match the O(corpus) reference fetch
 byte-for-byte, and the HTTP transport skeleton must reproduce the
 reference fetcher's semantics (no redirect following, body-cap abort,
 failure classes, throttle) against a localhost fixture server."""
@@ -13,7 +13,6 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from abwcf_ray.functions.hashing import hash64
 from abwcf_ray.sources.corpus import generate_corpus
 
 
@@ -44,15 +43,13 @@ def _canon(t: pa.Table):
 
 
 def test_corpus_transport_matches_pruned_reader(corpus):
-    """CorpusTransport.fetch == the wave's pruned-read kernel output for
-    the same selection (present + absent urls, body cap on)."""
+    """CorpusTransport.fetch == the O(corpus) reference
+    (``stages/fetch.make_fetch_scan``) for the same selection (present +
+    absent urls, body cap on)."""
     import pandas as pd
-    import ray
+    import pyarrow.dataset as pads
 
-    from abwcf_ray.stages.fetch import (
-        make_pruned_fetch_reader,
-        plan_pruned_fetch,
-    )
+    from abwcf_ray.stages.fetch import FETCH_COLUMNS, make_fetch_scan
     from abwcf_ray.stages.transport import CorpusTransport
 
     urls = _selected_urls(corpus)
@@ -61,26 +58,45 @@ def test_corpus_transport_matches_pruned_reader(corpus):
 
     tr = CorpusTransport(corpus.hashed_dir, max_content_length=cap)
     got = _canon(tr.fetch(urls, depths))
-
-    h = hash64(urls)
-    order = np.argsort(h)
-    sel_ref = ray.put((h[order], depths[order]))
-    items = plan_pruned_fetch(corpus.hashed_dir, h[order])
-    reader = make_pruned_fetch_reader(sel_ref, max_content_length=cap)
     exp = _canon(
-        reader(
-            pa.table(
-                {
-                    "path": pa.array([i["path"] for i in items]),
-                    "rgs": pa.array([i["rgs"] for i in items]),
-                }
-            )
+        make_fetch_scan(urls, depths, cap)(
+            pads.dataset(corpus.pages_dir).to_table(columns=FETCH_COLUMNS)
         )
     )
     pd.testing.assert_frame_equal(got, exp)
     # the absent url matched nothing (404-by-absence)
     assert "https://nowhere.example/missing0" not in set(got["url"])
     assert len(got) >= len(urls) // 2
+
+
+def test_corpus_transport_refuses_missing_or_invalid_layout(corpus, tmp_path):
+    """A CorpusTransport over a directory without a usable layout raises,
+    naming the directory, instead of answering every url with no row (a
+    silent all-404 crawl)."""
+    import json
+    import shutil
+    from pathlib import Path
+
+    from abwcf_ray.stages.transport import CorpusTransport
+
+    missing = tmp_path / "nowhere"
+    with pytest.raises(ValueError, match=str(missing)):
+        CorpusTransport(str(missing))
+    # a layout marker without the format field: the older parquet layout
+    old = tmp_path / "old"
+    shutil.copytree(corpus.hashed_dir, old)
+    marker = old / "_LAYOUT_OK.json"
+    rec = json.loads(marker.read_text())
+    rec.pop("format")
+    marker.write_text(json.dumps(rec))
+    with pytest.raises(ValueError, match=str(old)):
+        CorpusTransport(str(old))
+    # a part file lost after the marker was written
+    lost = tmp_path / "lost"
+    shutil.copytree(corpus.hashed_dir, lost)
+    next(Path(lost).glob("part-*")).unlink()
+    with pytest.raises(ValueError, match=str(lost)):
+        CorpusTransport(str(lost))
 
 
 # ---------------------------------------------------------------- HTTP
@@ -270,10 +286,10 @@ def test_http_transport_throttle(http_server):
 def test_crawl_with_corpus_transport_matches_fused_path(
     corpus, ray_session, tmp_path
 ):
-    """e2e parity: a wave crawl with the injectable CorpusTransport
-    (cfg.fetch_transport) produces the same final frontier as the
-    default fused pruned-tee path — the 'sim transport passes all
-    existing goldens unchanged' gate."""
+    """e2e parity: a wave crawl with a user-supplied CorpusTransport
+    factory (cfg.fetch_transport) produces the same final frontier as the
+    default (cfg.fetch_transport None, the engine's own CorpusTransport
+    over the layout it checked at run start)."""
     import pandas as pd
 
     from abwcf_ray.config import CrawlConfig
@@ -310,7 +326,7 @@ def test_crawl_with_corpus_transport_matches_fused_path(
 def test_crawl_with_transport_under_small_bandwidth_budget(corpus, ray_session, tmp_path):
     """A bandwidth budget of one fetcher (300 kB/s / 200 kB/s -> 1) on the
     transport path runs the wave with one fetch task in flight instead of
-    failing it, with the same frontier as the fused path."""
+    failing it, with the same frontier as the default, uncapped run."""
     import json
 
     import pandas as pd

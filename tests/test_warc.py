@@ -163,14 +163,13 @@ def test_warc_to_corpus_is_crawlable(ray_session, tmp_path):
         "url", "warc_ts", "html", "status", "content_type", "location", "x_robots_tag"
     }
     # the fetch scan consumes it directly
-    from abwcf_ray.stages.fetch import FETCH_COLUMNS, make_fetch_scan, make_selection_ref
+    from abwcf_ray.stages.fetch import FETCH_COLUMNS, make_fetch_scan
     import numpy as np
 
     urls = t.column("url").to_pylist()[:50]
-    ref = make_selection_ref(urls, np.zeros(50, dtype=np.int32))
     fetched = (
         rd.read_parquet(pages_dir, columns=FETCH_COLUMNS)
-        .map_batches(make_fetch_scan(ref), batch_format="pyarrow")
+        .map_batches(make_fetch_scan(urls, np.zeros(50, dtype=np.int32)), batch_format="pyarrow")
         .to_pandas()
     )
     assert sorted(fetched["url"]) == sorted(urls)
