@@ -18,9 +18,11 @@ of the stages below in sequence:
                 chunk's processed part
     process   : extract text (A7) + links (B1-B3) in one html pass
     cand'     : explode -> normalize (B4) -> scope (B5) -> lenient (C1)
-                -> propose, in the fetch task; a ray.wait on every fetch
-                task is the propose->claim barrier, then the sharded
-                claim = wave-dedup + seen set (F1) -> prioritize (B7)
+                -> within-batch dedup (B6), in the fetch task, which
+                returns its candidates split by url hash into one part
+                per claim task; claim task i takes part i of every fetch
+                task, so each url has one claimant: min depth, minus the
+                seen set, added to it (F1) -> prioritize (B7)
     frontier' = DELTA checkpoint: new rows append as ``delta/`` part files
                 and status changes (politeness-bounded) append as a tiny
                 ``flips.parquet`` — O(changed) per wave, never a frontier
@@ -105,7 +107,7 @@ from abwcf_ray.stages.transform import (
     make_strict_robots_filter,
     make_update_status,
 )
-from abwcf_ray.stages.transform import partial_host_counts
+from abwcf_ray.stages.transform import partial_host_counts, split_by_hash
 from abwcf_ray.stages.transport import CorpusTransport
 from abwcf_ray.state.hosts import HostsState, RobotsFetchSim
 from abwcf_ray.state.seen import SeenSet
@@ -440,38 +442,18 @@ def frontier_dataset(wave_dir: str | Path):
     return ds
 
 
-def _seed_transform(cfg: CrawlConfig, seeds_chunk: list[str]) -> pa.Table:
-    norm = make_normalize_stage(cfg)
-    scope = make_scope_filter_stage(cfg)
-    t = pa.table(
-        {
-            "url": pa.array(seeds_chunk, pa.string()),
-            "depth": pa.array([0] * len(seeds_chunk), pa.int32()),
-        }
-    )
-    return scope(norm(t))
-
-
-_seed_chunk = ray.remote(_seed_transform)
-
-
 def _seed_frontier(cfg: CrawlConfig, seeds: list[str], prioritize) -> pa.Table:
     """Wave-0 seeding (Crawler.scala:156-160): seeds enter at the
     normalizer (bypassing only the best-effort LRU dedup), then scope filter;
     hosts are all unknown so the lenient filter passes everything; PageManager
-    dedup keeps the first of duplicate-normalizing seeds. Large seed lists
-    (mature-frontier restores) normalize in parallel Ray tasks; chunk order
-    is preserved so first-wins dedup stays deterministic."""
-    if len(seeds) >= 50_000 and ray.is_initialized():
-        n_chunks = 16
-        step = (len(seeds) + n_chunks - 1) // n_chunks
-        refs = [
-            _seed_chunk.remote(cfg, seeds[i : i + step])
-            for i in range(0, len(seeds), step)
-        ]
-        t = pa.concat_tables(ray.get(refs)).combine_chunks()
-    else:
-        t = _seed_transform(cfg, seeds)
+    dedup keeps the first of duplicate-normalizing seeds."""
+    t = pa.table(
+        {
+            "url": pa.array(seeds, pa.string()),
+            "depth": pa.array([0] * len(seeds), pa.int32()),
+        }
+    )
+    t = make_scope_filter_stage(cfg)(make_normalize_stage(cfg)(t))
     # first-discovery-wins dedup, deterministic because seeds are ordered
     keep = ~pd.Series(t.column("url").to_pylist()).duplicated()
     t = t.filter(pa.array(keep.to_numpy()))
@@ -520,45 +502,38 @@ def _host_prep(
 
 @ray.remote
 def _claim_chunk(
-    token: int,
+    part: int,
     seen_set,
     wave: int,
     cfg: CrawlConfig,
     delta_dir: str,
     *blocks: pa.Table,
 ) -> tuple[int, dict[str, int]]:
-    """Claim + prioritize + WRITE one delta part for one CHUNK of candidate
-    blocks; returns the chunk's claimed-row count and its per-host counts
-    (the next wave's host-ledger increments — ``ray.get`` yields one result
-    per task, so a retried chunk cannot count twice). Chunking matters: the
-    claim protocol fans one RPC per seen shard per call, so claiming per
-    candidate block (hundreds per wave at scale) costs thousands of serialized
-    actor round-trips — a measured ~2 s constant per wave at any
-    parallelism. One concat + one claim per chunk keeps the shard work
-    vectorized and the RPC count at O(chunks × shards).
+    """Claim + prioritize + WRITE one delta part for hash partition
+    ``part`` of the wave's candidates (``blocks``: part ``part`` of every
+    fetch task, stages/transform.split_by_hash); returns the claimed-row
+    count and its per-host counts (the next wave's host-ledger increments —
+    ``ray.get`` yields one result per task, so a retried task cannot count
+    twice). No other claim task sees these urls, so the claim is one probe
+    and one add per seen shard (stages/transform.claim_parts).
 
     The delta part is written HERE (the same retry-safe side-effect tee as
-    the fused fetch stage): ``token`` is the chunk index — unique per
-    claimant, stable across retries, and the part name is a pure function
-    of it, so a re-executed chunk overwrites its own part with identical
-    content. Writing in-task removes a whole second Dataset execution
-    (from_arrow_refs -> write_parquet) whose fixed cost was a measured
-    ~0.4 s per wave at any parallelism — the claimed rows never travel
-    driver-ward at all."""
-    from abwcf_ray.stages.transform import claim_batch, make_prioritize_stage
+    the fused fetch stage): its name is a pure function of ``part`` and
+    the retried probe ignores this wave's adds, so a re-executed task
+    overwrites its own part with identical content. The claimed rows never
+    travel driver-ward."""
+    from abwcf_ray.stages.transform import claim_parts, make_prioritize_stage
 
-    tables = [b for b in blocks if b.num_rows and "url" in b.schema.names]
+    tables = [b for b in blocks if b.num_rows]
     if not tables:
         return 0, {}
-    t = pa.concat_tables(tables, promote_options="default").combine_chunks()
-    out = claim_batch(t, seen_set, wave, token)
-    out = make_prioritize_stage(cfg)(out)
+    out = make_prioritize_stage(cfg)(claim_parts(tables, seen_set, wave))
     status = pa.array([STATUS_DISCOVERED] * out.num_rows, pa.string())
     out = out.append_column("status", status).select(
         ["url", "host", "status", "depth", "priority"]
     )
     if out.num_rows:
-        pq.write_table(out, Path(delta_dir) / f"part-{token:05d}.parquet")
+        pq.write_table(out, Path(delta_dir) / f"part-{part:05d}.parquet")
     return out.num_rows, out.column("host").to_pandas().value_counts().to_dict()
 
 
@@ -589,10 +564,17 @@ def _write_selected_table(df: pd.DataFrame, path) -> None:
     )
 
 
-# the wave loop's plain Ray tasks: stages over a group of parquet files,
-# and stages over one small table (a fetch work item)
+# the wave loop's plain Ray task of stages over a group of parquet files
 _scan_task = ray.remote(scan_parts)
-_chain_task = ray.remote(apply_stages)
+
+
+@ray.remote
+def _fetch_task(item: pa.Table, stages, n_parts: int):
+    """One fetch work item through ``stages`` (the fused tee and the
+    candidate chain); returns the candidates as ``n_parts`` hash
+    partitions, one object per claim task (``num_returns=n_parts``)."""
+    parts = split_by_hash(apply_stages(item, stages), n_parts)
+    return parts[0] if n_parts == 1 else parts
 
 
 @dataclass
@@ -1011,16 +993,19 @@ def _write_selected(run: _Run, w: _Wave) -> None:
 
 def _fetch_candidates(run: _Run, w: _Wave) -> None:
     """Fetch (A2) + process (A7, B1-B3) + candidate chain (B4 -> B5 -> C1
-    -> F1 phase 1), one Ray task per work item. Each task runs the fused
-    tee (stages/fetch.make_fetch_process_tee): it fetches its item, parses,
+    -> B6), one Ray task per work item. Each task runs the fused tee
+    (stages/fetch.make_fetch_process_tee): it fetches its item, parses,
     writes its own processed-checkpoint part (deterministic name ->
     retry-safe), and passes only (links, child_depth) on to the candidate
     chain in the same task — html never leaves it and nothing is re-read.
+    The task returns its candidates split by url hash into one part per
+    claim task (F1, see _claim_and_write_frontier).
 
     A work item is a contiguous chunk of the selected urls in url-hash
     order: ``min(ceil(n_selected / fetch_transport_batch_size), 2·CPUs)``
     chunks, at least one, so a small wave runs one task and a large one
-    spreads over the cluster."""
+    spreads over the cluster. The wave has as many claim tasks as fetch
+    tasks."""
     cfg = run.cfg
     sel_hashes = hash64(w.sel_df["url"].tolist())
     order = np.argsort(sel_hashes)
@@ -1050,37 +1035,30 @@ def _fetch_candidates(run: _Run, w: _Wave) -> None:
             // max(1, int(cfg.min_bandwidth_per_fetcher_bps)),
         )
         w.metrics["max_fetchers"] = max_fetchers
-    # run_key includes the shard-POOL token: a resumed run re-runs the same
-    # (wdir, wave) with a fresh pool, and stale RPC-skip cache entries in
-    # surviving workers would lose candidates (see SeenSet.cache_token)
-    cand_chain = [
+    stages = [
+        tee,
         explode_links,
         run.normalize,
         run.scope,
         w.lenient_robots,
-        make_propose(run.seen, w.n, run_key=f"{w.wdir}:{run.seen.cache_token()}"),
+        make_propose(),
     ]
+    n_parts = len(items)
     w.mark("fetch_prep")  # sel hashing + work items
     in_flight: list = []
     for item in items:
         if max_fetchers and len(in_flight) >= max_fetchers:
             _, in_flight = ray.wait(in_flight, num_returns=1, fetch_local=False)
-        ref = _chain_task.remote(pa.Table.from_pylist([item]), [tee] + cand_chain)
-        w.cand_refs.append(ref)
-        in_flight.append(ref)
-    # ---- propose -> claim barrier (F1) ----------------------------------
-    # Wave-dedup + seen-filter run as a TWO-PHASE shard-actor protocol
-    # instead of a groupby(url) all-to-all: waiting on every candidate task
-    # completes every `propose` (min-depth per url) before any `claim`
-    # (first-wins arbitration + seen registration) runs — the same
-    # single-writer-per-url mechanism as the reference's sharded PageManager
-    # entities. The candidate tables stay in the object store (links of
-    # this wave's fetches, politeness-bounded). The barrier also guarantees
+        refs = _fetch_task.options(num_returns=n_parts).remote(
+            pa.Table.from_pylist([item]), stages, n_parts
+        )
+        refs = [refs] if n_parts == 1 else refs
+        w.cand_refs.append(refs)
+        in_flight.append(refs[0])
     # every processed-checkpoint part is on disk before the wave's metrics
-    # read them.
-    if w.cand_refs:
-        # fetch_local=False: the tables stay where the claims will run
-        ray.wait(w.cand_refs, num_returns=len(w.cand_refs), fetch_local=False)
+    # read them; fetch_local=False: the candidate parts stay in the object
+    # store where the claims will run
+    ray.wait([r[0] for r in w.cand_refs], num_returns=n_parts, fetch_local=False)
     if not any(processed_dir.glob("*.parquet")):
         # nothing fetched (no work item, or every fetch missed): keep the
         # checkpoint readable — one empty part in the processed schema
@@ -1120,11 +1098,13 @@ def _fetch_status(w: _Wave) -> None:
 
 
 def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
-    """Claim phase and the frontier delta checkpoint (O(changed), never a
-    rewrite). The candidate tables coalesce into ~2 claim tasks per CPU;
-    each claims, prioritizes, and writes its own delta part under a
-    token-derived name (retry-safe tee — see _claim_chunk). The claims are
-    dispatched first: everything the driver does until their ray.get (the
+    """Claim (F1) and the frontier delta checkpoint (O(changed), never a
+    rewrite). Claim task i takes hash partition i of every fetch task's
+    candidates — the reduce side of a hash shuffle whose map side is the
+    fetch tasks, so no two claimants share a url — and claims, prioritizes,
+    and writes its own delta part under a partition-derived name
+    (retry-safe tee — see _claim_chunk). The claims are dispatched first:
+    everything the driver does until their ray.get (the
     fetch-status read, the novel filter, the flips write) depends only on
     the candidate tables and the processed checkpoint, so it overlaps the
     claims instead of serializing behind them. Status flips (selected ->
@@ -1133,12 +1113,11 @@ def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
     ``UPDATE pages SET status`` (SlickPageRepository.scala:37-51)."""
     delta_dir = w.wdir / "delta"
     delta_dir.mkdir(parents=True, exist_ok=True)
-    n_chunks = max(1, min(len(w.cand_refs), 2 * run.n_cpu))
     claim_refs = [
         _claim_chunk.remote(
-            tok, run.seen, w.n, run.cfg, str(delta_dir), *w.cand_refs[tok::n_chunks]
+            i, run.seen, w.n, run.cfg, str(delta_dir), *[refs[i] for refs in w.cand_refs]
         )
-        for tok in range(n_chunks)
+        for i in range(len(w.cand_refs))
     ]
     _fetch_status(w)
     w.mark("extract_write")
@@ -1166,7 +1145,7 @@ def _update_ledger(run: _Run, w: _Wave) -> None:
     led = run.host_ledger
     sel_counts = w.sel_df["host"].value_counts()
     led.apply(sel_counts.index.to_numpy(dtype=object), -sel_counts.to_numpy())
-    # apply() sums repeated hosts: one -1 per reject, and the claim chunks'
+    # apply() sums repeated hosts: one -1 per reject, and the claim tasks'
     # per-host counts, which may share hosts
     led.apply(w.rejects.column("host").to_pylist(), np.full(w.rejects.num_rows, -1))
     led.apply(

@@ -5,7 +5,9 @@ The reference's candidate chain (Crawler.scala:93-115):
 ``HtmlParser -> UrlDeduplicator -> UrlNormalizer -> UrlFilter ->
 LenientRobotsFilter -> PageManager.Discover``. Each per-node actor becomes a
 batch transform here; the approximate LRU pre-dedup (UrlDeduplicator.scala,
-best-effort only) is subsumed by the exact seen-set (state/seen.py).
+best-effort only) becomes an exact within-batch dedup, and the url-hash
+partition of the claim plus the seen set (state/seen.py) make the dedup
+exact across batches and waves.
 
 All stages take and return ``pyarrow.Table`` batches.
 """
@@ -670,129 +672,60 @@ def make_eligible_filter(flips_ref: "ray.ObjectRef"):
 
 
 # --------------------------------------------------------------------------
-# F1 — seen-set probe/add stages
+# B6 + F1 — candidate dedup and routing to the wave's claim tasks
 # --------------------------------------------------------------------------
-# B6 — approximate pre-dedup cache (UrlDeduplicator.scala: a best-effort
-# LRU in front of the exact PageManager dedup; "best-effort only",
-# UrlDeduplicator.scala:13). The cache gates ONLY the propose RPC into the
-# seen shards — it never filters rows out of the returned block, so every
-# output block is a pure function of its input block and task retries /
-# lineage recomputes trivially reproduce it (no dependence on task identity
-# or worker-process survival). Skipping an RPC is always safe because
-# SeenShard.propose is a commutative, idempotent min-depth merge: a
-# (hash, depth) already sent at equal-or-lower depth is a no-op at the
-# shard. Cross-batch duplicate ROWS flow through to the claim phase, which
-# arbitrates them exactly (competing claimants carry identical rows —
-# hash identity is the repo-wide url-identity convention). The cache is
-# therefore process-wide per (run, wave): sharing across tasks only
-# increases RPC savings, never changes any block's content.
-_PREDEDUP: dict = {}
-# B6 — approximate pre-dedup (UrlDeduplicator.scala: best-effort LRU in
-# front of the exact dedup): a cache resets past this many distinct hashes
-# (bounded memory, best-effort like the reference's LRU)
-PREDEDUP_CACHE_SIZE = 2_000_000
-
-
-def _prededup_state(key, cache_size: int) -> dict:
-    st = _PREDEDUP.get(key)
-    if st is None:
-        if len(_PREDEDUP) >= 32:
-            _PREDEDUP.pop(next(iter(_PREDEDUP)))
-        st = _PREDEDUP[key] = {
-            "h": np.empty(0, np.uint64),  # sorted hashes proposed by this task
-            "d": np.empty(0, np.int64),  # aligned min depth
-            "pend": [],  # (h, d) arrays awaiting compaction
-            "pend_n": 0,
-            "cap": int(cache_size),
-        }
-    return st
-
-
-def make_propose(
-    seen_set, wave: int, run_key: str = "", cache_size: int = PREDEDUP_CACHE_SIZE
-):
-    """Register each candidate's (url_hash, depth) with its seen shard's
-    wave-min table (phase 1 of the shuffle-free wave-dedup; see
-    state/seen.SeenShard.propose), after a best-effort pre-dedup (B6):
-
-    - within a batch: exact vectorized dedup, keep the min-depth row per
-      url hash (identical hashes carry identical urls — hash identity is
-      the repo-wide convention). This is a PURE row filter: the claim
-      phase keeps only the wave-min-depth row per hash anyway, so the
-      final frontier is unchanged.
-    - across batches (process-wide cache): SKIP the propose RPC for a
-      (hash, depth) already sent at equal-or-lower depth — but keep the
-      row in the output block, so block content never depends on cache
-      state and retries/lineage recomputes are exactly reproducible. The
-      cache clears when it exceeds ``cache_size`` (best-effort, like the
-      reference's bounded LRU).
-
-    What the cache cuts is duplicate (hash, depth) traffic into the seen
-    shards — hot urls are linked from many pages of the same wave; the
-    surviving duplicate ROWS are arbitrated exactly by claim (F1)."""
+def make_propose():
+    """B6 (UrlDeduplicator.scala, a pre-dedup in front of the exact
+    PageManager dedup): keep one row per url hash at its minimum depth
+    within the batch, and append the ``url_hash`` column that routes each
+    row to its claim task (:func:`split_by_hash`). Identical hashes carry
+    identical urls (hash identity is the repo-wide convention), so the
+    dedup is a pure row filter: the claim task keeps only the min-depth
+    row per hash anyway, and a url's rows from other batches meet at that
+    one task. (The name is the one perfbench/tracing.py wraps.)"""
 
     def propose(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
         h = hash64(batch.column("url"))
-        d = batch.column("depth").to_numpy(zero_copy_only=False).astype(np.int64)
-
-        # intra-batch: keep the first row per hash at its min depth
-        order = np.lexsort((d, h))
-        first = np.ones(len(order), dtype=bool)
-        hs = h[order]
-        first[1:] = hs[1:] != hs[:-1]
-        keep = np.zeros(len(h), dtype=bool)
-        keep[order[first]] = True
-
-        hk, dk = h[keep], d[keep]
-        # cross-batch RPC gate (never filters output rows — see _PREDEDUP)
-        st = _prededup_state((run_key, wave), cache_size)
-        rpc = np.ones(len(hk), dtype=bool)
-        for ch, cd in [(st["h"], st["d"])] + st["pend"]:
-            if len(ch):
-                pos = np.minimum(np.searchsorted(ch, hk), len(ch) - 1)
-                rpc &= ~((ch[pos] == hk) & (cd[pos] <= dk))
-        if rpc.any():
-            hp, dp = hk[rpc], dk[rpc]
-            seen_set.propose(hp, dp, wave)
-
-            # amortized compaction: proposed chunks queue as SORTED ``pend``
-            # chunks (each probed above) and fold into the main array only
-            # when they outgrow it or fragment (O(log) compactions)
-            po = np.argsort(hp, kind="stable")
-            st["pend"].append((hp[po], dp[po]))
-            st["pend_n"] += len(hp)
-            if len(st["pend"]) > 16 or st["pend_n"] >= max(65536, len(st["h"])):
-                merged_h = np.concatenate([st["h"]] + [p[0] for p in st["pend"]])
-                merged_d = np.concatenate([st["d"]] + [p[1] for p in st["pend"]])
-                mo = np.lexsort((merged_d, merged_h))
-                merged_h, merged_d = merged_h[mo], merged_d[mo]
-                mfirst = np.ones(len(merged_h), dtype=bool)
-                mfirst[1:] = merged_h[1:] != merged_h[:-1]
-                st["pend"], st["pend_n"] = [], 0
-                if int(mfirst.sum()) > st["cap"]:
-                    st["h"] = np.empty(0, np.uint64)  # bounded: best-effort reset
-                    st["d"] = np.empty(0, np.int64)
-                else:
-                    st["h"] = merged_h[mfirst]
-                    st["d"] = merged_d[mfirst]
-        return batch.filter(pa.array(keep)) if not keep.all() else batch
+        d = batch.column("depth").to_numpy(zero_copy_only=False)
+        batch = batch.append_column("url_hash", pa.array(h, pa.uint64()))
+        keep = _first_min_depth(h, d)
+        return batch if keep.all() else batch.filter(pa.array(keep))
 
     return propose
 
 
-def claim_batch(batch: pa.Table, seen_set, wave: int, token: int) -> pa.Table:
-    """Phase 2 of the shuffle-free wave-dedup: keep only rows this claimant
-    WINS — unseen urls at their wave-minimum depth, first claim token wins.
-    ``token`` must be UNIQUE per block and stable across retries (the driver
-    enumerates the claim chunks of candidate tables and passes the chunk index
-    — content-derived tokens would collide for two distinct blocks carrying
-    identical candidate sets, double-inserting those urls). Winners are
-    registered as seen by the shard."""
-    if batch.num_rows == 0:
-        return batch
-    h = hash64(batch.column("url"))
-    d = batch.column("depth").to_numpy(zero_copy_only=False)
-    mask = seen_set.claim(h, d, wave, token)
-    return batch.filter(pa.array(mask))
+def _first_min_depth(h: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Mask of one row per hash: the first of its min-depth rows."""
+    order = np.lexsort((d, h))  # stable: ties keep input order
+    hs = h[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = hs[1:] != hs[:-1]
+    keep = np.zeros(len(h), dtype=bool)
+    keep[order[first]] = True
+    return keep
+
+
+def split_by_hash(batch: pa.Table, n_parts: int) -> list[pa.Table]:
+    """F1 routing: part ``i`` holds the rows with ``url_hash % n_parts ==
+    i``, in input order. Each fetch task returns its parts as separate
+    objects and claim task ``i`` takes part ``i`` of every fetch task, so
+    every url of a wave has exactly one claimant — the hash-partitioned
+    map side of a shuffle (one owner per url, as one ``PageManager``
+    entity per url in the reference, PageManager.scala:107)."""
+    part = batch.column("url_hash").to_numpy() % np.uint64(n_parts)
+    return [batch.filter(pa.array(part == i)) for i in range(n_parts)]
+
+
+def claim_parts(parts: list[pa.Table], seen_set, wave: int) -> pa.Table:
+    """F1 claim for one hash partition of the wave's candidates: the
+    min-depth row per url hash, minus urls seen before this wave; the
+    survivors are registered as seen at ``wave``. The probe ignores this
+    wave's own adds (state/seen.py), so a retried claim task reproduces its
+    rows exactly (the same probe-and-add as stages/novel.py)."""
+    t = pa.concat_tables(parts).combine_chunks()
+    h = t.column("url_hash").to_numpy()
+    t = t.filter(pa.array(_first_min_depth(h, t.column("depth").to_numpy())))
+    h = t.column("url_hash").to_numpy()
+    new = ~seen_set.contains(h, before_wave=wave)
+    seen_set.add(h[new], wave)
+    return t.filter(pa.array(new))

@@ -14,9 +14,11 @@ added in waves < n count as seen — and the add stage registers
 ``add(hashes, wave=n)`` with setdefault semantics. A Ray task that is
 retried after its own adds took effect therefore reproduces its original
 output (its urls were added at wave n, which the probe ignores), and
-re-adding is a no-op. Within-wave duplicates are arbitrated by the shards
-themselves via the two-phase propose/claim protocol below, mirroring
-PageManager.scala:107 where a Discover for a known url is swallowed.
+re-adding is a no-op. Within-wave duplicates never reach the shards as
+competing writers: the wave's fetch tasks route every candidate to one
+claim task by ``url_hash % n_parts`` (pipelines/crawl.py), so each url has
+a single claimant, the rebuild of one ``PageManager`` entity per url
+swallowing a repeat Discover (PageManager.scala:107).
 
 No checkpoint: the seen set is exactly the set of urls in the frontier
 chain (every seed and every claimed url gets a frontier row), as the
@@ -33,19 +35,13 @@ import ray
 from abwcf_ray.functions.hashing import hash64
 from abwcf_ray.state.cuckoo import CuckooFilter
 
+_NO_WAVE = np.iinfo(np.int64).max  # _pend_min of an empty pend
+
 
 class _ExactSeenShard:
     """One shard of the seen set (plain class; the Ray actor is
     :data:`SeenShard`). ``num_cpus=0``: membership ops are tiny and
-    must not starve the fetch/parse pools of scheduling slots.
-
-    Beyond membership, shards arbitrate within-wave duplicate discoveries —
-    the rebuild of the reference's per-URL PageManager entity swallowing
-    duplicate Discover messages (PageManager.scala:107): a two-phase
-    ``propose`` (min-depth merge; commutative+idempotent) then ``claim``
-    (first-token-wins per url; deterministic because competing claimants
-    carry identical rows) replaces a ``groupby(url)`` all-to-all shuffle of
-    the candidate stream."""
+    must not starve the fetch/parse pools of scheduling slots."""
 
     def __init__(self) -> None:
         # membership store: SORTED uint64 hashes + aligned wave-added. The
@@ -55,17 +51,7 @@ class _ExactSeenShard:
         self._h = np.empty(0, dtype=np.uint64)
         self._hw = np.empty(0, dtype=np.int32)
         self._pend: dict[int, int] = {}  # hash -> wave, not yet compacted
-        self._pend_stale = False  # pend holds a wave != the current one
-        self._cur_wave: int | None = None
-        # wave-scoped propose/claim state: proposals accumulate as raw
-        # arrays and compile into a sorted (hash -> min depth) table on
-        # first claim (re-compiled if a late/retried propose arrives)
-        self._prop_h: list[np.ndarray] = []
-        self._prop_d: list[np.ndarray] = []
-        self._wm_h = np.empty(0, dtype=np.uint64)
-        self._wm_d = np.empty(0, dtype=np.int64)
-        self._wm_dirty = False
-        self._claims: dict[int, int] = {}
+        self._pend_min = _NO_WAVE  # lowest wave in _pend
 
     # -- storage helpers --------------------------------------------------
     def _compact(self) -> None:
@@ -76,7 +62,7 @@ class _ExactSeenShard:
         pw = np.fromiter(self._pend.values(), dtype=np.int64, count=len(self._pend))
         self._merge(ph, pw)
         self._pend = {}
-        self._pend_stale = False
+        self._pend_min = _NO_WAVE
 
     def _merge(self, ph: np.ndarray, pw: np.ndarray) -> None:
         """Sort-and-merge (hash, wave) arrays into the store, first entry
@@ -102,7 +88,11 @@ class _ExactSeenShard:
         return found, self._hw[posc]
 
     def contains(self, hashes: np.ndarray, before_wave: int) -> np.ndarray:
-        self._compact()
+        # pending adds of waves >= before_wave are invisible to this probe,
+        # so the merge waits until pend holds an earlier wave: a wave's
+        # claim tasks probe its shards many times between two merges
+        if self._pend_min < before_wave:
+            self._compact()
         found, waves = self._lookup(hashes)
         return found & (waves < before_wave)
 
@@ -122,82 +112,9 @@ class _ExactSeenShard:
         pend = self._pend
         for hh in h[~found].tolist():
             pend.setdefault(hh, wave)
-        if wave != self._cur_wave:
-            self._pend_stale = True
+        if len(pend) > before:
+            self._pend_min = min(self._pend_min, wave)
         return len(pend) - before
-
-    # -- two-phase within-wave dedup (F1) ---------------------------------
-    def _begin_wave(self, wave: int) -> None:
-        if self._cur_wave != wave:
-            self._compact()
-            self._cur_wave = wave
-            self._prop_h, self._prop_d = [], []
-            self._wm_h = np.empty(0, dtype=np.uint64)
-            self._wm_d = np.empty(0, dtype=np.int64)
-            self._wm_dirty = False
-            self._claims = {}
-
-    def propose(self, wave: int, hashes: np.ndarray, depths: np.ndarray) -> None:
-        """Min-depth merge per url hash (canonical first-discovery = lowest
-        depth). Commutative and idempotent -> retry-safe in any order."""
-        self._begin_wave(wave)
-        if len(hashes):
-            self._prop_h.append(np.asarray(hashes, dtype=np.uint64))
-            self._prop_d.append(np.asarray(depths, dtype=np.int64))
-            self._wm_dirty = True
-
-    def _build_wave_min(self) -> None:
-        h = np.concatenate(self._prop_h) if self._prop_h else np.empty(0, np.uint64)
-        d = np.concatenate(self._prop_d) if self._prop_d else np.empty(0, np.int64)
-        order = np.lexsort((d, h))  # by hash, then depth asc
-        h, d = h[order], d[order]
-        keep = np.ones(len(h), dtype=bool)
-        keep[1:] = h[1:] != h[:-1]  # first per hash = min depth
-        self._wm_h, self._wm_d = h[keep], d[keep]
-        self._wm_dirty = False
-
-    def claim(
-        self, wave: int, hashes: np.ndarray, depths: np.ndarray, token: int
-    ) -> np.ndarray:
-        """Mask of rows this claimant wins: not seen before this wave, depth
-        equals the proposed minimum, and first claim token wins. Tokens
-        must be unique per claimant block and stable across retries (the
-        driver passes claim-chunk indices), so a retried task
-        reproduces its mask and two distinct blocks can never both win.
-        Winners are registered as seen."""
-        self._begin_wave(wave)
-        if self._pend_stale:
-            self._compact()  # pend may hold earlier-wave adds -> make probes exact
-        if self._wm_dirty:
-            self._build_wave_min()
-        h = np.asarray(hashes, dtype=np.uint64)
-        d = np.asarray(depths, dtype=np.int64)
-        out = np.zeros(len(h), dtype=bool)
-        found, waves_added = self._lookup(h)
-        seen_before = found & (waves_added < wave)
-        if len(self._wm_h):
-            wpos = np.searchsorted(self._wm_h, h)
-            wposc = np.minimum(wpos, len(self._wm_h) - 1)
-            at_min = (wpos < len(self._wm_h)) & (self._wm_h[wposc] == h) & (
-                self._wm_d[wposc] == d
-            )
-        else:
-            at_min = np.zeros(len(h), dtype=bool)
-        cand = ~seen_before & at_min
-        # arbitration over the (small) surviving set only
-        claims, pend = self._claims, self._pend
-        taken_this_call: set[int] = set()  # within-batch duplicate guard
-        in_store = found  # already in compacted store -> don't re-register
-        for i in np.flatnonzero(cand):
-            hh = int(h[i])
-            if hh in taken_this_call:
-                continue
-            if claims.setdefault(hh, token) == token:
-                if not in_store[i]:
-                    pend.setdefault(hh, wave)
-                taken_this_call.add(hh)
-                out[i] = True
-        return out
 
     def size(self) -> int:
         return len(self._h) + len(self._pend)  # pend keys are never in _h
@@ -221,7 +138,7 @@ class _CuckooSeenShard(_ExactSeenShard):
     re-crawl). How the wave contract survives losing per-key waves:
 
       - adds for the CURRENT wave stay exact in ``_pend`` (hash -> wave) and
-        fold into the filter only when a LATER wave first probes/claims — so
+        fold into the filter only when a LATER wave first probes — so
         ``contains(before_wave=n)`` during wave n never sees wave-n adds, the
         same guarantee the exact shard gets from per-key wave stamps.
       - once folded, keys lose their wave — safe because the crawl's wave
@@ -230,8 +147,6 @@ class _CuckooSeenShard(_ExactSeenShard):
         pipelines/crawl.py checkpoint tee) means no probe with
         ``before_wave <= folded_through`` can ever legally arrive. Such a
         probe raises loudly instead of answering wrong.
-      - the per-wave propose/claim arbitration state is inherited unchanged —
-        it is wave-scoped and exact in both backends.
       - a resume's :meth:`load` inserts straight into the filter. The
         filter's answers depend only on its set of keys (state/cuckoo.py),
         so loading the chain's urls answers every probe as the straight
@@ -259,7 +174,6 @@ class _CuckooSeenShard(_ExactSeenShard):
                 for hh in fold:
                     del self._pend[hh]
                 self._pend_snap = None
-                self._pend_stale = False
         if before_wave - 1 > self._folded_through:
             self._folded_through = before_wave - 1
 
@@ -308,25 +222,6 @@ class _CuckooSeenShard(_ExactSeenShard):
             return int(self._filter.add(h[~found]))
         return super().add(hashes, wave)
 
-    def _begin_wave(self, wave: int) -> None:
-        if self._cur_wave != wave:
-            if wave <= self._folded_through:
-                raise RuntimeError(
-                    f"cuckoo seen-shard asked to begin wave {wave} but waves "
-                    f"<= {self._folded_through} are already folded"
-                )
-            self._fold(wave)
-        super()._begin_wave(wave)
-
-    def claim(
-        self, wave: int, hashes: np.ndarray, depths: np.ndarray, token: int
-    ) -> np.ndarray:
-        self._pend_snap = None
-        return super().claim(wave, hashes, depths, token)
-
-    def propose(self, wave: int, hashes: np.ndarray, depths: np.ndarray) -> None:
-        super().propose(wave, hashes, depths)
-
     def size(self) -> int:
         return self._filter.count + len(self._pend)
 
@@ -367,16 +262,6 @@ class SeenSet:
         else:
             raise ValueError(f"unknown seen backend {backend!r}")
 
-    def cache_token(self) -> str:
-        """Unique per shard-POOL instance (the first shard's actor id).
-        The propose-RPC-skip cache (stages/transform._PREDEDUP) must key on
-        this: a resumed run re-executes the same (out_dir, wave)
-        with a FRESH pool whose wave-min state is empty, and a cache entry
-        left in a surviving worker process by the previous pool would skip
-        proposes the new shards have never seen — silently losing those
-        candidates at claim time."""
-        return self.shards[0]._actor_id.hex()
-
     # -- routing ----------------------------------------------------------
     def _route(self, hashes: np.ndarray) -> list[np.ndarray]:
         shard_ids = hashes % np.uint64(self.num_shards)
@@ -412,31 +297,6 @@ class SeenSet:
 
     def contains_urls(self, urls, before_wave: int) -> np.ndarray:
         return self.contains(hash64(urls), before_wave)
-
-    def propose(self, hashes: np.ndarray, depths: np.ndarray, wave: int) -> None:
-        idx = self._route(hashes)
-        ray.get(
-            [
-                self.shards[s].propose.remote(wave, hashes[ix], depths[ix])
-                for s, ix in enumerate(idx)
-                if len(ix)
-            ]
-        )
-
-    def claim(
-        self, hashes: np.ndarray, depths: np.ndarray, wave: int, token: int
-    ) -> np.ndarray:
-        out = np.zeros(len(hashes), dtype=bool)
-        idx = self._route(hashes)
-        refs = [
-            self.shards[s].claim.remote(wave, hashes[ix], depths[ix], token)
-            for s, ix in enumerate(idx)
-            if len(ix)
-        ]
-        live = [ix for ix in idx if len(ix)]
-        for ix, mask in zip(live, ray.get(refs)):
-            out[ix] = mask
-        return out
 
     def size(self) -> int:
         return sum(ray.get([s.size.remote() for s in self.shards]))

@@ -3,9 +3,10 @@ _CuckooSeenShard) — the north star's "sharded cuckoo-filter URL-seen set".
 
 Covers: filter membership guarantees (no false negatives, bounded false
 positives, determinism, memory), batch-vs-incremental equivalence,
-key-set-only answers and the resume's bulk load, the wave-versioned shard protocol on the cuckoo
-backend, exact-vs-cuckoo claim parity, and the loud failure on probes the
-fold model cannot answer.
+key-set-only answers and the resume's bulk load, the wave-versioned shard
+protocol on the cuckoo backend, and the loud failure on probes the fold
+model cannot answer. The partitioned claim runs on both backends in
+test_schedule_seen.py.
 """
 
 from __future__ import annotations
@@ -95,41 +96,6 @@ def test_cuckoo_seen_protocol(ray_session):
     with pytest.raises(Exception, match="folded"):
         seen.contains_urls(urls_a, before_wave=1)
     seen.shutdown()
-
-
-def test_cuckoo_exact_claim_parity(ray_session):
-    """Identical propose/claim workloads grant identical claims on both
-    backends (the per-wave arbitration state is shared code, but the
-    seen-before mask feeding it comes from each backend's storage)."""
-    from abwcf_ray.functions.hashing import hash64
-    from abwcf_ray.state.seen import SeenSet
-
-    rng = np.random.default_rng(11)
-    pools = {
-        "exact": SeenSet(3, backend="exact"),
-        "cuckoo": SeenSet(3, backend="cuckoo", cuckoo_capacity=50_000),
-    }
-    base = hash64([f"https://h{i % 37}/p/{i}" for i in range(2_000)])
-    for pool in pools.values():
-        pool.add(base[:500], wave=0)
-    masks: dict[str, list] = {"exact": [], "cuckoo": []}
-    for wave in (1, 2, 3):
-        # overlapping candidate blocks with duplicate urls at varied depths
-        ix1 = rng.integers(0, len(base), size=800)
-        ix2 = rng.integers(0, len(base), size=800)
-        d1 = rng.integers(0, 4, size=800).astype(np.int64)
-        d2 = rng.integers(0, 4, size=800).astype(np.int64)
-        for name, pool in pools.items():
-            pool.propose(base[ix1], d1, wave)
-            pool.propose(base[ix2], d2, wave)
-            m1 = pool.claim(base[ix1], d1, wave, token=1)
-            m2 = pool.claim(base[ix2], d2, wave, token=2)
-            masks[name].append((m1.copy(), m2.copy()))
-    for (e1, e2), (c1, c2) in zip(masks["exact"], masks["cuckoo"]):
-        assert (e1 == c1).all()
-        assert (e2 == c2).all()
-    for pool in pools.values():
-        pool.shutdown()
 
 
 def test_cuckoo_seen_checkpoint_roundtrip(ray_session, tmp_path):

@@ -183,34 +183,15 @@ def test_seen_set_checkpoint_roundtrip(ray_session, tmp_path):
     added.shutdown()
 
 
-def test_propose_prededup_semantics(ray_session):
-    """B6 (UrlDeduplicator.scala best-effort pre-dedup): within a batch the
-    propose stage keeps one row per url hash at MIN depth (a pure row
-    filter); across batches the cache only SKIPS redundant propose RPCs for
-    (hash, depth) already sent at equal-or-lower depth — output blocks are a
-    pure function of their input, so a retried / lineage-recomputed task
-    reproduces its block exactly regardless of cache state."""
-    import pyarrow as pa
+def test_propose_prededup_semantics():
+    """B6 (UrlDeduplicator.scala pre-dedup): within a batch the propose
+    stage keeps one row per url hash at MIN depth and appends the
+    ``url_hash`` routing column. It is a pure function of its input, so a
+    retried task reproduces its block exactly."""
+    from abwcf_ray.functions.hashing import hash64
+    from abwcf_ray.stages.transform import make_propose
 
-    from abwcf_ray.state.seen import SeenSet
-    from abwcf_ray.stages.transform import _PREDEDUP, make_propose
-
-    class RecordingSeen:
-        """Wraps SeenSet.propose to observe which (hash, depth) hit the RPC."""
-
-        def __init__(self, inner):
-            self.inner = inner
-            self.calls = []
-
-        def propose(self, hashes, depths, wave):
-            self.calls.append((hashes.copy(), depths.copy()))
-            self.inner.propose(hashes, depths, wave)
-
-    inner = SeenSet(num_shards=2)
-    seen = RecordingSeen(inner)
-    _PREDEDUP.clear()
-    stage = make_propose(seen, wave=0, run_key="t1", cache_size=1000)
-
+    stage = make_propose()
     b1 = pa.table(
         {
             "url": pa.array(["https://a/x", "https://a/x", "https://b/y"]),
@@ -224,92 +205,38 @@ def test_propose_prededup_semantics(ray_session):
         ("https://a/x", 1),
         ("https://b/y", 2),
     ]
-    assert len(seen.calls) == 1 and len(seen.calls[0][0]) == 2
-
-    # equal/higher depth duplicate across batches: row STAYS in the output
-    # (block content is cache-independent) but its RPC is skipped
-    b2 = pa.table(
-        {
-            "url": pa.array(["https://a/x", "https://c/z"]),
-            "host": pa.array(["https://a", "https://c"]),
-            "depth": pa.array([5, 0], pa.int32()),
-        }
-    )
-    out2 = stage(b2)
-    assert sorted(out2.column("url").to_pylist()) == ["https://a/x", "https://c/z"]
-    assert len(seen.calls) == 2
-    assert len(seen.calls[1][0]) == 1  # only c/z proposed; a/x@5 skipped
-    assert seen.calls[1][1].tolist() == [0]
-
-    # STRICTLY LOWER depth re-discovery must reach the shard
-    b3 = pa.table(
-        {
-            "url": pa.array(["https://a/x"]),
-            "host": pa.array(["https://a"]),
-            "depth": pa.array([0], pa.int32()),
-        }
-    )
-    out3 = stage(b3)
-    assert out3.column("url").to_pylist() == ["https://a/x"]
-    assert len(seen.calls) == 3 and seen.calls[2][1].tolist() == [0]
-
-    # replaying the SAME block through a fresh stage (simulated task retry /
-    # lineage recompute with warm process cache) reproduces it byte-for-byte
-    # even though every RPC is now skipped
-    retry = make_propose(seen, wave=0, run_key="t1", cache_size=1000)
-    n_calls = len(seen.calls)
-    assert retry(b1).equals(out1)
-    assert retry(b2).equals(out2)
-    assert len(seen.calls) == n_calls  # all RPCs cache-skipped
-
-    # a different run key shares nothing (no cross-run contamination)
-    stage_other = make_propose(seen, wave=0, run_key="t2", cache_size=1000)
-    out_other = stage_other(b2)
-    assert sorted(out_other.column("url").to_pylist()) == ["https://a/x", "https://c/z"]
-
-    # the cache is bounded: a tiny cap forces resets; duplicate-only batches
-    # still skip their RPCs (recent pend chunks probe) and NEW urls still
-    # reach the shard
-    small = make_propose(seen, wave=0, run_key="t3", cache_size=1)
-    for _ in range(3):
-        small(b1)
-    n_calls = len(seen.calls)
-    assert small(b1).num_rows == 2  # intra-batch dedup only; rows kept
-    assert len(seen.calls) == n_calls  # ...but no RPC fired
-    b4 = pa.table(
-        {
-            "url": pa.array(["https://new/1"]),
-            "host": pa.array(["https://new"]),
-            "depth": pa.array([4], pa.int32()),
-        }
-    )
-    assert small(b4).column("url").to_pylist() == ["https://new/1"]
-    assert len(seen.calls) == n_calls + 1
-
-    inner.shutdown()
+    assert out1.column("url_hash").to_pylist() == hash64(out1.column("url")).tolist()
+    # a batch with no duplicate passes whole; an empty one keeps the schema
+    b2 = b1.slice(1)
+    assert stage(b2).drop_columns(["url_hash"]).equals(b2)
+    assert stage(b1.slice(0, 0)).schema == out1.schema
+    # a replay through a fresh stage reproduces the block byte for byte
+    assert make_propose()(b1).equals(out1)
 
 
 def test_claim_chunk_retry_rewrites_part_and_counts(ray_session, tmp_path):
-    """A claim chunk re-run with the same token (a simulated Ray retry)
+    """A claim task re-run for the same partition (a simulated Ray retry)
     rewrites the same delta part with the same rows, and both runs return
     the same per-host counts — that part's host histogram. Returning the
-    counts is what keeps retries from double-counting the host ledger."""
+    counts is what keeps retries from double-counting the host ledger; the
+    retried probe ignores the first run's same-wave adds."""
     import pyarrow.parquet as pq
     import ray
 
-    from abwcf_ray.functions.hashing import hash64
     from abwcf_ray.pipelines.crawl import _claim_chunk
+    from abwcf_ray.stages.transform import make_propose
     from abwcf_ray.state.seen import SeenSet
 
-    cand = pa.table(
-        {
-            "url": pa.array([f"https://h{i % 3}.example/p{i}" for i in range(40)]),
-            "host": pa.array([f"https://h{i % 3}.example" for i in range(40)]),
-            "depth": pa.array(np.ones(40, dtype=np.int32), pa.int32()),
-        }
+    cand = make_propose()(
+        pa.table(
+            {
+                "url": pa.array([f"https://h{i % 3}.example/p{i}" for i in range(40)]),
+                "host": pa.array([f"https://h{i % 3}.example" for i in range(40)]),
+                "depth": pa.array(np.ones(40, dtype=np.int32), pa.int32()),
+            }
+        )
     )
     seen = SeenSet(2)
-    seen.propose(hash64(cand.column("url")), np.ones(40, dtype=np.int64), wave=1)
     cfg = CrawlConfig()
     part = tmp_path / "part-00003.parquet"
     blocks = [ray.put(cand.slice(0, 25)), ray.put(cand.slice(25))]
@@ -322,10 +249,94 @@ def test_claim_chunk_retry_rewrites_part_and_counts(ray_session, tmp_path):
     assert n1 == n2 == first.num_rows == 40
     assert counts1 == counts2
     assert counts1 == first.column("host").to_pandas().value_counts().to_dict()
-    # another token loses every url to the first claimant
-    n3, counts3 = ray.get(_claim_chunk.remote(4, seen, 1, cfg, str(tmp_path), *blocks))
-    assert (n3, counts3) == (0, {})
     seen.shutdown()
+
+
+@pytest.mark.parametrize("backend", ["exact", "cuckoo"])
+def test_partitioned_claim(ray_session, tmp_path, backend):
+    """F1 by hash partition: two fetch tasks' candidates, overlapping at
+    different depths, split into 2 parts; claim task i takes part i of
+    both. Every url is claimed exactly once, at its minimum depth, by the
+    claim task its hash routes to; a url added in an earlier wave (or
+    claimed by one) is never claimed; on both seen-set backends."""
+    import pyarrow.parquet as pq
+    import ray
+
+    from abwcf_ray.functions.hashing import hash64
+    from abwcf_ray.pipelines.crawl import _claim_chunk, _fetch_task
+    from abwcf_ray.stages.transform import make_propose
+    from abwcf_ray.state.seen import SeenSet
+
+    def cands(ids, depths):
+        return pa.table(
+            {
+                "url": pa.array([f"https://h{i % 5}.example/p{i}" for i in ids]),
+                "host": pa.array([f"https://h{i % 5}.example" for i in ids]),
+                "depth": pa.array(depths, pa.int32()),
+            }
+        )
+
+    # u0-59 at depth 2 (u0-9 twice, once at depth 4); u30-89 at depth 1 and
+    # u0-9 again at depth 3
+    a = cands(list(range(60)) + list(range(10)), [2] * 60 + [4] * 10)
+    b = cands(list(range(30, 90)) + list(range(10)), [1] * 60 + [3] * 10)
+    seen = SeenSet(3, backend=backend, cuckoo_capacity=10_000)
+    seen.add_urls([f"https://h{i % 5}.example/p{i}" for i in range(80, 90)], wave=0)
+    cfg = CrawlConfig()
+
+    def claim_wave(wave, tables):
+        parts = [
+            _fetch_task.options(num_returns=2).remote(t, [make_propose()], 2) for t in tables
+        ]
+        delta = tmp_path / f"delta_{wave}"
+        delta.mkdir()
+        got = ray.get(
+            [
+                _claim_chunk.remote(i, seen, wave, cfg, str(delta), *[p[i] for p in parts])
+                for i in range(2)
+            ]
+        )
+        out = {}
+        for i in range(2):
+            f = delta / f"part-{i:05d}.parquet"
+            t = pq.read_table(f) if f.exists() else cands([], [])
+            assert got[i][0] == t.num_rows
+            assert (hash64(t.column("url")) % np.uint64(2) == i).all()
+            out[i] = t
+        return out
+
+    out = claim_wave(1, [a, b])
+    urls = out[0].column("url").to_pylist() + out[1].column("url").to_pylist()
+    depths = out[0].column("depth").to_pylist() + out[1].column("depth").to_pylist()
+    assert len(urls) == len(set(urls)) == 80  # u80-89 were seen at wave 0
+    want = {f"https://h{i % 5}.example/p{i}": 2 if i < 30 else 1 for i in range(80)}
+    assert dict(zip(urls, depths)) == want
+    # the next wave claims only what no earlier wave added
+    again = claim_wave(2, [cands(range(75, 95), [0] * 20)])
+    claimed = again[0].column("url").to_pylist() + again[1].column("url").to_pylist()
+    assert sorted(claimed) == sorted(f"https://h{i % 5}.example/p{i}" for i in range(90, 95))
+    seen.shutdown()
+
+
+def test_exact_shard_contains_merges_only_earlier_waves():
+    """The exact shard's probe leaves same-wave adds pending (they are
+    invisible to ``before_wave=n`` anyway), so a wave's many claim probes
+    do not re-merge the sorted store; it merges once the pending adds
+    belong to an earlier wave."""
+    from abwcf_ray.state.seen import _ExactSeenShard
+
+    shard = _ExactSeenShard()
+    shard.load(np.arange(10, dtype=np.uint64), wave=0)
+    probe = np.arange(20, dtype=np.uint64)
+    shard.add(np.arange(5, 15, dtype=np.uint64), wave=1)
+    assert shard.contains(probe, before_wave=1).tolist() == [True] * 10 + [False] * 10
+    assert len(shard._h) == 10
+    assert shard.contains(probe, before_wave=2).tolist() == [True] * 15 + [False] * 5
+    assert len(shard._h) == 15
+    shard.add(np.arange(15, 20, dtype=np.uint64), wave=2)
+    assert shard.contains(probe, before_wave=2).sum() == 15
+    assert len(shard._h) == 15
+    assert shard.size() == 20
 
 
 def test_topk_arrow_matches_pandas():
@@ -370,49 +381,3 @@ def test_topk_arrow_matches_pandas():
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, want)
-
-
-def test_prededup_cache_does_not_leak_across_pools(ray_session):
-    """A resumed run re-executes the same (out_dir, wave) against a FRESH
-    shard pool; RPC-skip cache entries left by the previous pool must not
-    suppress proposes the new pool has never seen (they would silently
-    lose candidates at claim). cache_token() keys the cache per pool."""
-    import pyarrow as pa
-
-    from abwcf_ray.state.seen import SeenSet
-    from abwcf_ray.stages.transform import _PREDEDUP, make_propose
-
-    class Recording:
-        def __init__(self, inner):
-            self.inner, self.calls = inner, 0
-
-        def propose(self, h, d, wave):
-            self.calls += 1
-            self.inner.propose(h, d, wave)
-
-    b = pa.table(
-        {
-            "url": pa.array(["https://a/x", "https://b/y"]),
-            "host": pa.array(["https://a", "https://b"]),
-            "depth": pa.array([1, 2], pa.int32()),
-        }
-    )
-    _PREDEDUP.clear()
-    pool_a = Recording(SeenSet(2))
-    run_a = make_propose(
-        pool_a, wave=3, run_key=f"/out:{pool_a.inner.cache_token()}"
-    )
-    run_a(b)
-    assert pool_a.calls == 1
-
-    # crash + resume: same out dir and wave, NEW pool
-    pool_b = Recording(SeenSet(2))
-    run_b = make_propose(
-        pool_b, wave=3, run_key=f"/out:{pool_b.inner.cache_token()}"
-    )
-    run_b(b)
-    assert pool_b.calls == 1, "fresh pool must receive its own proposes"
-    # and tokens genuinely differ
-    assert pool_a.inner.cache_token() != pool_b.inner.cache_token()
-    pool_a.inner.shutdown()
-    pool_b.inner.shutdown()
