@@ -52,14 +52,16 @@ def _pattern_to_regex(pattern: str) -> re.Pattern:
 
 
 def _pattern_to_rust(pattern: str) -> str:
-    """Rust-regex (polars) form of a robots rule — built from the RULE, not
-    by string-rewriting the compiled Python pattern: a blanket
+    """Rust-regex/RE2 form of a robots rule (the robots filters match it
+    with arrow's RE2 kernel, stages/transform._HostRulesIndex; both
+    dialects read it the same way) — built from the RULE, not by
+    string-rewriting the compiled Python pattern: a blanket
     ``.replace('\\Z', '\\z')`` on the compiled form would also rewrite an
     escaped literal backslash-Z inside the rule's path (``\\\\Z`` ends in
     the same two characters), silently changing what the rule matches. The
-    end anchor differs by dialect only (`\\Z` in Python, `\\z` in Rust);
-    Rust-rejected escapes fall back to the Python form per pattern at the
-    call site."""
+    end anchor differs by dialect only (`\\Z` in Python, `\\z` in Rust
+    and RE2); a pattern the fast engine rejects falls back to the Python
+    form at the call site."""
     body, anchored = _pattern_body(pattern)
     return "^" + body + (r"\z" if anchored else "")
 

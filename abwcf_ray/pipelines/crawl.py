@@ -7,7 +7,9 @@ of the stages below in sequence:
 
     eligible  = frontier.filter(status == 'Discovered')
     host-prep : unknown/expired hosts -> robots fetch-sim -> hosts table
-    strict    : broadcast hosts join (C2, fail-close); rejects stay flagged rows
+    strict    : broadcast hosts join (C2, fail-close) over the rows of the
+                hosts whose robots host-prep just fetched; rejects stay
+                flagged rows
     select    : shuffle-free partial top-k_h per host (politeness, D1/D2),
                 one task per group of chain files; the flagged rejects
                 split off as the wave's Disallowed set
@@ -17,12 +19,13 @@ of the stages below in sequence:
                 hashed layout — in the fused tee, which writes the
                 chunk's processed part
     process   : extract text (A7) + links (B1-B3) in one html pass
-    cand'     : explode -> normalize (B4) -> scope (B5) -> lenient (C1)
-                -> within-batch dedup (B6), in the fetch task, which
-                returns its candidates split by url hash into one part
-                per claim task; claim task i takes part i of every fetch
-                task, so each url has one claimant: min depth, minus the
-                seen set, added to it (F1) -> prioritize (B7)
+    cand'     : explode -> normalize (B4) -> scope (B5) -> within-batch
+                dedup (B6), in the fetch task, which returns its
+                candidates split by url hash into one part per claim
+                task; claim task i takes part i of every fetch task, so
+                each url has one claimant: min depth, minus the seen set,
+                -> lenient (C1) on the new rows only, the survivors added
+                to the seen set (F1) -> prioritize (B7)
     frontier' = DELTA checkpoint: new rows append as ``delta/`` part files
                 and status changes (politeness-bounded) append as a tiny
                 ``flips.parquet`` — O(changed) per wave, never a frontier
@@ -474,13 +477,13 @@ def _host_prep(
     cfg: CrawlConfig,
     hosts_state: HostsState,
     robots_path: str,
-    hosts_needed: list[str],
+    need: list[str],
     now_s: float,
 ) -> int:
-    """C3/C4/A3: fetch robots for unknown/expired hosts of this wave. The
-    robots stage runs on the driver, built once per run and cached on
-    ``hosts_state`` (measured: 20k sim-lookups+parses take ~0.5 s)."""
-    need = hosts_state.missing_or_expired(hosts_needed, now_s)
+    """C3/C4/A3: fetch robots for ``need``, this wave's unknown/expired
+    hosts; returns how many. The robots stage runs on the driver, built
+    once per run and cached on ``hosts_state`` (measured: 20k
+    sim-lookups+parses take ~0.5 s)."""
     if not need:
         return 0
     sim = getattr(hosts_state, "_sim", None)
@@ -507,6 +510,7 @@ def _claim_chunk(
     wave: int,
     cfg: CrawlConfig,
     delta_dir: str,
+    lenient,
     *blocks: pa.Table,
 ) -> tuple[int, dict[str, int]]:
     """Claim + prioritize + WRITE one delta part for hash partition
@@ -515,7 +519,8 @@ def _claim_chunk(
     count and its per-host counts (the next wave's host-ledger increments —
     ``ray.get`` yields one result per task, so a retried task cannot count
     twice). No other claim task sees these urls, so the claim is one probe
-    and one add per seen shard (stages/transform.claim_parts).
+    and one add per seen shard, with the ``lenient`` robots stage (C1) in
+    between (stages/transform.claim_parts).
 
     The delta part is written HERE (the same retry-safe side-effect tee as
     the fused fetch stage): its name is a pure function of ``part`` and
@@ -527,7 +532,7 @@ def _claim_chunk(
     tables = [b for b in blocks if b.num_rows]
     if not tables:
         return 0, {}
-    out = make_prioritize_stage(cfg)(claim_parts(tables, seen_set, wave))
+    out = make_prioritize_stage(cfg)(claim_parts(tables, seen_set, wave, lenient))
     status = pa.array([STATUS_DISCOVERED] * out.num_rows, pa.string())
     out = out.append_column("status", status).select(
         ["url", "host", "status", "depth", "priority"]
@@ -918,11 +923,18 @@ def _prep_hosts(run: _Run, w: _Wave) -> None:
         )
     hosts_needed, n_eligible = run.host_ledger.eligible()
     w.mark("host_histogram")
-    n_robots = _host_prep(cfg, hosts_state, run.corpus.robots_path, hosts_needed, w.now_s)
+    need = hosts_state.missing_or_expired(hosts_needed, w.now_s)
+    n_robots = _host_prep(cfg, hosts_state, run.corpus.robots_path, need, w.now_s)
     w.wdir.mkdir(parents=True, exist_ok=True)
     hosts_state.checkpoint(w.wdir / "hosts.parquet")
     hosts_ref = ray.put(hosts_state.rules_payload(w.now_s))
-    w.strict_robots = make_strict_robots_filter(hosts_ref)
+    # strict robots re-evaluates only the rows of the hosts fetched just
+    # now: a host's rules change only here, so every other row of a live
+    # host keeps the answer it got under the same rules — strict at an
+    # earlier wave, or lenient when it was claimed. The set is a function
+    # of the hosts checkpoint, so a resume recomputes it exactly.
+    recheck = np.sort(hash64(need)) if need else np.empty(0, np.uint64)
+    w.strict_robots = make_strict_robots_filter(hosts_ref, ray.put(recheck))
     w.lenient_robots = make_lenient_robots_filter(hosts_ref)
     w.sched_ref = ray.put(hosts_state.sched_payload(w.now_s, cfg.wave_duration_s))
     w.metrics.update(
@@ -992,8 +1004,8 @@ def _write_selected(run: _Run, w: _Wave) -> None:
 
 
 def _fetch_candidates(run: _Run, w: _Wave) -> None:
-    """Fetch (A2) + process (A7, B1-B3) + candidate chain (B4 -> B5 -> C1
-    -> B6), one Ray task per work item. Each task runs the fused tee
+    """Fetch (A2) + process (A7, B1-B3) + candidate chain (B4 -> B5 -> B6),
+    one Ray task per work item. Each task runs the fused tee
     (stages/fetch.make_fetch_process_tee): it fetches its item, parses,
     writes its own processed-checkpoint part (deterministic name ->
     retry-safe), and passes only (links, child_depth) on to the candidate
@@ -1040,7 +1052,6 @@ def _fetch_candidates(run: _Run, w: _Wave) -> None:
         explode_links,
         run.normalize,
         run.scope,
-        w.lenient_robots,
         make_propose(),
     ]
     n_parts = len(items)
@@ -1101,8 +1112,9 @@ def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
     """Claim (F1) and the frontier delta checkpoint (O(changed), never a
     rewrite). Claim task i takes hash partition i of every fetch task's
     candidates — the reduce side of a hash shuffle whose map side is the
-    fetch tasks, so no two claimants share a url — and claims, prioritizes,
-    and writes its own delta part under a partition-derived name
+    fetch tasks, so no two claimants share a url — and claims (lenient
+    robots on the new urls only), prioritizes, and writes its own delta
+    part under a partition-derived name
     (retry-safe tee — see _claim_chunk). The claims are dispatched first:
     everything the driver does until their ray.get (the
     fetch-status read, the novel filter, the flips write) depends only on
@@ -1115,7 +1127,13 @@ def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
     delta_dir.mkdir(parents=True, exist_ok=True)
     claim_refs = [
         _claim_chunk.remote(
-            i, run.seen, w.n, run.cfg, str(delta_dir), *[refs[i] for refs in w.cand_refs]
+            i,
+            run.seen,
+            w.n,
+            run.cfg,
+            str(delta_dir),
+            w.lenient_robots,
+            *[refs[i] for refs in w.cand_refs],
         )
         for i in range(len(w.cand_refs))
     ]

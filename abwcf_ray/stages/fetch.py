@@ -19,6 +19,9 @@ Processed regardless — FetchResultConsumer.scala:29-50).
 
 from __future__ import annotations
 
+import functools
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
 import ray
@@ -164,34 +167,36 @@ def make_fetch_process_tee(process_fn, processed_dir: str, transport_ref):
     side-effect writes inside a retried task sound. Rows with no links are
     dropped from the emitted table (their checkpoint rows are already on
     disk)."""
+    return functools.partial(_fetch_process_write, process_fn, processed_dir, transport_ref)
+
+
+def _fetch_process_write(
+    process_fn, processed_dir: str, transport_ref, batch: pa.Table
+) -> pa.Table:
     import pyarrow.parquet as pq
-    from pathlib import Path
 
-    def fetch_process_write(batch: pa.Table) -> pa.Table:
-        outs = []
-        for item in batch.to_pylist():
-            fetched = _transport(transport_ref).fetch(
-                item["urls"], np.asarray(item["depths"], dtype=np.int32)
+    outs = []
+    for item in batch.to_pylist():
+        fetched = _transport(transport_ref).fetch(
+            item["urls"], np.asarray(item["depths"], dtype=np.int32)
+        )
+        processed = process_fn(fetched)
+        if processed.num_rows:
+            pq.write_table(
+                processed,
+                Path(processed_dir) / f"t{int(item['chunk']):05d}.parquet",
+                compression="zstd",
             )
-            processed = process_fn(fetched)
-            if processed.num_rows:
-                pq.write_table(
-                    processed,
-                    Path(processed_dir) / f"t{int(item['chunk']):05d}.parquet",
-                    compression="zstd",
-                )
-            links = processed.select(["links", "child_depth"])
-            has_links = pa.compute.greater(
-                pa.compute.list_value_length(links.column("links")), 0
-            )
-            outs.append(links.filter(has_links))
-        if not outs:
-            return pa.table(
-                {
-                    "links": pa.array([], pa.list_(pa.string())),
-                    "child_depth": pa.array([], pa.int32()),
-                }
-            )
-        return pa.concat_tables(outs)
-
-    return fetch_process_write
+        links = processed.select(["links", "child_depth"])
+        has_links = pa.compute.greater(
+            pa.compute.list_value_length(links.column("links")), 0
+        )
+        outs.append(links.filter(has_links))
+    if not outs:
+        return pa.table(
+            {
+                "links": pa.array([], pa.list_(pa.string())),
+                "child_depth": pa.array([], pa.int32()),
+            }
+        )
+    return pa.concat_tables(outs)

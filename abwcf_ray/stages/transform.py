@@ -14,10 +14,10 @@ All stages take and return ``pyarrow.Table`` batches.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -25,7 +25,7 @@ import ray
 from abwcf_ray.config import CrawlConfig
 from abwcf_ray.functions.hashing import hash64
 from abwcf_ray.functions.htmlx import header_nofollow, parse_document
-from abwcf_ray.functions.robots import RobotRules
+from abwcf_ray.functions.robots import _pattern_to_regex, _pattern_to_rust
 from abwcf_ray.functions.urlnorm import normalize_url, resolve_location
 
 CANDIDATE_SCHEMA = pa.schema([("url", pa.string()), ("depth", pa.int32())])
@@ -59,6 +59,11 @@ _CANONICAL_RE = re.compile(
     r"https?://[a-z0-9.\-]+/(?:[A-Za-z0-9_\-]+(?:/[A-Za-z0-9_\-]+)*/?)?"
 )
 _HOST_RE = re.compile(r"^([A-Za-z0-9+.\-]+://[^/]+)")
+_CANONICAL_FULL = f"^(?:{_CANONICAL_RE.pattern})$"
+_RESCUE_PATTERN = (
+    r"^(?P<scheme>[A-Za-z][A-Za-z0-9+.\-]*)://(?P<host>[A-Za-z0-9.\-]+)"
+    r"(?P<port>:\d{1,9})?(?P<path>(?:/[A-Za-z0-9_\-]+)*/?)$"
+)
 
 
 def make_normalize_stage(cfg: CrawlConfig):
@@ -72,133 +77,126 @@ def make_normalize_stage(cfg: CrawlConfig):
     through). Both patterns are plain character-class regexes with
     identical semantics under ``re`` (tests use the compiled ``re``
     forms) and Rust regex."""
+    return functools.partial(_normalize_batch, cfg.normalization)
+
+
+def _normalize_batch(norm_cfg, batch: pa.Table) -> pa.Table:
     import polars as pl
 
-    norm_cfg = cfg.normalization
-    canonical_full = f"^(?:{_CANONICAL_RE.pattern})$"
-    host_pat = _HOST_RE.pattern  # ^([A-Za-z0-9+.\-]+://[^/]+)
-    _RESCUE_PATTERN = (
-        r"^(?P<scheme>[A-Za-z][A-Za-z0-9+.\-]*)://(?P<host>[A-Za-z0-9.\-]+)"
-        r"(?P<port>:\d{1,9})?(?P<path>(?:/[A-Za-z0-9_\-]+)*/?)$"
-    )
-
-    def normalize_batch(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "url": pa.array([], pa.string()),
-                    "host": pa.array([], pa.string()),
-                    "depth": pa.array([], pa.int32()),
-                }
-            )
-        url_arr = batch.column("url").combine_chunks()
-        fast = (
-            pl.from_arrow(url_arr)
-            .str.contains(canonical_full)
-            .fill_null(False)
-            .to_numpy()
-            .astype(bool, copy=False)
-        )
-
-        # fast rows pass through as an arrow slice — zero per-row Python
-        fast_tbl = batch.select(["url", "depth"]).filter(pa.array(fast))
-        # non-canonical rows: a vectorized RESCUE pass first — lowercase
-        # scheme/host, strip the scheme's default port, "" path -> "/" are
-        # UNCONDITIONAL in normalize_url (config flags only gate
-        # userinfo/query/fragment, which the rescue grammar excludes), so
-        # for a url of shape scheme://host[:port]<canonical-path> the
-        # rebuilt string IS normalize_url's output under every config
-        # (differential-tested in test_transform_stages). This rescues the
-        # common messy-link forms (':443', UPPERCASE host) that dominated
-        # the per-url slow loop.
-        rescued_tbl = None
-        slow_urls: list[str] = []
-        slow_depths: list[int] = []
-        if not fast.all():
-            slow_arr = pa.array(~fast)
-            slow_url_arr = url_arr.filter(slow_arr)
-            slow_d = batch.column("depth").to_numpy(zero_copy_only=False)[~fast]
-            g = (
-                pl.from_arrow(slow_url_arr)
-                .str.extract_groups(_RESCUE_PATTERN)
-                .struct.unnest()
-            )
-            matched = (
-                g["scheme"].is_not_null().to_numpy().astype(bool, copy=False)
-            )
-            if matched.any():
-                rebuilt = (
-                    g.lazy()
-                    .filter(pl.col("scheme").is_not_null())
-                    .with_columns(
-                        scheme=pl.col("scheme").str.to_lowercase(),
-                        host=pl.col("host").str.to_lowercase(),
-                        port_i=pl.col("port").str.slice(1).cast(pl.Int64),
-                    )
-                    .with_columns(
-                        port_s=pl.when(pl.col("port_i").is_null())
-                        .then(pl.lit(""))
-                        .when(
-                            (pl.col("scheme") == "https") & (pl.col("port_i") == 443)
-                        )
-                        .then(pl.lit(""))
-                        .when((pl.col("scheme") == "http") & (pl.col("port_i") == 80))
-                        .then(pl.lit(""))
-                        .otherwise(pl.lit(":") + pl.col("port_i").cast(pl.Utf8)),
-                        path=pl.when(pl.col("path") == "")
-                        .then(pl.lit("/"))
-                        .otherwise(pl.col("path")),
-                    )
-                    .select(
-                        url=pl.col("scheme")
-                        + pl.lit("://")
-                        + pl.col("host")
-                        + pl.col("port_s")
-                        + pl.col("path")
-                    )
-                    .collect()["url"]
-                )
-                rescued_tbl = pa.table(
-                    {
-                        "url": rebuilt.to_arrow().cast(pa.string()),
-                        "depth": pa.array(slow_d[matched], pa.int32()),
-                    }
-                )
-            # residue: full RFC-3986 normalization per url
-            if not matched.all():
-                slow_in = slow_url_arr.filter(pa.array(~matched)).to_pylist()
-                for u, d in zip(slow_in, slow_d[~matched]):
-                    n = normalize_url(u, norm_cfg) if u is not None else None
-                    if n is not None:
-                        slow_urls.append(n)
-                        slow_depths.append(int(d))
-        slow_tbl = pa.table(
-            {
-                "url": pa.array(slow_urls, pa.string()),
-                "depth": pa.array(slow_depths, pa.int32()),
-            }
-        )
-        parts = [fast_tbl.cast(slow_tbl.schema)]
-        if rescued_tbl is not None:
-            parts.append(rescued_tbl)
-        parts.append(slow_tbl)
-        merged = pa.concat_tables(parts).combine_chunks()
-        # vectorized host extraction (normalized urls always carry
-        # scheme://authority, so misses are pathological and dropped)
-        hosts = pl.from_arrow(merged.column("url").combine_chunks()).str.extract(
-            host_pat, 1
-        )
-        ok = hosts.is_not_null().to_numpy().astype(bool, copy=False)
-        ok_arr = pa.array(ok)
+    if batch.num_rows == 0:
         return pa.table(
             {
-                "url": merged.column("url").filter(ok_arr),
-                "host": hosts.to_arrow().cast(pa.string()).filter(ok_arr),
-                "depth": merged.column("depth").filter(ok_arr),
+                "url": pa.array([], pa.string()),
+                "host": pa.array([], pa.string()),
+                "depth": pa.array([], pa.int32()),
             }
         )
+    url_arr = batch.column("url").combine_chunks()
+    fast = (
+        pl.from_arrow(url_arr)
+        .str.contains(_CANONICAL_FULL)
+        .fill_null(False)
+        .to_numpy()
+        .astype(bool, copy=False)
+    )
 
-    return normalize_batch
+    # fast rows pass through as an arrow slice — zero per-row Python
+    fast_tbl = batch.select(["url", "depth"]).filter(pa.array(fast))
+    # non-canonical rows: a vectorized RESCUE pass first — lowercase
+    # scheme/host, strip the scheme's default port, "" path -> "/" are
+    # UNCONDITIONAL in normalize_url (config flags only gate
+    # userinfo/query/fragment, which the rescue grammar excludes), so
+    # for a url of shape scheme://host[:port]<canonical-path> the
+    # rebuilt string IS normalize_url's output under every config
+    # (differential-tested in test_transform_stages). This rescues the
+    # common messy-link forms (':443', UPPERCASE host) that dominated
+    # the per-url slow loop.
+    rescued_tbl = None
+    slow_urls: list[str] = []
+    slow_depths: list[int] = []
+    if not fast.all():
+        slow_arr = pa.array(~fast)
+        slow_url_arr = url_arr.filter(slow_arr)
+        slow_d = batch.column("depth").to_numpy(zero_copy_only=False)[~fast]
+        g = (
+            pl.from_arrow(slow_url_arr)
+            .str.extract_groups(_RESCUE_PATTERN)
+            .struct.unnest()
+        )
+        matched = (
+            g["scheme"].is_not_null().to_numpy().astype(bool, copy=False)
+        )
+        if matched.any():
+            rebuilt = (
+                g.lazy()
+                .filter(pl.col("scheme").is_not_null())
+                .with_columns(
+                    scheme=pl.col("scheme").str.to_lowercase(),
+                    host=pl.col("host").str.to_lowercase(),
+                    port_i=pl.col("port").str.slice(1).cast(pl.Int64),
+                )
+                .with_columns(
+                    port_s=pl.when(pl.col("port_i").is_null())
+                    .then(pl.lit(""))
+                    .when(
+                        (pl.col("scheme") == "https") & (pl.col("port_i") == 443)
+                    )
+                    .then(pl.lit(""))
+                    .when((pl.col("scheme") == "http") & (pl.col("port_i") == 80))
+                    .then(pl.lit(""))
+                    .otherwise(pl.lit(":") + pl.col("port_i").cast(pl.Utf8)),
+                    path=pl.when(pl.col("path") == "")
+                    .then(pl.lit("/"))
+                    .otherwise(pl.col("path")),
+                )
+                .select(
+                    url=pl.col("scheme")
+                    + pl.lit("://")
+                    + pl.col("host")
+                    + pl.col("port_s")
+                    + pl.col("path")
+                )
+                .collect()["url"]
+            )
+            rescued_tbl = pa.table(
+                {
+                    "url": rebuilt.to_arrow().cast(pa.string()),
+                    "depth": pa.array(slow_d[matched], pa.int32()),
+                }
+            )
+        # residue: full RFC-3986 normalization per url
+        if not matched.all():
+            slow_in = slow_url_arr.filter(pa.array(~matched)).to_pylist()
+            for u, d in zip(slow_in, slow_d[~matched]):
+                n = normalize_url(u, norm_cfg) if u is not None else None
+                if n is not None:
+                    slow_urls.append(n)
+                    slow_depths.append(int(d))
+    slow_tbl = pa.table(
+        {
+            "url": pa.array(slow_urls, pa.string()),
+            "depth": pa.array(slow_depths, pa.int32()),
+        }
+    )
+    parts = [fast_tbl.cast(slow_tbl.schema)]
+    if rescued_tbl is not None:
+        parts.append(rescued_tbl)
+    parts.append(slow_tbl)
+    merged = pa.concat_tables(parts).combine_chunks()
+    # vectorized host extraction (normalized urls always carry
+    # scheme://authority, so misses are pathological and dropped)
+    hosts = pl.from_arrow(merged.column("url").combine_chunks()).str.extract(
+        _HOST_RE.pattern, 1
+    )
+    ok = hosts.is_not_null().to_numpy().astype(bool, copy=False)
+    ok_arr = pa.array(ok)
+    return pa.table(
+        {
+            "url": merged.column("url").filter(ok_arr),
+            "host": hosts.to_arrow().cast(pa.string()).filter(ok_arr),
+            "depth": merged.column("depth").filter(ok_arr),
+        }
+    )
 
 
 # --------------------------------------------------------------------------
@@ -208,53 +206,70 @@ def make_scope_filter_stage(cfg: CrawlConfig):
     """UrlFilter.scala:35-47: len <= max AND full-match >=1 must-match AND
     full-match 0 must-not-match. Vectorized via pandas str.fullmatch (Java
     ``Regex.matches`` is a full match)."""
-    must = [re.compile(p) for p in cfg.must_match]
-    must_not = [re.compile(p) for p in cfg.must_not_match]
-    max_len = cfg.max_url_length
-    trivial_must = cfg.must_match == (".*",)
+    return functools.partial(
+        _scope_filter,
+        cfg.max_url_length,
+        None if cfg.must_match == (".*",) else [re.compile(p) for p in cfg.must_match],
+        [re.compile(p) for p in cfg.must_not_match],
+    )
 
-    def scope_filter(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        # length gate on the arrow kernel (code points, = Python len);
-        # pandas is materialized only when user patterns exist — they may
-        # use Python-re-only syntax (lookarounds), so fullmatch stays re
-        keep = (
-            pc.fill_null(
-                pc.less_equal(pc.utf8_length(batch.column("url")), max_len), False
-            )
-            .to_numpy(zero_copy_only=False)
-            .astype(bool)
+
+def _scope_filter(max_len: int, must, must_not, batch: pa.Table) -> pa.Table:
+    """``must`` is None for the trivial ``(".*",)`` must-match list."""
+    if batch.num_rows == 0:
+        return batch
+    # length gate on the arrow kernel (code points, = Python len);
+    # pandas is materialized only when user patterns exist — they may
+    # use Python-re-only syntax (lookarounds), so fullmatch stays re
+    keep = (
+        pc.fill_null(
+            pc.less_equal(pc.utf8_length(batch.column("url")), max_len), False
         )
-        if not trivial_must or must_not:
-            urls = batch.column("url").to_pandas().astype("string")
-            if not trivial_must:
-                any_must = np.zeros(len(urls), dtype=bool)
-                for rx in must:
-                    any_must |= urls.str.fullmatch(rx).fillna(False).to_numpy(dtype=bool)
-                keep &= any_must
-            for rx in must_not:
-                keep &= ~urls.str.fullmatch(rx).fillna(False).to_numpy(dtype=bool)
-        return batch.filter(pa.array(keep))
-
-    return scope_filter
+        .to_numpy(zero_copy_only=False)
+        .astype(bool)
+    )
+    if must is not None or must_not:
+        urls = batch.column("url").to_pandas().astype("string")
+        if must is not None:
+            any_must = np.zeros(len(urls), dtype=bool)
+            for rx in must:
+                any_must |= urls.str.fullmatch(rx).fillna(False).to_numpy(dtype=bool)
+            keep &= any_must
+        for rx in must_not:
+            keep &= ~urls.str.fullmatch(rx).fillna(False).to_numpy(dtype=bool)
+    return batch.filter(pa.array(keep))
 
 
 # --------------------------------------------------------------------------
 # C1 / C2 — robots filters (broadcast hosts join)
 # --------------------------------------------------------------------------
-# Per-worker-process cache of broadcast hosts payloads + compiled rulesets —
-# the rebuild of the per-node Caffeine caches (reference.conf:40-51, 69-80).
-# The filter stages are plain task functions (not actor pools): Ray worker
-# processes are long-lived, so the first batch in a process pays one
-# local-object-store ray.get and every later batch hits this cache. This
-# avoids per-wave actor-pool startup, which dominated wave latency.
+# Per-worker-process cache of broadcast hosts payloads and their rule
+# indexes — the rebuild of the per-node Caffeine caches (reference.conf:
+# 40-51, 69-80). The filter stages are plain task functions (not actor
+# pools): Ray worker processes are long-lived, so the first batch in a
+# process pays one local-object-store ray.get and every later batch hits
+# this cache. This avoids per-wave actor-pool startup, which dominated wave
+# latency.
 #
-# Evaluation is vectorized BY RULESET, not by host: many hosts share few
-# distinct robots rulesets (true of the fixture corpus and of the real web),
-# so rows are masked per distinct serialized ruleset and each rule's regex
-# runs ONCE over all matching rows — per-host pandas groups cost ~1 ms per
-# group, which dominated the candidate chain at 10^4-host scale.
+# Evaluation is a sort-based join, not a hash join or a loop over hosts:
+# the index is one FLAT rule table sorted by host hash, so each row finds
+# its host's rules by two searchsorted calls, and the (row, rule) pairs are
+# matched with one regex call per DISTINCT pattern (rule patterns repeat
+# across hosts: /wp-admin/, /cgi-bin/, ...). Every step is a numpy or arrow
+# kernel over the rows at hand, so a call's cost scales with its rows: the
+# small batches of a small wave pay little more than the index lookup.
+#
+# Where each filter runs (the reference checks a url once after its dedup,
+# Crawler.scala:93-115, and again at fetch under the rules its HostManager
+# holds, StrictRobotsFilter.scala:72-133):
+# - lenient (C1) runs in the claim task, on the rows the seen-set probe
+#   marks new — after the wave's min-depth dedup, as the reference's
+#   UrlDeduplicator precedes its LenientRobotsFilter;
+# - strict (C2) evaluates only rows whose host was fetched in this wave's
+#   host prep (the ``recheck`` set). A host's rules change only through
+#   that fetch, and every other eligible row of a live host was already
+#   evaluated under the same rules — strictly at an earlier wave, or
+#   leniently when it was discovered — so its answer cannot have changed.
 _RULES_STATE: dict = {}
 
 # authority stops at [/?#] (urlsplit semantics): a query on an empty path
@@ -262,7 +277,22 @@ _RULES_STATE: dict = {}
 # the authority (scalar/vectorized parity with robots._path_query)
 _AUTHORITY_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.\-]*://[^/?#]*")
 _FRAGMENT_RE = re.compile(r"#.*$")
-_PATH_QUERY_RE = re.compile(r"^([^?]*)(?:\?(.*))?$")
+_PATH_RE = r"^(?P<p>[^?]*)"
+_QUERY_RE = r"^[^?]*\?(?P<q>.*)$"
+_UNKNOWN = np.uint8(255)  # mode code of a host absent from the payload
+
+
+def _match_targets(urls: pa.Array) -> pa.Array:
+    """The robots matcher target (RFC 9309) of each url, urlsplit-style:
+    path + ``?query`` when the query is non-empty, empty path -> "/",
+    fragment dropped (parity test: test_robots.py). Arrow (RE2) kernels."""
+    rest = pc.replace_substring_regex(urls, _AUTHORITY_RE.pattern, "", max_replacements=1)
+    rest = pc.replace_substring_regex(rest, _FRAGMENT_RE.pattern, "", max_replacements=1)
+    path = pc.struct_field(pc.extract_regex(rest, _PATH_RE), [0])
+    path = pc.if_else(pc.equal(path, ""), "/", path)
+    query = pc.struct_field(pc.extract_regex(rest, _QUERY_RE), [0])
+    has_query = pc.fill_null(pc.not_equal(query, ""), False)
+    return pc.if_else(has_query, pc.binary_join_element_wise(path, query, "?"), path)
 
 
 class _HostRulesIndex:
@@ -271,40 +301,95 @@ class _HostRulesIndex:
     columns — zero-copy from the node's object store — plus the ALLOW_SOME
     subset's serialized rules).
 
-    Holds a FLAT rule table (host hash, pattern, allow, plen) plus one
-    compiled regex per distinct pattern — rule patterns repeat massively
-    across hosts (RFC 9309 in the wild: /wp-admin/, /cgi-bin/, ...), so
-    evaluation can be one vectorized regex pass per distinct pattern
-    instead of per host."""
+    The ALLOW_SOME rules become one flat table sorted by host hash —
+    ``r_hash``, ``r_pat`` (an id into ``patterns``) and ``r_score`` =
+    ``2·len(pattern) + allow``, so the highest matching score is the most
+    specific rule, with Allow winning a tie (RFC 9309 §2.2.2, the order
+    ``RobotRules.is_allowed`` walks). Each distinct pattern keeps its
+    RE2 form (``_pattern_to_rust``; arrow's regex kernels are RE2) and,
+    once RE2 rejects it, falls back to its Python ``re`` form."""
 
     def __init__(self, payload: dict):
         self.hhash = payload["hash"]
         self.mode = payload["mode"]
-        hh_f: list[int] = []
-        pats: list[str] = []
-        allows: list[bool] = []
-        for hh, rstr in zip(payload["some_hash"], payload["some_rules"]):
+        hh: list[int] = []
+        pat_ids: list[int] = []
+        scores: list[int] = []
+        ids: dict[str, int] = {}
+        for h, rstr in zip(payload["some_hash"], payload["some_rules"]):
             for line in rstr.splitlines():
                 kind, _, pattern = line.partition(": ")
-                hh_f.append(hh)
-                pats.append(pattern)
-                allows.append(kind == "allow")
-        self.rules_df = pd.DataFrame(
-            {
-                "hhash": np.array(hh_f, dtype=np.uint64),
-                "pattern": pd.array(pats, dtype="string"),
-                "allow": np.array(allows, dtype=bool),
-                "plen": np.array([len(p) for p in pats], dtype=np.int32),
-            }
-        )
-        from abwcf_ray.functions.robots import _pattern_to_regex, _pattern_to_rust
+                hh.append(h)
+                pat_ids.append(ids.setdefault(pattern, len(ids)))
+                scores.append(2 * len(pattern) + (kind == "allow"))
+        r_hash = np.array(hh, dtype=np.uint64)
+        order = np.argsort(r_hash, kind="stable")
+        self.r_hash = r_hash[order]
+        self.r_pat = np.array(pat_ids, dtype=np.int64)[order]
+        self.r_score = np.array(scores, dtype=np.int64)[order]
+        self.patterns = list(ids)
+        self.re2: list[str | None] = [_pattern_to_rust(p) for p in self.patterns]
+        self._py: dict[int, re.Pattern] = {}
 
-        self.regex_by_pattern = {p: _pattern_to_regex(p) for p in set(pats)}
-        # Rust-regex forms for the polars match pass, built from each RULE
-        # (not by rewriting the compiled Python pattern — see
-        # _pattern_to_rust); anything Rust rejects at match time falls back
-        # to the Python re form per pattern
-        self.rust_by_pattern = {p: _pattern_to_rust(p) for p in set(pats)}
+    def modes(self, hh: np.ndarray) -> np.ndarray:
+        """Mode code per host hash; ``_UNKNOWN`` for a host not in the
+        payload (unknown, or expired at the payload's wave)."""
+        if not len(self.hhash):
+            return np.full(len(hh), _UNKNOWN, dtype=np.uint8)
+        pos = np.minimum(np.searchsorted(self.hhash, hh), len(self.hhash) - 1)
+        return np.where(self.hhash[pos] == hh, self.mode[pos], _UNKNOWN)
+
+    def allowed(self, urls: pa.Array, hh: np.ndarray, modes: np.ndarray, unknown_allow: bool):
+        from abwcf_ray.state.hosts import MODE_ALL, MODE_NONE, MODE_SOME
+
+        allowed = np.full(len(hh), unknown_allow, dtype=bool)
+        allowed[modes == MODE_NONE] = False
+        allowed[modes == MODE_ALL] = True
+        some = np.flatnonzero(modes == MODE_SOME)
+        if len(some):
+            allowed[some] = self._some_allowed(urls.take(pa.array(some)), hh[some])
+        return allowed
+
+    def _some_allowed(self, urls: pa.Array, hh: np.ndarray) -> np.ndarray:
+        """ALLOW_SOME rows: join each row to its host's rules (searchsorted
+        bounds + repeat), match each distinct pattern over its pairs, keep
+        the best score per row. No matching rule -> allowed."""
+        targets = _match_targets(urls)
+        lo = np.searchsorted(self.r_hash, hh, side="left")
+        cnt = np.searchsorted(self.r_hash, hh, side="right") - lo
+        row = np.repeat(np.arange(len(hh)), cnt)
+        # rule index of each pair: lo[row] + its offset within the row
+        rule = np.arange(len(row)) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        pid = self.r_pat[rule]
+        order = np.argsort(pid, kind="stable")
+        pid_sorted = pid[order]
+        starts = np.flatnonzero(np.r_[True, pid_sorted[1:] != pid_sorted[:-1]])
+        hits = []
+        for s, e in zip(starts, np.r_[starts[1:], len(order)]):
+            pairs = order[s:e]
+            m = self._match(int(pid_sorted[s]), targets.take(pa.array(row[pairs])))
+            hits.append(pairs[m])
+        best = np.full(len(hh), -1, dtype=np.int64)
+        if hits:
+            hit = np.concatenate(hits)
+            np.maximum.at(best, row[hit], self.r_score[rule[hit]])
+        res = (best < 0) | (best % 2 == 1)
+        res |= pc.equal(targets, "/robots.txt").to_numpy(zero_copy_only=False)
+        return res
+
+    def _match(self, pat: int, targets: pa.Array) -> np.ndarray:
+        rx = self.re2[pat]
+        if rx is not None:
+            try:
+                return pc.fill_null(pc.match_substring_regex(targets, rx), False).to_numpy(
+                    zero_copy_only=False
+                )
+            except pa.ArrowInvalid:
+                self.re2[pat] = None
+        py = self._py.get(pat)
+        if py is None:
+            py = self._py[pat] = _pattern_to_regex(self.patterns[pat])
+        return np.array([py.match(t) is not None for t in targets.to_pylist()], dtype=bool)
 
 
 def _rules_state(hosts_ref) -> _HostRulesIndex:
@@ -320,119 +405,31 @@ def _rules_state(hosts_ref) -> _HostRulesIndex:
 def _allowed_mask(
     hosts_ref, batch: pa.Table, unknown_allow: bool, return_unknown: bool = False
 ):
-    from abwcf_ray.functions.hashing import hash64
-    from abwcf_ray.state.hosts import MODE_ALL, MODE_NONE, MODE_SOME
-
+    """Robots answer per row of ``batch`` (url, host) under the payload
+    ``hosts_ref``; a host not in the payload gets ``unknown_allow``. With
+    ``return_unknown``, also the mask of those rows."""
     index = _rules_state(hosts_ref)
-    n = batch.num_rows
     hh = hash64(batch.column("host"))
-    ph = index.hhash
-    if len(ph):
-        pos = np.minimum(np.searchsorted(ph, hh), len(ph) - 1)
-        found = ph[pos] == hh
-        modes = np.where(found, index.mode[pos], np.uint8(255))
-    else:
-        found = np.zeros(n, dtype=bool)
-        modes = np.full(n, 255, dtype=np.uint8)  # 255 -> unknown host
-
-    allowed = np.full(n, unknown_allow, dtype=bool)
-    allowed[modes == MODE_NONE] = False
-    allowed[modes == MODE_ALL] = True
-
-    some = modes == MODE_SOME
-    if some.any():
-        import polars as pl
-
-        some_ix = np.flatnonzero(some)
-        # vectorized path(+query) extraction (matcher target, RFC 9309),
-        # urlsplit-equivalent: empty path -> "/", query reattached with "?"
-        # only when non-empty (parity test: test_robots.py). Runs on polars
-        # Rust-regex kernels (the pandas str ops here were per-row re calls
-        # and the hottest cost of the candidate chain's lenient pass).
-        some_urls = batch.column("url").combine_chunks().take(pa.array(some_ix))
-        paths_pl = (
-            pl.DataFrame({"u": pl.from_arrow(some_urls)})
-            .lazy()
-            .with_columns(
-                rest=pl.col("u")
-                .str.replace(_AUTHORITY_RE.pattern, "")
-                .str.replace(_FRAGMENT_RE.pattern, "")
-            )
-            .with_columns(
-                p=pl.col("rest").str.extract(r"^([^?]*)", 1).fill_null(""),
-                q=pl.col("rest").str.extract(r"^[^?]*\?(.*)$", 1),
-            )
-            .with_columns(
-                p=pl.when(pl.col("p") == "").then(pl.lit("/")).otherwise(pl.col("p"))
-            )
-            .select(
-                t=pl.when(pl.col("q").is_null() | (pl.col("q") == ""))
-                .then(pl.col("p"))
-                .otherwise(pl.col("p") + pl.lit("?") + pl.col("q"))
-            )
-            .collect()["t"]
-        )
-        rows = pd.DataFrame(
-            {
-                "row": np.arange(len(some_ix), dtype=np.int64),
-                "hhash": hh[some_ix],
-            }
-        )
-        # hash-join rows x their host's rules -> one record per (row, rule)
-        exploded = rows.merge(index.rules_df, on="hhash", how="inner")
-        res = np.ones(len(some_ix), dtype=bool)
-        if len(exploded):
-            rows_np = exploded["row"].to_numpy()
-            match = np.zeros(len(exploded), dtype=bool)
-            # one vectorized regex pass per DISTINCT pattern (Rust regex;
-            # per-pattern fallback to Python re if a pattern won't compile)
-            for pattern, grp in exploded.groupby("pattern", sort=False).groups.items():
-                pos = np.asarray(grp)
-                sub = paths_pl.gather(rows_np[pos])
-                rust = index.rust_by_pattern.get(pattern)
-                if rust is not None:
-                    try:
-                        m = sub.str.contains(rust).fill_null(False).to_numpy()
-                    except Exception:
-                        index.rust_by_pattern[pattern] = rust = None
-                if rust is None:
-                    rx = index.regex_by_pattern[pattern]
-                    m = (
-                        sub.to_pandas()
-                        .str.match(rx)
-                        .fillna(False)
-                        .to_numpy(dtype=bool)
-                    )
-                match[pos] = m
-            hit = exploded[match]
-            if len(hit):
-                # most-specific wins, allow beats disallow on ties: sort by
-                # (plen, allow) and keep the last record per row
-                winner = (
-                    hit.sort_values(["row", "plen", "allow"], kind="mergesort")
-                    .drop_duplicates("row", keep="last")
-                )
-                res[winner["row"].to_numpy()] = winner["allow"].to_numpy(dtype=bool)
-        res[(paths_pl == "/robots.txt").to_numpy()] = True
-        allowed[some_ix] = res
+    modes = index.modes(hh)
+    allowed = index.allowed(batch.column("url").combine_chunks(), hh, modes, unknown_allow)
     if return_unknown:
-        return allowed, ~found
+        return allowed, modes == _UNKNOWN
     return allowed
 
 
 def make_lenient_robots_filter(hosts_ref):
     """C1 (LenientRobotsFilter.scala:66-118): drop candidates disallowed by
     known host rules; unknown hosts pass (fail-open, :82-86)."""
-
-    def lenient_robots(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        return batch.filter(pa.array(_allowed_mask(hosts_ref, batch, True)))
-
-    return lenient_robots
+    return functools.partial(_lenient_robots, hosts_ref)
 
 
-def make_strict_robots_filter(hosts_ref):
+def _lenient_robots(hosts_ref, batch: pa.Table) -> pa.Table:
+    if batch.num_rows == 0:
+        return batch
+    return batch.filter(pa.array(_allowed_mask(hosts_ref, batch, True)))
+
+
+def make_strict_robots_filter(hosts_ref, recheck_ref=None):
     """C2 (StrictRobotsFilter.scala:72-133): evaluated just before fetch.
     Allowed rows pass with ``rejected=False``; urls rejected BY KNOWN RULES
     (-> status=Disallowed in the frontier, :128-131) pass with
@@ -443,18 +440,30 @@ def make_strict_robots_filter(hosts_ref):
     fail-close-duration): the row is dropped from this wave but NOT
     rejected, so it stays Discovered and retries next wave. After
     host-prep every eligible host is known, so this path is a safety net,
-    not steady-state behavior."""
+    not steady-state behavior.
 
-    def strict_robots(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("rejected", pa.array([], pa.bool_()))
-        mask, unknown = _allowed_mask(hosts_ref, batch, False, return_unknown=True)
-        keep = mask | ~unknown  # allowed, or disallowed by known rules
-        return batch.filter(pa.array(keep)).append_column(
-            "rejected", pa.array(~mask[keep])
-        )
+    ``recheck_ref`` holds the sorted host hashes whose robots this wave's
+    host prep fetched: only their rows are evaluated, and a row of any
+    other known host passes unrejected (its answer cannot have changed,
+    see the section comment above). None evaluates every row."""
+    return functools.partial(_strict_robots, hosts_ref, recheck_ref)
 
-    return strict_robots
+
+def _strict_robots(hosts_ref, recheck_ref, batch: pa.Table) -> pa.Table:
+    if batch.num_rows == 0:
+        return batch.append_column("rejected", pa.array([], pa.bool_()))
+    index = _rules_state(hosts_ref)
+    hh = hash64(batch.column("host"))
+    modes = index.modes(hh)
+    unknown = modes == _UNKNOWN
+    mask = ~unknown  # a known host's row passes unless it is checked
+    check = mask if recheck_ref is None else mask & _member(ray.get(recheck_ref), hh)
+    check = np.flatnonzero(check)
+    if len(check):
+        urls = batch.column("url").combine_chunks().take(pa.array(check))
+        mask[check] = index.allowed(urls, hh[check], modes[check], False)
+    keep = mask | ~unknown  # allowed, or disallowed by known rules
+    return batch.filter(pa.array(keep)).append_column("rejected", pa.array(~mask[keep]))
 
 
 # --------------------------------------------------------------------------
@@ -513,71 +522,72 @@ def make_process_fetched_stage(cfg: CrawlConfig):
         FetchResultConsumer.scala:29-50).
     The html column is dropped here — binary payloads never cross a shuffle
     (SURVEY.md §7 hard part d)."""
-    parseable = {"text/html", "application/xhtml+xml"}
-    max_depth = cfg.max_crawl_depth
-    consume = cfg.consume_fn  # user hook (H, UserCode.scala:68-69)
+    # consume_fn: the user hook (H, UserCode.scala:68-69)
+    return functools.partial(_process_fetched, cfg.max_crawl_depth, cfg.consume_fn)
 
-    def process(batch: pa.Table) -> pa.Table:
-        urls = batch.column("url").to_pylist()
-        depths = batch.column("depth").to_pylist()
-        statuses = batch.column("status").to_pylist()
-        ctypes = batch.column("content_type").to_pylist()
-        locations = batch.column("location").to_pylist()
-        xrts = batch.column("x_robots_tag").to_pylist()
-        htmls = batch.column("html").to_pylist()
-        # body-cap flag from the fetch stage (absent when processing a raw
-        # corpus directly, e.g. the extraction probe): flagged rows carry a
-        # null body, so they fall through to consumed-not-parsed below
-        if "length_exceeded" in batch.schema.names:
-            exceeded = batch.column("length_exceeded").to_pylist()
+
+_PARSEABLE = frozenset({"text/html", "application/xhtml+xml"})
+
+
+def _process_fetched(max_depth: int, consume, batch: pa.Table) -> pa.Table:
+    urls = batch.column("url").to_pylist()
+    depths = batch.column("depth").to_pylist()
+    statuses = batch.column("status").to_pylist()
+    ctypes = batch.column("content_type").to_pylist()
+    locations = batch.column("location").to_pylist()
+    xrts = batch.column("x_robots_tag").to_pylist()
+    htmls = batch.column("html").to_pylist()
+    # body-cap flag from the fetch stage (absent when processing a raw
+    # corpus directly, e.g. the extraction probe): flagged rows carry a
+    # null body, so they fall through to consumed-not-parsed below
+    if "length_exceeded" in batch.schema.names:
+        exceeded = batch.column("length_exceeded").to_pylist()
+    else:
+        exceeded = [False] * batch.num_rows
+
+    texts: list[str | None] = []
+    links_col: list[list[str]] = []
+    child_depths: list[int] = []
+    is_html: list[bool] = []
+    for url, depth, status, ctype, loc, xrt, html in zip(
+        urls, depths, statuses, ctypes, locations, xrts, htmls
+    ):
+        if status is not None and 300 <= status < 400 and loc:
+            texts.append(None)
+            links_col.append([resolve_location(url, loc)])
+            child_depths.append(depth)  # redirects keep the depth
+            is_html.append(False)
+            continue
+        if status == 200 and ctype in _PARSEABLE and html is not None:
+            follow = depth < max_depth and not header_nofollow(xrt)
+            links, text, _meta_nofollow = parse_document(html, url)
+            if consume is not None:
+                text = consume(url, html)
+            texts.append(text)
+            links_col.append(links if follow else [])
+            child_depths.append(depth + 1)
+            is_html.append(True)
         else:
-            exceeded = [False] * batch.num_rows
-
-        texts: list[str | None] = []
-        links_col: list[list[str]] = []
-        child_depths: list[int] = []
-        is_html: list[bool] = []
-        for url, depth, status, ctype, loc, xrt, html in zip(
-            urls, depths, statuses, ctypes, locations, xrts, htmls
-        ):
-            if status is not None and 300 <= status < 400 and loc:
-                texts.append(None)
-                links_col.append([resolve_location(url, loc)])
-                child_depths.append(depth)  # redirects keep the depth
-                is_html.append(False)
-                continue
-            if status == 200 and ctype in parseable and html is not None:
-                follow = depth < max_depth and not header_nofollow(xrt)
-                links, text, _meta_nofollow = parse_document(html, url)
-                if consume is not None:
-                    text = consume(url, html)
-                texts.append(text)
-                links_col.append(links if follow else [])
-                child_depths.append(depth + 1)
-                is_html.append(True)
-            else:
-                texts.append(None)
-                links_col.append([])
-                child_depths.append(depth + 1)
-                is_html.append(False)
-        return pa.table(
-            {
-                "url": pa.array(urls, pa.string()),
-                "depth": pa.array(depths, pa.int32()),
-                "fetch_status": pa.array(
-                    [s if s is not None else 404 for s in statuses], pa.int32()
-                ),
-                "is_html": pa.array(is_html, pa.bool_()),
-                "length_exceeded": pa.array(
-                    [bool(e) for e in exceeded], pa.bool_()
-                ),
-                "text": pa.array(texts, pa.string()),
-                "links": pa.array(links_col, pa.list_(pa.string())),
-                "child_depth": pa.array(child_depths, pa.int32()),
-            }
-        )
-
-    return process
+            texts.append(None)
+            links_col.append([])
+            child_depths.append(depth + 1)
+            is_html.append(False)
+    return pa.table(
+        {
+            "url": pa.array(urls, pa.string()),
+            "depth": pa.array(depths, pa.int32()),
+            "fetch_status": pa.array(
+                [s if s is not None else 404 for s in statuses], pa.int32()
+            ),
+            "is_html": pa.array(is_html, pa.bool_()),
+            "length_exceeded": pa.array(
+                [bool(e) for e in exceeded], pa.bool_()
+            ),
+            "text": pa.array(texts, pa.string()),
+            "links": pa.array(links_col, pa.list_(pa.string())),
+            "child_depth": pa.array(child_depths, pa.int32()),
+        }
+    )
 
 
 def explode_links(batch: pa.Table) -> pa.Table:
@@ -620,28 +630,32 @@ def make_update_status(
     pipelines/crawl.py). The reference analog is the batched
     ``UPDATE pages SET status`` (SlickPageRepository.scala:37-51,
     Batcher.scala:14-62)."""
+    return functools.partial(_update_status, processed_ref, disallowed_ref)
 
-    def _member(sorted_hashes: np.ndarray, h: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(sorted_hashes, h)
-        posc = np.minimum(pos, len(sorted_hashes) - 1)
-        return (pos < len(sorted_hashes)) & (sorted_hashes[posc] == h)
 
-    def update_status(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        processed = ray.get(processed_ref)
-        disallowed = ray.get(disallowed_ref)
-        h = hash64(batch.column("url"))
-        status = np.asarray(batch.column("status").to_pylist(), dtype=object)
-        if len(processed):
-            status[_member(processed, h)] = STATUS_PROCESSED
-        if len(disallowed):
-            status[_member(disallowed, h)] = STATUS_DISALLOWED
-        return batch.set_column(
-            batch.schema.get_field_index("status"), "status", pa.array(status, pa.string())
-        )
+def _member(sorted_hashes: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Mask of the ``h`` that are in ``sorted_hashes``."""
+    if not len(sorted_hashes):
+        return np.zeros(len(h), dtype=bool)
+    pos = np.searchsorted(sorted_hashes, h)
+    posc = np.minimum(pos, len(sorted_hashes) - 1)
+    return (pos < len(sorted_hashes)) & (sorted_hashes[posc] == h)
 
-    return update_status
+
+def _update_status(processed_ref, disallowed_ref, batch: pa.Table) -> pa.Table:
+    if batch.num_rows == 0:
+        return batch
+    processed = ray.get(processed_ref)
+    disallowed = ray.get(disallowed_ref)
+    h = hash64(batch.column("url"))
+    status = np.asarray(batch.column("status").to_pylist(), dtype=object)
+    if len(processed):
+        status[_member(processed, h)] = STATUS_PROCESSED
+    if len(disallowed):
+        status[_member(disallowed, h)] = STATUS_DISALLOWED
+    return batch.set_column(
+        batch.schema.get_field_index("status"), "status", pa.array(status, pa.string())
+    )
 
 
 def make_eligible_filter(flips_ref: "ray.ObjectRef"):
@@ -653,22 +667,19 @@ def make_eligible_filter(flips_ref: "ray.ObjectRef"):
     is the read-side overlay: a row is eligible iff it was written as
     Discovered and no later wave flipped it. Flips never revert, so the
     subtraction is exact."""
+    return functools.partial(_eligible, flips_ref)
 
-    def eligible(batch: pa.Table) -> pa.Table:
-        t = batch.filter(pc.equal(batch["status"], STATUS_DISCOVERED))
-        if t.num_rows == 0:
-            return t
-        flips = ray.get(flips_ref)
-        if len(flips):
-            h = hash64(t.column("url"))
-            pos = np.searchsorted(flips, h)
-            posc = np.minimum(pos, len(flips) - 1)
-            member = (pos < len(flips)) & (flips[posc] == h)
-            if member.any():
-                t = t.filter(pa.array(~member))
+
+def _eligible(flips_ref, batch: pa.Table) -> pa.Table:
+    t = batch.filter(pc.equal(batch["status"], STATUS_DISCOVERED))
+    if t.num_rows == 0:
         return t
-
-    return eligible
+    flips = ray.get(flips_ref)
+    if len(flips):
+        member = _member(flips, hash64(t.column("url")))
+        if member.any():
+            t = t.filter(pa.array(~member))
+    return t
 
 
 # --------------------------------------------------------------------------
@@ -683,15 +694,15 @@ def make_propose():
     dedup is a pure row filter: the claim task keeps only the min-depth
     row per hash anyway, and a url's rows from other batches meet at that
     one task. (The name is the one perfbench/tracing.py wraps.)"""
+    return _propose
 
-    def propose(batch: pa.Table) -> pa.Table:
-        h = hash64(batch.column("url"))
-        d = batch.column("depth").to_numpy(zero_copy_only=False)
-        batch = batch.append_column("url_hash", pa.array(h, pa.uint64()))
-        keep = _first_min_depth(h, d)
-        return batch if keep.all() else batch.filter(pa.array(keep))
 
-    return propose
+def _propose(batch: pa.Table) -> pa.Table:
+    h = hash64(batch.column("url"))
+    d = batch.column("depth").to_numpy(zero_copy_only=False)
+    batch = batch.append_column("url_hash", pa.array(h, pa.uint64()))
+    keep = _first_min_depth(h, d)
+    return batch if keep.all() else batch.filter(pa.array(keep))
 
 
 def _first_min_depth(h: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -716,16 +727,20 @@ def split_by_hash(batch: pa.Table, n_parts: int) -> list[pa.Table]:
     return [batch.filter(pa.array(part == i)) for i in range(n_parts)]
 
 
-def claim_parts(parts: list[pa.Table], seen_set, wave: int) -> pa.Table:
+def claim_parts(parts: list[pa.Table], seen_set, wave: int, lenient) -> pa.Table:
     """F1 claim for one hash partition of the wave's candidates: the
-    min-depth row per url hash, minus urls seen before this wave; the
-    survivors are registered as seen at ``wave``. The probe ignores this
-    wave's own adds (state/seen.py), so a retried claim task reproduces its
-    rows exactly (the same probe-and-add as stages/novel.py)."""
+    min-depth row per url hash, minus urls seen before this wave, through
+    the ``lenient`` robots stage (C1); the survivors are registered as seen
+    at ``wave``. The probe ignores this wave's own adds (state/seen.py), so
+    a retried claim task reproduces its rows exactly (the same
+    probe-and-add as stages/novel.py). Lenient robots is a function of the
+    url alone, so running it after the dedup keeps the same rows as
+    running it first; a url it drops is never added to the seen set, so a
+    rediscovery is filtered again."""
     t = pa.concat_tables(parts).combine_chunks()
     h = t.column("url_hash").to_numpy()
     t = t.filter(pa.array(_first_min_depth(h, t.column("depth").to_numpy())))
     h = t.column("url_hash").to_numpy()
-    new = ~seen_set.contains(h, before_wave=wave)
-    seen_set.add(h[new], wave)
-    return t.filter(pa.array(new))
+    t = lenient(t.filter(pa.array(~seen_set.contains(h, before_wave=wave))))
+    seen_set.add(t.column("url_hash").to_numpy(), wave)
+    return t

@@ -277,23 +277,31 @@ def test_max_content_length_cap(ray_session, corpus, tmp_path_factory):
             assert (capped["links"].map(len) == 0).all()
 
 
-def test_robots_ttl_expiry_matches_oracle(ray_session, corpus, tmp_path_factory):
-    """Short robots TTLs force re-fetch + expired-rules-reuse mid-crawl
-    (HostManager.scala:142-162); pipeline must still match the oracle."""
-    from abwcf_ray.pipelines.crawl import run_crawl
+# short robots TTLs: rules expire every ~3 waves (unreachable every ~2),
+# forcing re-fetches and expired-rules reuse mid-crawl
+TTL_CFG = CrawlConfig(
+    max_waves=6,
+    wave_duration_s=10.0,
+    seen_shards=4,
+    max_crawl_depth=6,
+    valid_rules_lifetime_s=25,
+    unavailable_rules_lifetime_s=25,
+    unreachable_rules_lifetime_s=15,
+)
 
-    cfg = CrawlConfig(
-        max_waves=6,
-        wave_duration_s=10.0,
-        seen_shards=4,
-        max_crawl_depth=6,
-        valid_rules_lifetime_s=25,       # expires every ~3 waves
-        unavailable_rules_lifetime_s=25,
-        unreachable_rules_lifetime_s=15,
-    )
-    out = tmp_path_factory.mktemp("ttl")
-    summary = run_crawl(cfg, corpus, out, log=lambda *_: None)
-    o = run_oracle(cfg, corpus)
+
+@pytest.fixture(scope="module")
+def ttl_oracle(corpus):
+    return run_oracle(TTL_CFG, corpus)
+
+
+def _assert_matches_oracle(out: Path, summary, o) -> None:
+    """The gate's checks: per-wave fetch order, final frontier, seen set."""
+    for wave, expected in enumerate(o.order):
+        sel = pads.dataset(str(out / f"wave_{wave:04d}" / "selected")).to_table().to_pandas()
+        sel = sel.sort_values("global_rank")
+        got = list(zip(sel["host"], sel["rank_in_host"], sel["url"]))
+        assert got == expected, f"wave {wave} fetch order diverges"
     got = _final_frontier(out, summary)
     exp = (
         pd.DataFrame(
@@ -308,15 +316,107 @@ def test_robots_ttl_expiry_matches_oracle(ray_session, corpus, tmp_path_factory)
         got[["url", "status", "depth", "priority"]].astype({"depth": "int64"}),
         exp.astype({"depth": "int64"}),
     )
-    # re-fetches actually happened after wave 0
-    import json as _json
+    assert summary.seen_size == len(o.seen)
+    assert set(got["url"]) == o.seen
 
+
+def test_robots_ttl_expiry_matches_oracle(ray_session, corpus, tmp_path_factory, ttl_oracle):
+    """Short robots TTLs force re-fetch + expired-rules-reuse mid-crawl
+    (HostManager.scala:142-162); the pipeline must still match the oracle
+    wave by wave. Strict robots re-evaluates only the re-fetched hosts'
+    rows, so this is where a missed re-evaluation would show."""
+    from abwcf_ray.pipelines.crawl import run_crawl
+
+    out = tmp_path_factory.mktemp("ttl")
+    summary = run_crawl(TTL_CFG, corpus, out, log=lambda *_: None)
+    _assert_matches_oracle(out, summary, ttl_oracle)
+    # re-fetches actually happened after wave 0
     refetches = sum(
-        _json.loads((d / "manifest.json").read_text()).get("n_robots_fetched", 0)
+        json.loads((d / "manifest.json").read_text()).get("n_robots_fetched", 0)
         for d in sorted(out.glob("wave_*"))[1:]
         if (d / "manifest.json").exists()
     )
     assert refetches > 0
+
+
+def test_robots_ttl_resume_after_refetch_wave(
+    ray_session, corpus, tmp_path_factory, ttl_oracle
+):
+    """Stop right after a wave that re-fetched expired hosts' robots, then
+    resume: the resumed run recomputes each wave's re-fetched host set from
+    the restored hosts checkpoint and must equal the straight oracle run."""
+    import dataclasses
+
+    import pyarrow.parquet as pq
+
+    from abwcf_ray.pipelines.crawl import run_crawl
+
+    out = tmp_path_factory.mktemp("ttl_resume")
+    run_crawl(dataclasses.replace(TTL_CFG, max_waves=4), corpus, out, log=lambda *_: None)
+    # wave 3 (now 30 s) re-fetched hosts whose wave-0 rules expired at 25 s
+    before = pq.read_table(out / "wave_0002" / "hosts.parquet").to_pandas()
+    after = pq.read_table(out / "wave_0003" / "hosts.parquet").to_pandas()
+    merged = before.merge(after, on="host", suffixes=("_2", "_3"))
+    refetched = merged[
+        (merged["valid_until_s_2"] <= 30.0) & (merged["valid_until_s_3"] > 30.0)
+    ]
+    assert len(refetched) > 0
+    summary = run_crawl(TTL_CFG, corpus, out, resume=True, log=lambda *_: None)
+    _assert_matches_oracle(out, summary, ttl_oracle)
+
+
+def test_refetched_rules_change_rejects_eligible_rows(ray_session, corpus, tmp_path):
+    """When a re-fetch changes a host's rules, strict robots re-evaluates
+    that host's eligible rows in the same wave. A robots transport serves
+    every host as ALLOW_ALL until 30 s, then one busy host as
+    ``Disallow: /``; its wave-0 rules expire at 25 s, so wave 3 re-fetches
+    them: from wave 3 on none of its urls is fetched, its rows still
+    Discovered at wave 3 become Disallowed, and none stays Discovered."""
+    import dataclasses
+
+    from abwcf_ray.functions.urlnorm import get_scheme_and_authority
+    from abwcf_ray.pipelines.crawl import run_crawl
+    from abwcf_ray.state.hosts import robots_rows_from_records
+
+    pages = pads.dataset(corpus.pages_dir).to_table(columns=["url"]).column("url").to_pylist()
+    target = pd.Series([get_scheme_and_authority(u) for u in pages]).value_counts().index[0]
+
+    def robots_transport():
+        def fetch(batch):
+            now_s = batch.column("now_s")[0].as_py()
+            body = b"User-agent: *\nDisallow: /\n"
+
+            def record(host):
+                return (200, 0, body, "text/plain") if host == target and now_s >= 30 else None
+
+            return robots_rows_from_records(record, batch, cfg)
+
+        return fetch
+
+    cfg = dataclasses.replace(
+        CFG,
+        max_waves=6,
+        valid_rules_lifetime_s=25,
+        unavailable_rules_lifetime_s=25,
+        robots_transport=robots_transport,
+    )
+    summary = run_crawl(cfg, corpus, tmp_path, log=lambda *_: None)
+    fetched = {
+        w: set(
+            pads.dataset(str(tmp_path / f"wave_{w:04d}" / "selected"))
+            .to_table(columns=["host"])
+            .column("host")
+            .to_pylist()
+        )
+        for w in range(summary.waves)
+        if (tmp_path / f"wave_{w:04d}" / "selected").exists()
+    }
+    assert target in fetched[2] and not any(target in fetched[w] for w in fetched if w >= 3)
+    rows = _final_frontier(tmp_path, summary)
+    statuses = rows[rows["host"] == target]["status"].value_counts().to_dict()
+    assert statuses.get("Disallowed", 0) > 0 and "Discovered" not in statuses
+    w3 = json.loads((tmp_path / "wave_0003" / "manifest.json").read_text())
+    assert w3["n_disallowed"] > 0
 
 
 def test_compaction_status_split_prunes_eligible_scan(ray_session, corpus, tmp_path_factory):

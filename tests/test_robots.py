@@ -146,80 +146,122 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 
+_PATTERN = st.text(alphabet=_string.ascii_lowercase[:4] + "/*$.?=_-%~", min_size=1, max_size=8)
+
+
+def _canonical(rules) -> tuple:
+    """The rule order ``parse_robots_txt`` produces: longest first, Allow
+    before Disallow on a tie."""
+    return tuple(sorted(set(rules), key=lambda r: (-len(r[0]), not r[1])))
+
+
 @given(
-    pats=st.lists(
-        st.text(alphabet=_string.ascii_lowercase + "/*$._-%~", min_size=1, max_size=10),
+    rulesets=st.lists(
+        st.lists(st.tuples(_PATTERN, st.booleans()), min_size=1, max_size=4),
         min_size=1,
-        max_size=4,
+        max_size=3,
     ),
-    allows=st.lists(st.booleans(), min_size=4, max_size=4),
-    urls_suffix=st.lists(
-        st.text(alphabet=_string.ascii_lowercase + "/?=&._-%~", min_size=0, max_size=12),
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 5),
+            st.text(alphabet=_string.ascii_lowercase[:4] + "/?=&#._-%~", max_size=12),
+        ),
         min_size=1,
-        max_size=6,
+        max_size=12,
     ),
+    unknown_allow=st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_vectorized_rules_match_scalar_hypothesis(ray_session, pats, allows, urls_suffix):
-    """Random rule patterns (incl. '*' wildcards and '$' anchors) x random
-    urls: the vectorized filter (Rust-regex match pass) must agree with the
-    scalar RobotRules.is_allowed for every row."""
+def test_vectorized_rules_match_scalar_hypothesis(ray_session, rulesets, rows, unknown_allow):
+    """Random rule sets (incl. '*' wildcards and '$' anchors) on several
+    ALLOW_SOME hosts in one batch, mixed with an ALLOW_ALL host, an
+    ALLOW_NONE host and an unknown one, x random urls: the vectorized
+    filter (flat rule table, RE2 match pass) must agree with the scalar
+    RobotRules.is_allowed for every row, and an unknown host's rows get
+    ``unknown_allow`` and are the ones ``return_unknown`` marks."""
     import numpy as np
     import pyarrow as pa
     import ray
 
-    from abwcf_ray.functions.robots import ALLOW_SOME, RobotRules
     from abwcf_ray.state.hosts import rules_payload_from_dict
-    from abwcf_ray.stages.transform import _RULES_STATE, _allowed_mask
+    from abwcf_ray.stages.transform import _allowed_mask
 
-    host = "https://hyp.example"
-    rules = RobotRules(
-        mode=ALLOW_SOME,
-        rules=tuple(
-            (p, a)
-            for p, a in zip(
-                sorted(set(pats), key=lambda p: (-len(p), p)), allows
-            )
-        ),
-        crawl_delay_ms=0,
-    )
-    urls = [host + ("/" + s if not s.startswith("/") else s) for s in urls_suffix]
+    hosts = {
+        f"https://some{i}.example": RobotRules(ALLOW_SOME, _canonical(r), 0)
+        for i, r in enumerate(rulesets)
+    }
+    hosts["https://all.example"] = RobotRules(ALLOW_ALL)
+    hosts["https://none.example"] = RobotRules(ALLOW_NONE)
+    names = list(hosts) + ["https://unknown.example"]
     payload = rules_payload_from_dict(
-        {host: (rules.mode, rules.serialize_rules(), rules.crawl_delay_ms)}
+        {h: (r.mode, r.serialize_rules(), r.crawl_delay_ms) for h, r in hosts.items()}
     )
-    _RULES_STATE.clear()
-    batch = pa.table(
-        {
-            "url": pa.array(urls, pa.string()),
-            "host": pa.array([host] * len(urls), pa.string()),
-        }
+    row_hosts = [names[i % len(names)] for i, _ in rows]
+    urls = [h + ("/" + s if not s.startswith("/") else s) for h, (_, s) in zip(row_hosts, rows)]
+    batch = pa.table({"url": pa.array(urls, pa.string()), "host": pa.array(row_hosts, pa.string())})
+    got, unknown = _allowed_mask(ray.put(payload), batch, unknown_allow, return_unknown=True)
+    want = np.array(
+        [hosts[h].is_allowed(u) if h in hosts else unknown_allow for h, u in zip(row_hosts, urls)]
     )
-    got = _allowed_mask(ray.put(payload), batch, True)
+    assert (got == want).all(), list(zip(urls, got, want))
+    assert (unknown == np.array([h not in hosts for h in row_hosts])).all()
+    assert (_allowed_mask(ray.put(payload), batch, unknown_allow) == want).all()
+
+
+def test_re2_rejected_pattern_falls_back_to_python_re(ray_session, monkeypatch):
+    """A pattern whose fast (RE2) form arrow rejects is matched with its
+    Python ``re`` form instead, with the same answers, and only that
+    pattern leaves the fast engine."""
+    import numpy as np
+    import pyarrow as pa
+    import ray
+
+    from abwcf_ray.state.hosts import rules_payload_from_dict
+    from abwcf_ray.stages import transform
+
+    real = transform._pattern_to_rust
+    # a lookbehind: valid for Python re, rejected by RE2
+    monkeypatch.setattr(
+        transform, "_pattern_to_rust", lambda p: "(?<=x)" + real(p) if p == "/b" else real(p)
+    )
+    rules = parse_robots_txt(b"User-agent: *\nDisallow: /a\nDisallow: /b\nAllow: /b/ok\n")
+    host = "https://fb.example"
+    payload = rules_payload_from_dict({host: (rules.mode, rules.serialize_rules(), 0)})
+    urls = [host + p for p in ["/a1", "/b", "/b/ok", "/bx", "/c", "/robots.txt"]]
+    batch = pa.table({"url": pa.array(urls), "host": pa.array([host] * len(urls))})
+    ref = ray.put(payload)
+    got = transform._allowed_mask(ref, batch, True)
     want = np.array([rules.is_allowed(u) for u in urls])
     assert (got == want).all(), list(zip(urls, got, want))
+    assert not want[1] and want[2]  # the fallback pattern decides rows
+    index = transform._rules_state(ref)
+    fast = dict(zip(index.patterns, index.re2))
+    assert fast["/b"] is None and fast["/a"] is not None and fast["/b/ok"] is not None
 
 
 def test_rust_pattern_literal_backslash_z():
     """A rule whose path literally contains backslash-Z must match the same
-    URLs on the Rust (polars) fast path as on the Python re fallback: the
-    old blanket ``pattern.replace('\\Z', '\\z')`` rewrote the tail of the
-    ESCAPED literal, silently changing the matched byte."""
-    import polars as pl
+    URLs on the fast path (arrow's RE2 kernel, the engine the robots
+    filters run) as on the Python re fallback: the old blanket
+    ``pattern.replace('\\Z', '\\z')`` rewrote the tail of the ESCAPED
+    literal, silently changing the matched byte."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
 
     from abwcf_ray.functions.robots import _pattern_to_regex, _pattern_to_rust
 
     targets = ["/a\\Zb", "/a\\zb", "/aZb", "/x", "/a\\Z", "/a\\z"]
-    s = pl.Series(targets)
+    s = pa.array(targets)
     for rule in ["/a\\Z", "/a\\Zb$", "/a*\\Z", "/a\\Z$"]:
         py = _pattern_to_regex(rule)
-        rust = _pattern_to_rust(rule)
+        fast = _pattern_to_rust(rule)
         want = [bool(py.match(t)) for t in targets]
-        got = s.str.contains(rust).fill_null(False).to_list()
-        assert got == want, (rule, rust, py.pattern, want, got)
+        got = pc.match_substring_regex(s, fast).to_pylist()
+        assert got == want, (rule, fast, py.pattern, want, got)
     # and the anchor itself still translates: '$'-anchored rules match
     # end-of-string on both engines
     py = _pattern_to_regex("/exact$")
-    rust = _pattern_to_rust("/exact$")
-    s2 = pl.Series(["/exact", "/exactly", "/exact/"])
-    assert s2.str.contains(rust).to_list() == [True, False, False]
-    assert [bool(py.match(t)) for t in s2.to_list()] == [True, False, False]
+    fast = _pattern_to_rust("/exact$")
+    s2 = pa.array(["/exact", "/exactly", "/exact/"])
+    assert pc.match_substring_regex(s2, fast).to_pylist() == [True, False, False]
+    assert [bool(py.match(t)) for t in s2.to_pylist()] == [True, False, False]

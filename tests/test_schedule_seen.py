@@ -3,6 +3,8 @@ unit tests."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -214,41 +216,91 @@ def test_propose_prededup_semantics():
     assert make_propose()(b1).equals(out1)
 
 
+def _claim_lenient(host_rules: dict, log: Path | None = None):
+    """A claim's lenient robots stage over a payload of ``host -> robots
+    body``; with ``log``, every url the stage is given is appended there."""
+    import ray
+
+    from abwcf_ray.functions.robots import parse_robots_txt
+    from abwcf_ray.stages.transform import make_lenient_robots_filter
+    from abwcf_ray.state.hosts import rules_payload_from_dict
+
+    rules = {h: parse_robots_txt(b) for h, b in host_rules.items()}
+    stage = make_lenient_robots_filter(
+        ray.put(
+            rules_payload_from_dict(
+                {h: (r.mode, r.serialize_rules(), r.crawl_delay_ms) for h, r in rules.items()}
+            )
+        )
+    )
+    if log is None:
+        return stage
+
+    def logged(batch):
+        with open(log, "a") as f:
+            f.writelines(u + "\n" for u in batch.column("url").to_pylist())
+        return stage(batch)
+
+    return logged
+
+
 def test_claim_chunk_retry_rewrites_part_and_counts(ray_session, tmp_path):
     """A claim task re-run for the same partition (a simulated Ray retry)
     rewrites the same delta part with the same rows, and both runs return
     the same per-host counts — that part's host histogram. Returning the
     counts is what keeps retries from double-counting the host ledger; the
-    retried probe ignores the first run's same-wave adds."""
+    retried probe ignores the first run's same-wave adds. The claim's
+    lenient robots stage drops the urls a known host disallows, and they
+    are not added to the seen set."""
     import pyarrow.parquet as pq
     import ray
 
+    from abwcf_ray.functions.hashing import hash64
     from abwcf_ray.pipelines.crawl import _claim_chunk
     from abwcf_ray.stages.transform import make_propose
     from abwcf_ray.state.seen import SeenSet
 
+    urls = [f"https://h{i % 3}.example/p{i}" for i in range(40)]
     cand = make_propose()(
         pa.table(
             {
-                "url": pa.array([f"https://h{i % 3}.example/p{i}" for i in range(40)]),
+                "url": pa.array(urls),
                 "host": pa.array([f"https://h{i % 3}.example" for i in range(40)]),
                 "depth": pa.array(np.ones(40, dtype=np.int32), pa.int32()),
             }
         )
     )
+    # h1 disallows the /p1 prefix (p1, p10, p13, p16, p19); h0 is unknown
+    # (fail-open); h2 allows all
+    lenient = _claim_lenient(
+        {
+            "https://h1.example": b"User-agent: *\nDisallow: /p1\n",
+            "https://h2.example": b"User-agent: *\nDisallow:\n",
+        }
+    )
+    disallowed = [f"https://h1.example/p{i}" for i in (1, 10, 13, 16, 19)]
     seen = SeenSet(2)
     cfg = CrawlConfig()
-    part = tmp_path / "part-00003.parquet"
+    part = tmp_path / "delta" / "part-00003.parquet"
+    part.parent.mkdir()
     blocks = [ray.put(cand.slice(0, 25)), ray.put(cand.slice(25))]
 
-    n1, counts1 = ray.get(_claim_chunk.remote(3, seen, 1, cfg, str(tmp_path), *blocks))
+    def claim():
+        return ray.get(
+            _claim_chunk.remote(3, seen, 1, cfg, str(part.parent), lenient, *blocks)
+        )
+
+    n1, counts1 = claim()
     first = pq.read_table(part)
-    n2, counts2 = ray.get(_claim_chunk.remote(3, seen, 1, cfg, str(tmp_path), *blocks))
-    assert sorted(p.name for p in tmp_path.iterdir()) == [part.name]
+    n2, counts2 = claim()
+    assert sorted(p.name for p in part.parent.iterdir()) == [part.name]
     assert pq.read_table(part).equals(first)
-    assert n1 == n2 == first.num_rows == 40
+    assert n1 == n2 == first.num_rows == 40 - len(disallowed)
+    assert sorted(first.column("url").to_pylist()) == sorted(set(urls) - set(disallowed))
     assert counts1 == counts2
     assert counts1 == first.column("host").to_pandas().value_counts().to_dict()
+    assert not seen.contains(hash64(disallowed), before_wave=2).any()
+    assert seen.contains(hash64(first.column("url")), before_wave=2).all()
     seen.shutdown()
 
 
@@ -258,7 +310,10 @@ def test_partitioned_claim(ray_session, tmp_path, backend):
     different depths, split into 2 parts; claim task i takes part i of
     both. Every url is claimed exactly once, at its minimum depth, by the
     claim task its hash routes to; a url added in an earlier wave (or
-    claimed by one) is never claimed; on both seen-set backends."""
+    claimed by one) is never claimed and never reaches the lenient robots
+    stage; a url that stage drops is never claimed nor added to the seen
+    set, so a rediscovery meets the stage again; on both seen-set
+    backends."""
     import pyarrow.parquet as pq
     import ray
 
@@ -267,10 +322,13 @@ def test_partitioned_claim(ray_session, tmp_path, backend):
     from abwcf_ray.stages.transform import make_propose
     from abwcf_ray.state.seen import SeenSet
 
+    def url(i):
+        return f"https://h{i % 5}.example/p{i}"
+
     def cands(ids, depths):
         return pa.table(
             {
-                "url": pa.array([f"https://h{i % 5}.example/p{i}" for i in ids]),
+                "url": pa.array([url(i) for i in ids]),
                 "host": pa.array([f"https://h{i % 5}.example" for i in ids]),
                 "depth": pa.array(depths, pa.int32()),
             }
@@ -281,8 +339,11 @@ def test_partitioned_claim(ray_session, tmp_path, backend):
     a = cands(list(range(60)) + list(range(10)), [2] * 60 + [4] * 10)
     b = cands(list(range(30, 90)) + list(range(10)), [1] * 60 + [3] * 10)
     seen = SeenSet(3, backend=backend, cuckoo_capacity=10_000)
-    seen.add_urls([f"https://h{i % 5}.example/p{i}" for i in range(80, 90)], wave=0)
+    seen.add_urls([url(i) for i in range(80, 90)], wave=0)
     cfg = CrawlConfig()
+    # h1 disallows the /p1 prefix: u1, u11, u16
+    disallowed = {url(i) for i in (1, 11, 16)}
+    rules = {"https://h1.example": b"User-agent: *\nDisallow: /p1\n"}
 
     def claim_wave(wave, tables):
         parts = [
@@ -290,9 +351,14 @@ def test_partitioned_claim(ray_session, tmp_path, backend):
         ]
         delta = tmp_path / f"delta_{wave}"
         delta.mkdir()
+        log = tmp_path / f"lenient_{wave}.txt"
+        log.touch()
+        lenient = _claim_lenient(rules, log)
         got = ray.get(
             [
-                _claim_chunk.remote(i, seen, wave, cfg, str(delta), *[p[i] for p in parts])
+                _claim_chunk.remote(
+                    i, seen, wave, cfg, str(delta), lenient, *[p[i] for p in parts]
+                )
                 for i in range(2)
             ]
         )
@@ -303,18 +369,23 @@ def test_partitioned_claim(ray_session, tmp_path, backend):
             assert got[i][0] == t.num_rows
             assert (hash64(t.column("url")) % np.uint64(2) == i).all()
             out[i] = t
-        return out
+        return out, log.read_text().split()
 
-    out = claim_wave(1, [a, b])
+    out, reached = claim_wave(1, [a, b])
     urls = out[0].column("url").to_pylist() + out[1].column("url").to_pylist()
     depths = out[0].column("depth").to_pylist() + out[1].column("depth").to_pylist()
-    assert len(urls) == len(set(urls)) == 80  # u80-89 were seen at wave 0
-    want = {f"https://h{i % 5}.example/p{i}": 2 if i < 30 else 1 for i in range(80)}
+    assert len(urls) == len(set(urls)) == 80 - len(disallowed)  # u80-89 seen at wave 0
+    want = {url(i): 2 if i < 30 else 1 for i in range(80) if url(i) not in disallowed}
     assert dict(zip(urls, depths)) == want
-    # the next wave claims only what no earlier wave added
-    again = claim_wave(2, [cands(range(75, 95), [0] * 20)])
+    # the stage saw each new url once, after the dedup, and no seen url
+    assert sorted(reached) == sorted(url(i) for i in range(80))
+    assert not seen.contains(hash64(sorted(disallowed)), before_wave=2).any()
+    # the next wave claims only what no earlier wave added; the urls the
+    # stage dropped reach it again and are dropped again
+    again, reached = claim_wave(2, [cands(list(range(75, 95)) + [1, 11], [0] * 22)])
     claimed = again[0].column("url").to_pylist() + again[1].column("url").to_pylist()
-    assert sorted(claimed) == sorted(f"https://h{i % 5}.example/p{i}" for i in range(90, 95))
+    assert sorted(claimed) == sorted(url(i) for i in range(90, 95))
+    assert sorted(reached) == sorted([url(i) for i in range(90, 95)] + [url(1), url(11)])
     seen.shutdown()
 
 

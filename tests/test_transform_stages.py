@@ -181,6 +181,106 @@ def test_strict_filter_defers_unknown_hosts(ray_session):
     assert rej.column("host").to_pandas().value_counts().to_dict() == {known: 1}
 
 
+def test_strict_filter_evaluates_only_recheck_hosts(ray_session):
+    """With a recheck set (the hosts whose robots this wave fetched), only
+    those hosts' rows are evaluated: a live host outside the set passes
+    unrejected even where its rules disallow the url (so no rule was
+    evaluated), a host in the set has its rejects flagged, and an unknown
+    host's rows are dropped without a reject."""
+    import numpy as np
+    import pyarrow.compute as pc
+    import ray
+
+    from abwcf_ray.functions.hashing import hash64
+    from abwcf_ray.functions.robots import parse_robots_txt
+    from abwcf_ray.stages.transform import make_strict_robots_filter
+    from abwcf_ray.state.hosts import rules_payload_from_dict
+
+    rules = parse_robots_txt(b"User-agent: *\nDisallow: /private/\n")
+    fresh, kept, none = "https://fresh.example", "https://kept.example", "https://none.example"
+    payload = rules_payload_from_dict(
+        {
+            fresh: (rules.mode, rules.serialize_rules(), rules.crawl_delay_ms),
+            kept: (rules.mode, rules.serialize_rules(), rules.crawl_delay_ms),
+            none: ("ALLOW_NONE", "", 1000),
+        }
+    )
+    urls = [
+        f"{fresh}/ok",
+        f"{fresh}/private/x",
+        f"{kept}/ok",
+        f"{kept}/private/x",
+        f"{none}/x",
+        "https://unknown.example/page",
+    ]
+    hosts = [fresh, fresh, kept, kept, none, "https://unknown.example"]
+    batch = pa.table({"url": pa.array(urls), "host": pa.array(hosts)})
+    recheck = ray.put(np.sort(hash64([fresh])))
+    out = make_strict_robots_filter(ray.put(payload), recheck)(batch)
+    rejected = dict(zip(out.column("url").to_pylist(), out.column("rejected").to_pylist()))
+    assert rejected == {
+        f"{fresh}/ok": False,
+        f"{fresh}/private/x": True,  # evaluated: in the recheck set
+        f"{kept}/ok": False,
+        f"{kept}/private/x": False,  # not evaluated: its rules are unchanged
+        f"{none}/x": False,  # not evaluated, though ALLOW_NONE
+    }
+    # an empty recheck set evaluates nothing; None evaluates every row
+    empty = make_strict_robots_filter(ray.put(payload), ray.put(np.empty(0, np.uint64)))
+    assert not pc.any(empty(batch).column("rejected")).as_py()
+    full = make_strict_robots_filter(ray.put(payload))(batch)
+    assert full.filter(full.column("rejected")).column("url").to_pylist() == [
+        f"{fresh}/private/x",
+        f"{kept}/private/x",
+        f"{none}/x",
+    ]
+    assert empty(batch.slice(0, 0)).column_names == ["url", "host", "rejected"]
+
+
+def test_wave_stages_pickle_by_reference(ray_session, tmp_path):
+    """Every stage a wave ships to a task is a module-level function or a
+    ``functools.partial`` over one, so a task submission pickles a
+    reference plus the captured values, not the function's code. The
+    standard library's pickle refuses nested functions, so this fails for
+    any stage that is a closure. The stages are built through the names
+    ``pipelines/crawl.py`` calls, with a default config and real object
+    refs, as each wave builds them."""
+    import pickle
+
+    import numpy as np
+    import ray
+
+    from abwcf_ray.pipelines import crawl
+    from abwcf_ray.state.hosts import rules_payload_from_dict
+
+    cfg = CrawlConfig()
+    hashes = ray.put(np.empty(0, np.uint64))
+    hosts_ref = ray.put(rules_payload_from_dict({}))
+    shipped = {
+        "_scan_task": [crawl.make_eligible_filter(hashes), crawl.partial_host_counts],
+        "_select_partial": [
+            crawl.make_eligible_filter(hashes),
+            crawl.make_strict_robots_filter(hosts_ref, hashes),
+        ],
+        "_fetch_task": [
+            crawl.make_fetch_process_tee(
+                crawl.make_process_fetched_stage(cfg), str(tmp_path), hashes
+            ),
+            crawl.explode_links,
+            crawl.make_normalize_stage(cfg),
+            crawl.make_scope_filter_stage(cfg),
+            crawl.make_propose(),
+        ],
+        "_compact_group": [crawl.make_update_status(hashes, hashes)],
+        "_claim_chunk": [crawl.make_lenient_robots_filter(hosts_ref), cfg],
+    }
+    for stages in shipped.values():
+        for stage in stages:
+            pickle.loads(pickle.dumps(stage))  # raises on a closure
+    # a stage with a user pattern still pickles (compiled re by value)
+    pickle.dumps(crawl.make_scope_filter_stage(CrawlConfig(must_not_match=(r".*\.pdf",))))
+
+
 @given(
     scheme=st.sampled_from(["http", "HTTP", "https", "HtTpS", "ftp"]),
     host=st.from_regex(r"[A-Za-z0-9][A-Za-z0-9.\-]{0,15}", fullmatch=True),
