@@ -4,8 +4,8 @@ Mirrors the reference's HOCON tunables (`/root/reference/src/main/resources/
 reference.conf:8-251`) as a Python dataclass; keys keep the reference's
 meaning but are re-expressed for the wave model (see SURVEY.md §3.4): the
 wall-clock politeness window becomes a virtual per-wave budget, and the
-reference's actor-pool sizes become task fan-outs sized to the cluster's
-CPUs.
+reference's actor-pool sizes become task fan-outs sized by each round's
+rows and capped by the cluster's CPUs (``stages/schedule.task_count``).
 """
 
 from __future__ import annotations
@@ -148,9 +148,9 @@ class CrawlConfig:
     # so outcome semantics cannot drift between transports.
     robots_transport: object = None
     # the smallest url chunk a wave splits off for one fetch task: a wave
-    # runs min(ceil(n_selected / fetch_transport_batch_size), 2·CPUs)
-    # chunks, at least one, so a wave of at most this many urls is one task
-    # and a large wave spreads over the cluster in 2·CPUs chunks
+    # runs schedule.task_count(n_selected, fetch_transport_batch_size,
+    # 2·CPUs) chunks, so a wave of at most this many urls is one task and a
+    # large wave spreads over the cluster in at most 2·CPUs chunks
     fetch_transport_batch_size: int = 256
 
     # Priority function: "breadth_first_hash" (deterministic default),

@@ -37,6 +37,17 @@ of the stages below in sequence:
                 chain is folded into a fresh materialized base every
                 ``cfg.frontier_compact_every`` waves and at frontier drain.
 
+Every round sizes its fan-out by one rule, ``schedule.task_count(n_rows,
+rows_per_task, cap)`` = ``max(1, min(ceil(n_rows / rows_per_task), cap))``,
+with rows the driver already holds: selection the host ledger's eligible
+rows, fetch and claim the selected urls (per
+``fetch_transport_batch_size``), compaction the frontier's rows (capped at
+the CPUs), the host-histogram rescan and the resume loads the manifest's
+``n_frontier``, the novel filter the wave's processed rows. The rounds
+that read parquet rows aim at ``schedule.ROWS_PER_TASK`` rows a task;
+every cap but compaction's is twice the CPUs. So a small wave runs one
+task per round.
+
 The steady-state wave contains NO all-to-all exchange and NO O(frontier)
 write (see stages/schedule, stages/fetch, state/seen docstrings for each
 replacement). Only the read helpers for finished waves
@@ -51,13 +62,15 @@ finish step (the manifest) that every wave, the drain wave included, ends
 with.
 
 Control returns to the driver only at wave boundaries. The frontier chain
-and the hosts table are parquet-checkpointed per wave with a manifest
-recording per-file row counts — the per-partition lineage that makes a
-killed run resumable from the last completed wave (:func:`run_crawl` with
-``resume=True``; the reference's equivalent is the pages/hosts SQL tables,
-SURVEY.md §3.3). The seen sets write nothing: the chain's urls are the URL
-seen set and the ``novel/`` parts' texts the content seen set, and a
-resume reloads the shards from them.
+is parquet-checkpointed per wave, and the hosts table by each wave whose
+host prep fetched robots (the only change to it), with a manifest naming
+the current hosts checkpoint and recording per-file row counts — the
+per-partition lineage that makes a killed run resumable from the last
+completed wave (:func:`run_crawl` with ``resume=True``; the reference's
+equivalent is the pages/hosts SQL tables, SURVEY.md §3.3). The seen sets
+write nothing: the chain's urls are the URL seen set and the ``novel/``
+parts' texts the content seen set, and a resume reloads the shards from
+them.
 
 The virtual clock is ``now = wave_index * wave_duration`` (SURVEY.md §2 G):
 robots TTLs and the politeness window are functions of the wave index, never
@@ -87,12 +100,14 @@ from abwcf_ray.stages.fetch import (
     make_fetch_process_tee,
     plan_pruned_fetch,  # noqa: F401 — a stub the benchmark's tracer wraps by name
 )
+from abwcf_ray.stages import schedule
 from abwcf_ray.stages.schedule import (
     apply_stages,
     file_groups,
     rank_selected,
     scan_parts,
     select_wave,
+    task_count,
 )
 from abwcf_ray.stages.transform import (
     FRONTIER_SCHEMA,
@@ -389,7 +404,7 @@ def _compact_group(index: int, paths: list[str], stages, dest: str) -> None:
         w.close()
 
 
-def _compact_frontier(chain: _FrontierChain, dest: Path, n_tasks: int) -> None:
+def _compact_frontier(chain: _FrontierChain, dest: Path, n_tasks: int) -> int:
     """Fold base + deltas + flips into a fresh materialized frontier at
     ``dest`` and reset the chain onto it. O(frontier) — runs only every
     ``frontier_compact_every`` waves or at drain, never steady-state.
@@ -402,20 +417,18 @@ def _compact_frontier(chain: _FrontierChain, dest: Path, n_tasks: int) -> None:
     (``_FrontierChain.eligible_sources``) — the Ray analog of the
     reference DB's status index. One ``_compact_group`` task per group of
     chain files (``min(#files, n_tasks)`` groups), so the new base has at
-    most ``n_tasks`` parts per split however long the chain was."""
+    most ``n_tasks`` parts per split however long the chain was. Returns
+    the number of tasks it ran."""
     stages = []
     if len(chain.cum_processed) or len(chain.cum_disallowed):
         stages.append(
             make_update_status(ray.put(chain.cum_processed), ray.put(chain.cum_disallowed))
         )
     dest.mkdir(parents=True, exist_ok=True)
-    ray.get(
-        [
-            _compact_group.remote(i, g, stages, str(dest))
-            for i, g in enumerate(file_groups(chain.sources(), n_tasks))
-        ]
-    )
+    groups = file_groups(chain.sources(), n_tasks)
+    ray.get([_compact_group.remote(i, g, stages, str(dest)) for i, g in enumerate(groups)])
     chain.reset(dest)
+    return len(groups)
 
 
 def frontier_dataset(wave_dir: str | Path):
@@ -546,20 +559,13 @@ def _claim_chunk(
 def _rank_write_selected(sel_table: pa.Table, wave: int, path: str) -> int:
     """Rank (rank_selected: priority desc, url asc; per-host + global
     ranks) and write one wave's selected manifest — OFF the wave critical
-    path: in the untrimmed case the fetch set is rank-independent, so this
-    runs on a worker while the fetch tasks execute (driver rank + write
-    measured ~0.5 s at 244k selected, ~1.9 s at 890k). The output parquet
-    is byte-identical to the inline path (same rank_selected, same column
-    order); the wave joins the ref before lineage reads the file."""
+    path: this runs on a worker while the fetch tasks execute (driver rank
+    + write measured ~0.5 s at 244k selected, ~1.9 s at 890k); the wave
+    joins the ref before lineage reads the file."""
     from abwcf_ray.stages.schedule import rank_selected
 
     df = rank_selected(sel_table.to_pandas())
     df["wave"] = np.int32(wave)
-    _write_selected_table(df, path)
-    return len(df)
-
-
-def _write_selected_table(df: pd.DataFrame, path) -> None:
     pq.write_table(
         pa.Table.from_pandas(
             df[["wave", "host", "rank_in_host", "global_rank", "url", "priority", "depth"]],
@@ -567,6 +573,7 @@ def _write_selected_table(df: pd.DataFrame, path) -> None:
         ),
         path,
     )
+    return len(df)
 
 
 # the wave loop's plain Ray task of stages over a group of parquet files
@@ -590,7 +597,10 @@ class _Run:
     corpus: CorpusMeta
     out: Path
     log: object
-    n_cpu: int  # read once: the default seen-shard count and the fan-outs
+    # read once: the default seen-shard count, and the cap of compaction's
+    # fan-out; every other round is capped at max_tasks, twice as many
+    n_cpu: int
+    max_tasks: int
     seen: SeenSet
     content_seen: SeenSet | None
     hosts_state: HostsState
@@ -607,6 +617,9 @@ class _Run:
     host_ledger: _HostLedger | None = None
     # previous frontier's row count, so n_new never needs a metadata rescan
     prev_frontier_rows: int = 0
+    # the current hosts checkpoint, relative to ``out``: written at seed and
+    # by the waves whose host prep fetched robots, named by every manifest
+    hosts_checkpoint: str = ""
     # ray.put of the fetch transport's factory (cfg.fetch_transport, or a
     # CorpusTransport over the hashed layout)
     transport_ref: object = None
@@ -660,6 +673,11 @@ def run_crawl(
 ) -> CrawlSummary:
     run = _open_run(cfg, corpus, Path(out_dir), seeds, resume, log)
     for n in range(run.start_wave, cfg.max_waves):
+        if n > 0 and run.total_fetched >= cfg.max_pages:
+            # a completed wave spent the budget: a straight run stops after
+            # it, and so does a run resumed from it
+            log(f"[crawl] page budget reached ({run.total_fetched})")
+            break
         w = _start_wave(run, n)
         _prep_hosts(run, w)
         _select(run, w)
@@ -673,9 +691,6 @@ def run_crawl(
         _update_ledger(run, w)
         _compact_if_due(run, w)
         _finish_wave(run, w)
-        if run.total_fetched >= cfg.max_pages:
-            log(f"[crawl] page budget reached ({run.total_fetched})")
-            break
     summary = run.summary
     summary.total_fetched = run.total_fetched
     summary.final_frontier_rows = run.prev_frontier_rows
@@ -726,6 +741,7 @@ def _open_run(
         out=out,
         log=log,
         n_cpu=n_cpu,
+        max_tasks=2 * n_cpu,
         seen=seen_set(),
         content_seen=seen_set() if cfg.dedup_content else None,
         hosts_state=HostsState(cfg),
@@ -761,8 +777,9 @@ def _load_seen(seen_set: SeenSet, paths: list[str], column: str, wave: int) -> N
 
 def _resume(run: _Run, completed: list[Path]) -> None:
     """Restart after the last completed wave: its manifest names the
-    frontier chain and the hosts checkpoint. The seen sets are rebuilt, not
-    restored — the chain's urls are the URL seen set and the completed
+    frontier chain and the hosts checkpoint (a manifest that names none
+    was written when every wave wrote its own ``hosts.parquet``). The seen
+    sets are rebuilt, not restored — the chain's urls are the URL seen set and the completed
     waves' ``novel/`` texts the content seen set — by one round of load
     tasks that call the shards directly, stamped with the last completed
     wave so the next wave's probes see all of it."""
@@ -780,10 +797,11 @@ def _resume(run: _Run, completed: list[Path]) -> None:
     wave = manifest["wave"]
     run.start_wave = wave + 1
     run.total_fetched = manifest["total_fetched"]
-    run.hosts_state.restore(last / "hosts.parquet")
+    run.hosts_checkpoint = manifest.get("hosts_checkpoint", f"{last.name}/hosts.parquet")
+    run.hosts_state.restore(run.out / run.hosts_checkpoint)
     run.summary.per_wave = [json.loads((d / "manifest.json").read_text()) for d in completed]
     run.chain = _FrontierChain.from_manifest(run.out, manifest)
-    n_tasks = 2 * run.n_cpu
+    n_tasks = task_count(manifest["n_frontier"], schedule.ROWS_PER_TASK, run.max_tasks)
     loads = [
         _load_seen.remote(run.seen, g, "url", wave)
         for g in file_groups(run.chain.sources(), n_tasks)
@@ -825,7 +843,8 @@ def _seed(run: _Run, seeds: list[str]) -> None:
             init_dir / "frontier" / f"part-{part:05d}.parquet",
         )
     run.seen.add_urls(frontier0.column("url").to_pylist(), wave=-1)
-    run.hosts_state.checkpoint(init_dir / "hosts.parquet")
+    run.hosts_checkpoint = "init/hosts.parquet"
+    run.hosts_state.checkpoint(out / run.hosts_checkpoint)
     (init_dir / "manifest.json").write_text(
         json.dumps(
             {
@@ -834,6 +853,7 @@ def _seed(run: _Run, seeds: list[str]) -> None:
                 "hash_impl": impl_id(),
                 "total_fetched": 0,
                 "n_frontier": frontier0.num_rows,
+                "hosts_checkpoint": run.hosts_checkpoint,
                 "files": {"frontier": _file_lineage(init_dir / "frontier")},
             }
         )
@@ -909,11 +929,12 @@ def _prep_hosts(run: _Run, w: _Wave) -> None:
     w.eligible = make_eligible_filter(ray.put(run.chain.flips_merged()))
     if run.host_ledger is None:
         # shuffle-free host histogram: per-file-group partials, driver merge
+        n_tasks = task_count(run.prev_frontier_rows, schedule.ROWS_PER_TASK, run.max_tasks)
         partials = pa.concat_tables(
             ray.get(
                 [
                     _scan_task.remote(g, [w.eligible, partial_host_counts])
-                    for g in file_groups(w.eligible_files, 2 * run.n_cpu)
+                    for g in file_groups(w.eligible_files, n_tasks)
                 ]
             )
         )
@@ -926,7 +947,11 @@ def _prep_hosts(run: _Run, w: _Wave) -> None:
     need = hosts_state.missing_or_expired(hosts_needed, w.now_s)
     n_robots = _host_prep(cfg, hosts_state, run.corpus.robots_path, need, w.now_s)
     w.wdir.mkdir(parents=True, exist_ok=True)
-    hosts_state.checkpoint(w.wdir / "hosts.parquet")
+    if need:
+        # the hosts table changes only here: a wave that fetched no robots
+        # keeps naming the last checkpoint
+        run.hosts_checkpoint = f"{w.wdir.name}/hosts.parquet"
+        hosts_state.checkpoint(run.out / run.hosts_checkpoint)
     hosts_ref = ray.put(hosts_state.rules_payload(w.now_s))
     # strict robots re-evaluates only the rows of the hosts fetched just
     # now: a host's rules change only here, so every other row of a live
@@ -950,12 +975,15 @@ def _select(run: _Run, w: _Wave) -> None:
     file group runs the eligible filter and strict robots, keeps its
     partial top-k per host and splits the flagged rejects off; the driver
     merges the politeness-bounded partials (stages/schedule.select_wave).
-    The selected frame stays unranked here."""
+    The round is sized by the host ledger's eligible rows. The selected
+    frame stays unranked here."""
+    n_tasks = task_count(w.metrics["n_eligible"], schedule.ROWS_PER_TASK, run.max_tasks)
+    w.metrics["select_tasks"] = len(file_groups(w.eligible_files, n_tasks))
     w.sel_df, w.rejects = select_wave(
         w.eligible_files,
         [w.eligible, w.strict_robots],
         w.sched_ref,
-        n_tasks=2 * run.n_cpu,
+        n_tasks=n_tasks,
     )
     w.n_selected = len(w.sel_df)
     w.disallowed = w.rejects.column("url_hash").to_numpy()
@@ -972,35 +1000,30 @@ def _drain(run: _Run, w: _Wave) -> None:
         flips_path = w.wdir / "flips.parquet"
         _write_flips(flips_path, empty, w.disallowed)
         run.chain.add_wave(None, flips_path, empty, w.disallowed)
-    _compact_frontier(run.chain, w.wdir / "frontier", run.n_cpu)
-    w.mark("frontier_compact")
+    _compact(run, w)
     for sub in ("processed", "selected"):
         (w.wdir / sub).mkdir(parents=True, exist_ok=True)
 
 
 def _write_selected(run: _Run, w: _Wave) -> None:
-    """Canonical ordering, budget trim and the selected-manifest write.
-    The ranked manifest is consumed only by resume/goldens — never by this
-    wave's fetch — and the FETCH set is rank-independent unless the page
-    budget trims it (trim = lowest global ranks drop). So in the common
-    untrimmed case the rank + parquet write run in ONE remote task
-    overlapping the fetch; the driver ranks inline only when trimming."""
+    """Budget trim and the selected-manifest write. The ranked manifest is
+    consumed only by resume/goldens — never by this wave's fetch — so the
+    rank + parquet write run in ONE remote task overlapping the fetch. The
+    fetch set is rank-independent unless the page budget trims it: then
+    the driver ranks first and drops the lowest global ranks. Those are
+    also each host's lowest, so the task's re-rank of the trimmed frame
+    gives the same global and per-host ranks."""
     (w.wdir / "selected").mkdir(parents=True, exist_ok=True)
-    sel_path = w.wdir / "selected" / "part-0.parquet"
     budget_left = run.cfg.max_pages - run.total_fetched
-    sel_df = w.sel_df
-    if len(sel_df) > budget_left:
-        sel_df = rank_selected(sel_df).iloc[: int(budget_left)].copy()
-        sel_df["wave"] = np.int32(w.n)
-        _write_selected_table(sel_df, sel_path)
-    else:  # unranked; membership == fetch set
-        w.sel_write_ref = _rank_write_selected.remote(
-            ray.put(pa.Table.from_pandas(sel_df[list(sel_df.columns)], preserve_index=False)),
-            w.n,
-            str(sel_path),
-        )
-    w.sel_df = sel_df
-    w.n_selected = len(sel_df)
+    cols = list(w.sel_df.columns)
+    if len(w.sel_df) > budget_left:
+        w.sel_df = rank_selected(w.sel_df).iloc[: int(budget_left)]
+    w.sel_write_ref = _rank_write_selected.remote(
+        ray.put(pa.Table.from_pandas(w.sel_df[cols], preserve_index=False)),
+        w.n,
+        str(w.wdir / "selected" / "part-0.parquet"),
+    )
+    w.n_selected = len(w.sel_df)
 
 
 def _fetch_candidates(run: _Run, w: _Wave) -> None:
@@ -1014,10 +1037,9 @@ def _fetch_candidates(run: _Run, w: _Wave) -> None:
     claim task (F1, see _claim_and_write_frontier).
 
     A work item is a contiguous chunk of the selected urls in url-hash
-    order: ``min(ceil(n_selected / fetch_transport_batch_size), 2·CPUs)``
-    chunks, at least one, so a small wave runs one task and a large one
-    spreads over the cluster. The wave has as many claim tasks as fetch
-    tasks."""
+    order: ``task_count(n_selected, fetch_transport_batch_size, 2·CPUs)``
+    chunks, so a small wave runs one task and a large one spreads over the
+    cluster. The wave has as many claim tasks as fetch tasks."""
     cfg = run.cfg
     sel_hashes = hash64(w.sel_df["url"].tolist())
     order = np.argsort(sel_hashes)
@@ -1026,8 +1048,7 @@ def _fetch_candidates(run: _Run, w: _Wave) -> None:
     processed_dir = w.wdir / "processed"
     processed_dir.mkdir(parents=True, exist_ok=True)
     urls = w.sel_df["url"].to_numpy(dtype=object)[order]
-    b = max(1, int(cfg.fetch_transport_batch_size))
-    n_items = max(1, min(-(-len(urls) // b), 2 * run.n_cpu))
+    n_items = task_count(len(urls), cfg.fetch_transport_batch_size, run.max_tasks)
     bounds = [len(urls) * i // n_items for i in range(n_items + 1)]
     items = [
         {"chunk": i, "urls": urls[s:e].tolist(), "depths": depths[s:e].tolist()}
@@ -1080,9 +1101,9 @@ def _fetch_candidates(run: _Run, w: _Wave) -> None:
     w.mark("fetch_candidates")
 
 
-def _fetch_status(w: _Wave) -> None:
+def _fetch_status(w: _Wave) -> int:
     """The wave's fetch-status histogram and extracted count, read from
-    the processed checkpoint's tiny flag columns."""
+    the processed checkpoint's tiny flag columns; returns its rows."""
     import pyarrow.dataset as pads
 
     proc_files = sorted(str(p) for p in (w.wdir / "processed").glob("*.parquet"))
@@ -1106,6 +1127,7 @@ def _fetch_status(w: _Wave) -> None:
         fetch_status=status_hist,
         n_extracted=int(pc.sum(flags.column("is_html")).as_py() or 0),
     )
+    return flags.num_rows
 
 
 def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
@@ -1137,14 +1159,18 @@ def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
         )
         for i in range(len(w.cand_refs))
     ]
-    _fetch_status(w)
+    n_processed = _fetch_status(w)
     w.mark("extract_write")
     # cross-wave novel-content filter (optional, stages/novel.py)
     if run.content_seen is not None:
         from abwcf_ray.stages.novel import novel_extracted
 
         _, w.metrics["n_novel"] = novel_extracted(
-            w.wdir / "processed", w.wdir / "novel", run.content_seen, w.n
+            w.wdir / "processed",
+            w.wdir / "novel",
+            run.content_seen,
+            w.n,
+            n_tasks=task_count(n_processed, schedule.ROWS_PER_TASK, run.max_tasks),
         )
         w.mark("novel_filter")
     flips_path = w.wdir / "flips.parquet"
@@ -1189,8 +1215,19 @@ def _compact_if_due(run: _Run, w: _Wave) -> None:
         len(chain.deltas) >= run.cfg.frontier_compact_every
         or n_flips >= run.cfg.frontier_compact_max_flips
     ):
-        _compact_frontier(chain, w.wdir / "frontier", run.n_cpu)
-        w.mark("frontier_compact")
+        _compact(run, w)
+
+
+def _compact(run: _Run, w: _Wave) -> None:
+    """Fold the chain into ``frontier/``, one task per
+    ``schedule.ROWS_PER_TASK`` frontier rows, at most one per CPU."""
+    n_rows = run.prev_frontier_rows + w.n_new
+    w.metrics["compact_tasks"] = _compact_frontier(
+        run.chain,
+        w.wdir / "frontier",
+        task_count(n_rows, schedule.ROWS_PER_TASK, run.n_cpu),
+    )
+    w.mark("frontier_compact")
 
 
 def _finish_wave(run: _Run, w: _Wave, done_msg: str | None = None) -> None:
@@ -1223,6 +1260,7 @@ def _finish_wave(run: _Run, w: _Wave, done_msg: str | None = None) -> None:
         hash_impl=impl_id(),
         files=lineage,
         frontier_chain=run.chain.manifest_entry(),
+        hosts_checkpoint=run.hosts_checkpoint,
     )
     (w.wdir / "manifest.json").write_text(json.dumps(w.metrics))
     run.summary.per_wave.append(w.metrics)

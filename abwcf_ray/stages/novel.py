@@ -6,7 +6,9 @@ extracted in wave 3).
 
 Reuses the sharded, wave-versioned ``SeenSet`` actors (state/seen.py F1)
 keyed by ``hash64(text)``. Two rounds of plain Ray tasks, one per group of
-processed parts (``schedule.file_groups``); text never leaves a task:
+processed parts (``schedule.file_groups``), as many groups as
+``schedule.task_count`` gives the wave's processed rows; text never leaves
+a task:
 
 1. **Slim arbitration** — each task reads only (url, text, is_html) of its
    parts and reduces its html rows to one (content_hash, min url) pair per
@@ -37,7 +39,7 @@ import pyarrow.parquet as pq
 import ray
 
 from abwcf_ray.functions.hashing import hash64
-from abwcf_ray.stages.schedule import file_groups
+from abwcf_ray.stages.schedule import default_task_count, file_groups
 
 
 @ray.remote
@@ -81,17 +83,21 @@ def novel_extracted(
     novel_dir: str | Path,
     content_seen,
     wave: int,
+    n_tasks: int | None = None,
 ) -> tuple[int, int]:
     """Filter the wave's processed checkpoint to never-seen-before content;
     write the surviving rows (all columns) under ``novel_dir``. Returns
     ``(n_html, n_novel)``. ``content_seen`` is a ``state.seen.SeenSet``
-    dedicated to content hashes (NOT the URL seen set)."""
+    dedicated to content hashes (NOT the URL seen set). Each round runs
+    ``n_tasks`` tasks at most (the crawl passes ``task_count`` of the
+    wave's processed rows); without it, ``default_task_count`` of the
+    parts' footer rows."""
     novel_dir = Path(novel_dir)
     novel_dir.mkdir(parents=True, exist_ok=True)
     files = sorted(str(p) for p in Path(processed_dir).glob("*.parquet"))
     if not files:
         return 0, 0
-    groups = file_groups(files, 2 * max(1, int(ray.cluster_resources().get("CPU", 1))))
+    groups = file_groups(files, n_tasks or default_task_count(files))
     pairs = pd.concat(ray.get([_slim.remote(g) for g in groups]), ignore_index=True)
     best = pairs.groupby("content_hash", as_index=False)["url"].min()
     hashes = best["content_hash"].to_numpy(dtype=np.uint64)

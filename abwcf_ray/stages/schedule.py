@@ -23,6 +23,12 @@ strictly stronger than salting an exchange).
 The merge has one venue: a single driver-side vectorized pass over the
 collected partials, at most Σ_h k_h rows per task (SCALE.md §5 gives the
 memory ceiling).
+
+:func:`task_count` is the crawl's one fan-out rule: every task round of a
+wave (selection here; fetch, claim, compaction, the host-histogram rescan,
+the resume loads and the novel filter in pipelines/crawl.py and
+stages/novel.py) runs one task per ``rows_per_task`` of the rows the
+driver already knows, up to a cap, so a small wave runs one task a round.
 """
 
 from __future__ import annotations
@@ -145,6 +151,33 @@ def scan_parts(paths: list[str], stages=(), columns=None) -> pa.Table:
     return apply_stages(pa.concat_tables(outs, promote_options="default"), stages)
 
 
+# rows one task of a round that reads parquet rows (selection, compaction,
+# the host-histogram rescan, the resume loads, the novel filter) is sized
+# for. Measured on selection (one CPU, a growing_frontier wave's files): a
+# second task adds about 13 CPU-ms whatever its rows, and a row costs about
+# 3.8 CPU-µs, so a task's row work pays for its own fixed cost from about
+# 3,400 rows on.
+ROWS_PER_TASK = 4096
+
+
+def task_count(n_rows: int, rows_per_task: int, cap: int) -> int:
+    """The fan-out rule of every wave task round: one task per
+    ``rows_per_task`` rows, rounded up, at most ``cap`` and at least one.
+    A small round runs one task; a large one spreads to the cap."""
+    return max(1, min(-(-n_rows // max(1, int(rows_per_task))), cap))
+
+
+def default_task_count(paths: list[str]) -> int:
+    """:func:`task_count` for a library call that was given no count: the
+    rows from the files' parquet footers, capped at twice the cluster's
+    CPUs."""
+    import pyarrow.parquet as pq
+
+    n_rows = sum(pq.read_metadata(p).num_rows for p in paths)
+    n_cpu = max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return task_count(n_rows, ROWS_PER_TASK, 2 * n_cpu)
+
+
 def file_groups(paths: list[str], k: int) -> list[list[str]]:
     """``paths`` cut into ``min(len(paths), k)`` contiguous groups of
     near-equal length (none if there are no paths)."""
@@ -199,9 +232,9 @@ def select_wave(
     sorted by it.
 
     Two levels: (1) plain Ray tasks, one per contiguous group of
-    ``sources`` (``min(#files, n_tasks)`` groups; ``n_tasks`` defaults to
-    twice the cluster's CPUs), each scanning its files through
-    ``stages`` and keeping its partial top-k (a superset of its
+    ``sources`` (``min(#files, n_tasks)`` groups; without ``n_tasks``,
+    :func:`default_task_count` of the sources' rows), each scanning its
+    files through ``stages`` and keeping its partial top-k (a superset of its
     contribution) and its reject keys; then (2) the exact per-host merge,
     one vectorized arrow top-k on the driver over the collected partials
     (politeness-bounded: each holds at most Σ_h k_h rows, ~96 B/row;
@@ -209,7 +242,7 @@ def select_wave(
     counts travel as their own task returns, so an empty wave fetches no
     partial."""
     if n_tasks is None:
-        n_tasks = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+        n_tasks = default_task_count(sources)
     groups = file_groups(sources, n_tasks)
     tasks = [_select_partial.remote(g, stages, columns, sched_ref) for g in groups]
     counts = ray.get([t[0] for t in tasks])

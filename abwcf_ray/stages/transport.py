@@ -33,8 +33,8 @@ Output contract — every transport returns the FETCHED SCHEMA of
 Deployment shape: ``CrawlConfig.fetch_transport`` is a zero-arg factory;
 None means :class:`CorpusTransport` over the corpus's hashed layout. The
 wave cuts its selected ``(url, depth)`` rows, in url-hash order, into
-``min(ceil(n_selected / fetch_transport_batch_size), 2·CPUs)`` chunks (at
-least one) and runs one plain Ray task per chunk through the fused
+``schedule.task_count(n_selected, fetch_transport_batch_size, 2·CPUs)``
+chunks and runs one plain Ray task per chunk through the fused
 fetch->process->checkpoint tee (``stages/fetch.make_fetch_process_tee``).
 The factory is ``ray.put`` once per run and each worker process builds
 the transport from it once (``stages/fetch._transport``), so per-process

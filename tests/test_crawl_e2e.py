@@ -186,6 +186,40 @@ def test_small_wave_runs_one_fetch_task(ray_run):
         assert m["fetch_tasks"] == max(1, min(-(-m["n_selected"] // b), cap)), m["wave"]
 
 
+def test_page_budget_trim_matches_oracle(ray_session, corpus, oracle, tmp_path):
+    """A page budget that ends inside a wave trims that wave to its lowest
+    global ranks: the trimmed selected manifest, re-ranked by the same
+    remote task as an untrimmed one, keeps the oracle's order, and the
+    crawl stops at the budget oracle-exact."""
+    from abwcf_ray.pipelines.crawl import run_crawl
+
+    budget = len(oracle.order[0]) + len(oracle.order[1]) // 2
+    cfg = CrawlConfig(**{**CFG.__dict__, "max_pages": budget})
+    o = run_oracle(cfg, corpus)
+    assert len(o.order) == 2 and len(o.order[1]) < len(oracle.order[1])
+    summary = run_crawl(cfg, corpus, tmp_path, log=lambda *_: None)
+    assert summary.total_fetched == budget and summary.waves == 2
+    _assert_matches_oracle(tmp_path, summary, o)
+
+
+def test_resume_after_page_budget_spent_runs_no_wave(ray_session, corpus, oracle, tmp_path):
+    """A crawl whose page budget ran out in its last completed wave resumes
+    to a no-op, as the straight run stops there. (Found by the config fuzz:
+    a resumed run used to start one more wave, trim its selection to
+    nothing and still flip that wave's strict-robots rejects to
+    Disallowed.)"""
+    from abwcf_ray.pipelines.crawl import run_crawl
+
+    cfg = CrawlConfig(**{**CFG.__dict__, "max_pages": len(oracle.order[0])})
+    o = run_oracle(cfg, corpus)
+    assert len(o.order) == 1
+    stopped = CrawlConfig(**{**cfg.__dict__, "max_waves": 1})
+    run_crawl(stopped, corpus, tmp_path, log=lambda *_: None)
+    summary = run_crawl(cfg, corpus, tmp_path, resume=True, log=lambda *_: None)
+    assert summary.waves == 1 and not (tmp_path / "wave_0001").exists()
+    _assert_matches_oracle(tmp_path, summary, o)
+
+
 def test_frontier_compaction_matches_oracle(ray_session, corpus, tmp_path_factory, oracle):
     """With aggressive compaction (every 2 waves) the folded frontier must
     equal the delta-chain result and the oracle exactly."""
@@ -353,9 +387,13 @@ def test_robots_ttl_resume_after_refetch_wave(
 
     out = tmp_path_factory.mktemp("ttl_resume")
     run_crawl(dataclasses.replace(TTL_CFG, max_waves=4), corpus, out, log=lambda *_: None)
+
+    def hosts_after(wave: int) -> pd.DataFrame:
+        m = json.loads((out / f"wave_{wave:04d}" / "manifest.json").read_text())
+        return pq.read_table(out / m["hosts_checkpoint"]).to_pandas()
+
     # wave 3 (now 30 s) re-fetched hosts whose wave-0 rules expired at 25 s
-    before = pq.read_table(out / "wave_0002" / "hosts.parquet").to_pandas()
-    after = pq.read_table(out / "wave_0003" / "hosts.parquet").to_pandas()
+    before, after = hosts_after(2), hosts_after(3)
     merged = before.merge(after, on="host", suffixes=("_2", "_3"))
     refetched = merged[
         (merged["valid_until_s_2"] <= 30.0) & (merged["valid_until_s_3"] > 30.0)
@@ -363,6 +401,41 @@ def test_robots_ttl_resume_after_refetch_wave(
     assert len(refetched) > 0
     summary = run_crawl(TTL_CFG, corpus, out, resume=True, log=lambda *_: None)
     _assert_matches_oracle(out, summary, ttl_oracle)
+
+
+def test_hosts_checkpoint_written_only_when_robots_fetched(
+    ray_session, ray_run, corpus, tmp_path_factory, oracle
+):
+    """The hosts table changes only when a wave's host prep fetches
+    robots, so only the seed and those waves write ``hosts.parquet``; every
+    manifest names the latest one. A crawl stopped right after a wave that
+    fetched no robots resumes from the checkpoint an earlier wave wrote and
+    ends oracle-exact."""
+    from abwcf_ray.pipelines.crawl import run_crawl
+
+    out, summary = ray_run
+    manifests = [
+        json.loads((out / f"wave_{w:04d}" / "manifest.json").read_text())
+        for w in range(summary.waves)
+    ]
+    fetching = [m["wave"] for m in manifests if m["n_robots_fetched"] > 0]
+    written = {str(p.relative_to(out)) for p in out.glob("*/hosts.parquet")}
+    assert written == {"init/hosts.parquet"} | {f"wave_{w:04d}/hosts.parquet" for w in fetching}
+    latest = "init/hosts.parquet"
+    for m in manifests:
+        if m["n_robots_fetched"]:
+            latest = f"wave_{m['wave']:04d}/hosts.parquet"
+        assert m["hosts_checkpoint"] == latest, m["wave"]
+
+    quiet = [m["wave"] for m in manifests[:-1] if m["n_robots_fetched"] == 0]
+    assert quiet, "fixture must have a wave that fetches no robots before the last"
+    stop = quiet[0]
+    resumed = tmp_path_factory.mktemp("hosts_quiet_resume")
+    stopped = CrawlConfig(**{**CFG.__dict__, "max_waves": stop + 1})
+    run_crawl(stopped, corpus, resumed, log=lambda *_: None)
+    assert not (resumed / f"wave_{stop:04d}" / "hosts.parquet").exists()
+    summary = run_crawl(CFG, corpus, resumed, resume=True, log=lambda *_: None)
+    _assert_matches_oracle(resumed, summary, oracle)
 
 
 def test_refetched_rules_change_rejects_eligible_rows(ray_session, corpus, tmp_path):
@@ -992,3 +1065,59 @@ def test_compaction_part_count_is_bounded(ray_session, corpus, tmp_path):
     for base in bases:
         for split in ("discovered", "settled"):
             assert len(list((base / split).glob("*.parquet"))) <= n_cpu, (base, split)
+
+
+def test_one_cpu_small_waves_run_one_task_per_round(ray_session, corpus, tmp_path, monkeypatch):
+    """On a one-CPU cluster every round of a small wave is one task: each
+    wave of at most ``ROWS_PER_TASK`` eligible rows selects in one task, and
+    every compaction runs one task."""
+    import ray
+
+    from abwcf_ray.pipelines.crawl import run_crawl
+    from abwcf_ray.stages.schedule import ROWS_PER_TASK
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    cfg = CrawlConfig(**{**CFG.__dict__, "frontier_compact_every": 2})
+    run_crawl(cfg, corpus, tmp_path, log=lambda *_: None)
+    manifests = [json.loads(m.read_text()) for m in sorted(tmp_path.glob("wave_*/manifest.json"))]
+    assert all(m["n_eligible"] <= ROWS_PER_TASK for m in manifests)
+    assert [m["select_tasks"] for m in manifests] == [1] * len(manifests)
+    compactions = [m["compact_tasks"] for m in manifests if "compact_tasks" in m]
+    assert compactions and set(compactions) == {1}
+
+
+def _small_row_target_run(corpus, out: Path, cfg: CrawlConfig, monkeypatch, resume=False):
+    from abwcf_ray.pipelines.crawl import run_crawl
+    from abwcf_ray.stages import schedule
+
+    monkeypatch.setattr(schedule, "ROWS_PER_TASK", 64)
+    return run_crawl(cfg, corpus, out, resume=resume, log=lambda *_: None)
+
+
+def test_small_row_target_spreads_rounds(
+    ray_session, corpus, oracle, tmp_path, monkeypatch
+):
+    """With the row target lowered to 64 rows, the 4-CPU session's waves
+    select and compact in several tasks (the novel filter spreads too)
+    and still end oracle-exact; a run stopped after wave 1 resumes on a
+    one-CPU cluster, whose rounds are narrower, and ends oracle-exact
+    too."""
+    import ray
+
+    cfg = CrawlConfig(**{**CFG.__dict__, "frontier_compact_every": 2, "dedup_content": True})
+    summary = _small_row_target_run(corpus, tmp_path / "straight", cfg, monkeypatch)
+    _assert_matches_oracle(tmp_path / "straight", summary, oracle)
+    manifests = [
+        json.loads(m.read_text())
+        for m in sorted((tmp_path / "straight").glob("wave_*/manifest.json"))
+    ]
+    assert max(m["select_tasks"] for m in manifests) > 1
+    assert max(m.get("compact_tasks", 0) for m in manifests) > 1
+
+    out = tmp_path / "resumed"
+    _small_row_target_run(
+        corpus, out, CrawlConfig(**{**cfg.__dict__, "max_waves": 2}), monkeypatch
+    )
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    summary = _small_row_target_run(corpus, out, cfg, monkeypatch, resume=True)
+    _assert_matches_oracle(out, summary, oracle)

@@ -11,7 +11,7 @@ import pyarrow as pa
 import pytest
 
 from abwcf_ray.config import CrawlConfig
-from abwcf_ray.stages.schedule import budget_for_delay, rank_selected, select_wave
+from abwcf_ray.stages.schedule import budget_for_delay, rank_selected, select_wave, task_count
 from abwcf_ray.state.hosts import sched_payload_from_delays
 
 
@@ -452,3 +452,15 @@ def test_topk_arrow_matches_pandas():
         .reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(got, want)
+
+
+def test_task_count_rule():
+    """One task per ``rows_per_task`` rows, rounded up, capped, at least one."""
+    assert task_count(0, 4096, 8) == 1
+    assert task_count(1, 4096, 8) == 1
+    assert task_count(4096, 4096, 8) == 1
+    assert task_count(4097, 4096, 8) == 2
+    assert task_count(7500, 4096, 2) == 2
+    assert task_count(10**9, 4096, 8) == 8
+    assert task_count(10**9, 4096, 0) == 1
+    assert task_count(5, 0, 8) == 5  # a target below one row is one row
