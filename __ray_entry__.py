@@ -159,7 +159,7 @@ def _q_frontier_topk(sf_dir: str):
         ray.put(sched_payload_from_delays(delays, _WAVE_S)),
         columns=["doc_id"],
     )
-    out = out.sort_values(["host", "priority", "url"], ascending=[True, False, True])
+    out = out.to_pandas().sort_values(["host", "priority", "url"], ascending=[True, False, True])
     out["rank_in_host"] = out.groupby("host").cumcount().astype(np.int64)
     return out[["host", "url", "priority", "rank_in_host"]].reset_index(drop=True)
 

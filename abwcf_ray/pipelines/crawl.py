@@ -11,21 +11,28 @@ of the stages below in sequence:
                 hosts whose robots host-prep just fetched; rejects stay
                 flagged rows
     select    : shuffle-free partial top-k_h per host (politeness, D1/D2),
-                one task per group of chain files; the flagged rejects
-                split off as the wave's Disallowed set
-    fetch     : one task per chunk of selected urls (A2), fetched by the
-                run's transport — by default a ``CorpusTransport`` that
-                copies only the chunk's records out of the memory-mapped
-                hashed layout — in the fused tee, which writes the
-                chunk's processed part
+                one task per group of chain files, with within-host ranks;
+                the flagged rejects split off as the wave's Disallowed set
+    rank      : on the driver, in Arrow: one sort by (priority desc, url
+                asc) gives the global rank, and a binding page budget
+                keeps the first rows of that order
+    fetch     : one task per chunk of the ranked selected rows (A2), in
+                url-hash order, fetched by the run's transport — by
+                default a ``CorpusTransport`` that copies only the chunk's
+                records out of the memory-mapped hashed layout — in the
+                fused tee, which writes the chunk's slice of the selected
+                manifest (``selected/part-<chunk>``) and its processed part
     process   : extract text (A7) + links (B1-B3) in one html pass
     cand'     : explode -> normalize (B4) -> scope (B5) -> within-batch
-                dedup (B6), in the fetch task, which returns its
-                candidates split by url hash into one part per claim
-                task; claim task i takes part i of every fetch task, so
-                each url has one claimant: min depth, minus the seen set,
+                dedup (B6), in the fetch task
+    claim     : each url has one claimant: min depth, minus the seen set,
                 -> lenient (C1) on the new rows only, the survivors added
-                to the seen set (F1) -> prioritize (B7)
+                to the seen set (F1) -> prioritize (B7) -> the delta
+                part. A wave of one fetch task claims inside it (a one-way
+                hash exchange is the identity), so it runs two task
+                rounds: select, then fetch-and-claim. A wave of two or
+                more fetch tasks returns each task's candidates split by
+                url hash, and claim task i takes part i of every fetch task
     frontier' = DELTA checkpoint: new rows append as ``delta/`` part files
                 and status changes (politeness-bounded) append as a tiny
                 ``flips.parquet`` — O(changed) per wave, never a frontier
@@ -41,12 +48,13 @@ Every round sizes its fan-out by one rule, ``schedule.task_count(n_rows,
 rows_per_task, cap)`` = ``max(1, min(ceil(n_rows / rows_per_task), cap))``,
 with rows the driver already holds: selection the host ledger's eligible
 rows, fetch and claim the selected urls (per
-``fetch_transport_batch_size``), compaction the frontier's rows (capped at
+``fetch_transport_batch_size``; the claim round runs only when the fetch
+has two or more tasks), compaction the frontier's rows (capped at
 the CPUs), the host-histogram rescan and the resume loads the manifest's
 ``n_frontier``, the novel filter the wave's processed rows. The rounds
 that read parquet rows aim at ``schedule.ROWS_PER_TASK`` rows a task;
-every cap but compaction's is twice the CPUs. So a small wave runs one
-task per round.
+every cap but compaction's is twice the CPUs. So a small wave runs two
+rounds of one task each (plus a compaction round when one is due).
 
 The steady-state wave contains NO all-to-all exchange and NO O(frontier)
 write (see stages/schedule, stages/fetch, state/seen docstrings for each
@@ -56,10 +64,11 @@ it when called.
 
 :func:`run_crawl` is a loop over named step functions sharing one
 ``_Run`` (cross-wave state) and one ``_Wave`` per wave: open (resume or
-seed, then warm-up), host prep, select, selected-manifest write, fetch and
-candidates, claim and frontier write, ledger update, compaction, and the
-finish step (the manifest) that every wave, the drain wave included, ends
-with.
+seed, then warm-up), host prep, select, rank, fetch and candidates (and
+the claim, in a one-task wave), claim and frontier write, ledger update,
+compaction, and the finish step (the manifest, which records the rounds'
+``select_tasks``, ``fetch_tasks`` and ``claim_tasks``) that every wave, the
+drain wave included, ends with.
 
 Control returns to the driver only at wave boundaries. The frontier chain
 is parquet-checkpointed per wave, and the hosts table by each wave whose
@@ -104,7 +113,7 @@ from abwcf_ray.stages import schedule
 from abwcf_ray.stages.schedule import (
     apply_stages,
     file_groups,
-    rank_selected,
+    rank_selected_arrow,
     scan_parts,
     select_wave,
     task_count,
@@ -125,7 +134,7 @@ from abwcf_ray.stages.transform import (
     make_strict_robots_filter,
     make_update_status,
 )
-from abwcf_ray.stages.transform import partial_host_counts, split_by_hash
+from abwcf_ray.stages.transform import claim_partition, partial_host_counts, split_by_hash
 from abwcf_ray.stages.transport import CorpusTransport
 from abwcf_ray.state.hosts import HostsState, RobotsFetchSim
 from abwcf_ray.state.seen import SeenSet
@@ -516,64 +525,21 @@ def _host_prep(
     return len(need)
 
 
-@ray.remote
-def _claim_chunk(
-    part: int,
-    seen_set,
-    wave: int,
-    cfg: CrawlConfig,
-    delta_dir: str,
-    lenient,
-    *blocks: pa.Table,
-) -> tuple[int, dict[str, int]]:
-    """Claim + prioritize + WRITE one delta part for hash partition
-    ``part`` of the wave's candidates (``blocks``: part ``part`` of every
-    fetch task, stages/transform.split_by_hash); returns the claimed-row
-    count and its per-host counts (the next wave's host-ledger increments —
-    ``ray.get`` yields one result per task, so a retried task cannot count
-    twice). No other claim task sees these urls, so the claim is one probe
-    and one add per seen shard, with the ``lenient`` robots stage (C1) in
-    between (stages/transform.claim_parts).
+# the claim round of a wave of two or more fetch tasks: claim task i takes
+# hash partition i of every fetch task's candidates (a one-task wave claims
+# inside its fetch task, with the same function)
+_claim_chunk = ray.remote(claim_partition)
 
-    The delta part is written HERE (the same retry-safe side-effect tee as
-    the fused fetch stage): its name is a pure function of ``part`` and
-    the retried probe ignores this wave's adds, so a re-executed task
-    overwrites its own part with identical content. The claimed rows never
-    travel driver-ward."""
-    from abwcf_ray.stages.transform import claim_parts, make_prioritize_stage
 
-    tables = [b for b in blocks if b.num_rows]
-    if not tables:
-        return 0, {}
-    out = make_prioritize_stage(cfg)(claim_parts(tables, seen_set, wave, lenient))
-    status = pa.array([STATUS_DISCOVERED] * out.num_rows, pa.string())
-    out = out.append_column("status", status).select(
-        ["url", "host", "status", "depth", "priority"]
+def _rank_write_selected(*args, **kwargs):
+    """Removed: each fetch task writes its chunk's slice of the ranked
+    selected manifest (stages/fetch.make_fetch_process_tee), so no task
+    ranks and writes it. The name stays because the benchmark's tracer
+    (perfbench/tracing.py) patches it by name; nothing calls it, so traced
+    ``schedule.rank_s`` reads 0."""
+    raise RuntimeError(
+        "_rank_write_selected was removed: the fetch tasks write the selected manifest"
     )
-    if out.num_rows:
-        pq.write_table(out, Path(delta_dir) / f"part-{part:05d}.parquet")
-    return out.num_rows, out.column("host").to_pandas().value_counts().to_dict()
-
-
-@ray.remote
-def _rank_write_selected(sel_table: pa.Table, wave: int, path: str) -> int:
-    """Rank (rank_selected: priority desc, url asc; per-host + global
-    ranks) and write one wave's selected manifest — OFF the wave critical
-    path: this runs on a worker while the fetch tasks execute (driver rank
-    + write measured ~0.5 s at 244k selected, ~1.9 s at 890k); the wave
-    joins the ref before lineage reads the file."""
-    from abwcf_ray.stages.schedule import rank_selected
-
-    df = rank_selected(sel_table.to_pandas())
-    df["wave"] = np.int32(wave)
-    pq.write_table(
-        pa.Table.from_pandas(
-            df[["wave", "host", "rank_in_host", "global_rank", "url", "priority", "depth"]],
-            preserve_index=False,
-        ),
-        path,
-    )
-    return len(df)
 
 
 # the wave loop's plain Ray task of stages over a group of parquet files
@@ -581,12 +547,45 @@ _scan_task = ray.remote(scan_parts)
 
 
 @ray.remote
-def _fetch_task(item: pa.Table, stages, n_parts: int):
+def _fetch_task(item: pa.Table, stages, n_parts: int, claim=None):
     """One fetch work item through ``stages`` (the fused tee and the
-    candidate chain); returns the candidates as ``n_parts`` hash
-    partitions, one object per claim task (``num_returns=n_parts``)."""
-    parts = split_by_hash(apply_stages(item, stages), n_parts)
+    candidate chain). Without ``claim``, returns the candidates as
+    ``n_parts`` hash partitions, one object per claim task
+    (``num_returns=n_parts``). In a wave of one fetch task the hash
+    exchange is the identity, so ``claim`` — ``claim_partition`` bound to
+    partition 0 — claims the candidates here and the task returns its
+    result: the wave runs no claim round."""
+    cands = apply_stages(item, stages)
+    if claim is not None:
+        return claim(cands)
+    parts = split_by_hash(cands, n_parts)
     return parts[0] if n_parts == 1 else parts
+
+
+# the selected manifest's columns after ``wave``
+_MANIFEST_COLS = ["host", "rank_in_host", "global_rank", "url", "priority", "depth"]
+
+
+def _fetch_items(ranked: pa.Table, wave: int, n_items: int) -> tuple[np.ndarray, list[pa.Table]]:
+    """The ranked selected rows cut into ``n_items`` fetch work items:
+    contiguous chunks in url-hash order, each a ``chunk`` index column and
+    the selected manifest's columns. Also returns the sorted url hashes
+    (the wave's Processed flips)."""
+    h = hash64(ranked.column("url"))
+    order = np.argsort(h)
+    rows = ranked.take(pa.array(order))
+    n = rows.num_rows
+    bounds = [n * i // n_items for i in range(n_items + 1)]
+    chunk = np.repeat(np.arange(n_items, dtype=np.int32), np.diff(bounds))
+    rows = pa.table(
+        {
+            "chunk": chunk,
+            "wave": pa.array(np.full(n, wave, dtype=np.int32)),
+            **{c: rows.column(c) for c in _MANIFEST_COLS},
+        }
+    )
+    items = [rows.slice(s, e - s) for s, e in zip(bounds, bounds[1:])]
+    return h[order], items
 
 
 @dataclass
@@ -644,15 +643,17 @@ class _Wave:
     strict_robots: object = None
     lenient_robots: object = None
     sched_ref: object = None
-    # selected rows: unranked, then ranked and trimmed to the page budget
-    # by _write_selected when the budget binds
-    sel_df: pd.DataFrame | None = None
+    # selected rows (Arrow): unranked from _select, then ranked and trimmed
+    # to the page budget by _rank_selected
+    selected: pa.Table | None = None
     rejects: pa.Table | None = None
     disallowed: np.ndarray | None = None
-    sel_write_ref: object = None
     n_selected: int = 0
     sel_sorted: np.ndarray | None = None
     cand_refs: list = field(default_factory=list)
+    # refs of the claims' results: the claim tasks', or, in a wave of one
+    # fetch task, that task's own
+    claim_refs: list = field(default_factory=list)
     claims: list = field(default_factory=list)
     n_new: int = 0
 
@@ -685,7 +686,7 @@ def run_crawl(
             _drain(run, w)
             _finish_wave(run, w, f"[crawl] wave {n}: frontier drained, stopping")
             break
-        _write_selected(run, w)
+        _rank_selected(run, w)
         _fetch_candidates(run, w)
         _claim_and_write_frontier(run, w)
         _update_ledger(run, w)
@@ -861,9 +862,9 @@ def _seed(run: _Run, seeds: list[str]) -> None:
     run.chain = _FrontierChain(out, init_dir / "frontier")
     # the seed pass already knows wave 0's Discovered-per-host ledger —
     # skip wave 0's full frontier scan for the host histogram
-    seed_counts = frontier0.column("host").to_pandas().value_counts()
+    seed_counts = partial_host_counts(frontier0)
     run.host_ledger = _HostLedger.from_counts(
-        seed_counts.index.to_numpy(dtype=object), seed_counts.to_numpy()
+        seed_counts["host"].to_pylist(), seed_counts["n"].to_numpy()
     )
     run.prev_frontier_rows = frontier0.num_rows
 
@@ -938,9 +939,9 @@ def _prep_hosts(run: _Run, w: _Wave) -> None:
                 ]
             )
         )
-        host_counts = partials.to_pandas().groupby("host", sort=False)["n"].sum()
+        host_counts = partials.group_by("host").aggregate([("n", "sum")])
         run.host_ledger = _HostLedger.from_counts(
-            host_counts.index.to_numpy(dtype=object), host_counts.to_numpy()
+            host_counts["host"].to_pylist(), host_counts["n_sum"].to_numpy()
         )
     hosts_needed, n_eligible = run.host_ledger.eligible()
     w.mark("host_histogram")
@@ -974,18 +975,18 @@ def _select(run: _Run, w: _Wave) -> None:
     """Strict robots (C2) + politeness selection (D1/D2): one task per
     file group runs the eligible filter and strict robots, keeps its
     partial top-k per host and splits the flagged rejects off; the driver
-    merges the politeness-bounded partials (stages/schedule.select_wave).
-    The round is sized by the host ledger's eligible rows. The selected
-    frame stays unranked here."""
+    merges the politeness-bounded partials when more than one has rows
+    (stages/schedule.select_wave). The round is sized by the host ledger's
+    eligible rows. The selected rows carry their within-host ranks."""
     n_tasks = task_count(w.metrics["n_eligible"], schedule.ROWS_PER_TASK, run.max_tasks)
     w.metrics["select_tasks"] = len(file_groups(w.eligible_files, n_tasks))
-    w.sel_df, w.rejects = select_wave(
+    w.selected, w.rejects = select_wave(
         w.eligible_files,
         [w.eligible, w.strict_robots],
         w.sched_ref,
         n_tasks=n_tasks,
     )
-    w.n_selected = len(w.sel_df)
+    w.n_selected = w.selected.num_rows
     w.disallowed = w.rejects.column("url_hash").to_numpy()
     w.metrics["n_disallowed"] = int(len(w.disallowed))
     w.mark("select")
@@ -1005,57 +1006,48 @@ def _drain(run: _Run, w: _Wave) -> None:
         (w.wdir / sub).mkdir(parents=True, exist_ok=True)
 
 
-def _write_selected(run: _Run, w: _Wave) -> None:
-    """Budget trim and the selected-manifest write. The ranked manifest is
-    consumed only by resume/goldens — never by this wave's fetch — so the
-    rank + parquet write run in ONE remote task overlapping the fetch. The
-    fetch set is rank-independent unless the page budget trims it: then
-    the driver ranks first and drops the lowest global ranks. Those are
-    also each host's lowest, so the task's re-rank of the trimmed frame
-    gives the same global and per-host ranks."""
-    (w.wdir / "selected").mkdir(parents=True, exist_ok=True)
-    budget_left = run.cfg.max_pages - run.total_fetched
-    cols = list(w.sel_df.columns)
-    if len(w.sel_df) > budget_left:
-        w.sel_df = rank_selected(w.sel_df).iloc[: int(budget_left)]
-    w.sel_write_ref = _rank_write_selected.remote(
-        ray.put(pa.Table.from_pandas(w.sel_df[cols], preserve_index=False)),
-        w.n,
-        str(w.wdir / "selected" / "part-0.parquet"),
-    )
-    w.n_selected = len(w.sel_df)
+def _rank_selected(run: _Run, w: _Wave) -> None:
+    """Global rank and budget trim, on the driver in Arrow: one sort of the
+    selected rows by (priority desc, url asc) gives ``global_rank``, and a
+    page budget that binds keeps the first rows of that order
+    (stages/schedule.rank_selected_arrow). The trimmed rows are each
+    host's lowest, so the kept rows' ``rank_in_host`` from the selection
+    still holds. The fetch tasks write the ranked rows as the wave's
+    selected manifest (see _fetch_candidates)."""
+    w.selected = rank_selected_arrow(w.selected, run.cfg.max_pages - run.total_fetched)
+    w.n_selected = w.selected.num_rows
 
 
 def _fetch_candidates(run: _Run, w: _Wave) -> None:
     """Fetch (A2) + process (A7, B1-B3) + candidate chain (B4 -> B5 -> B6),
     one Ray task per work item. Each task runs the fused tee
-    (stages/fetch.make_fetch_process_tee): it fetches its item, parses,
-    writes its own processed-checkpoint part (deterministic name ->
-    retry-safe), and passes only (links, child_depth) on to the candidate
-    chain in the same task — html never leaves it and nothing is re-read.
-    The task returns its candidates split by url hash into one part per
-    claim task (F1, see _claim_and_write_frontier).
+    (stages/fetch.make_fetch_process_tee): it writes its chunk's slice of
+    the ranked selected manifest (``selected/part-<chunk>.parquet``),
+    fetches its urls, parses, writes its own processed-checkpoint part
+    (deterministic names -> retry-safe), and passes only (links,
+    child_depth) on to the candidate chain in the same task — html never
+    leaves it and nothing is re-read.
 
-    A work item is a contiguous chunk of the selected urls in url-hash
-    order: ``task_count(n_selected, fetch_transport_batch_size, 2·CPUs)``
-    chunks, so a small wave runs one task and a large one spreads over the
-    cluster. The wave has as many claim tasks as fetch tasks."""
+    A work item is a contiguous chunk of the ranked selected rows in
+    url-hash order (_fetch_items):
+    ``task_count(n_selected, fetch_transport_batch_size, 2·CPUs)`` chunks,
+    so a small wave runs one task and a large one spreads over the
+    cluster. A wave of one fetch task claims in that task too (F1, the
+    hash exchange of a one-way split is the identity), so it runs two task
+    rounds: selection, then fetch-and-claim. A wave of two or more returns
+    its candidates split by url hash into one part per claim task, and
+    claims in a round of as many tasks (see _claim_and_write_frontier)."""
     cfg = run.cfg
-    sel_hashes = hash64(w.sel_df["url"].tolist())
-    order = np.argsort(sel_hashes)
-    w.sel_sorted = sel_hashes[order]
-    depths = w.sel_df["depth"].to_numpy()[order].astype(np.int32)
-    processed_dir = w.wdir / "processed"
-    processed_dir.mkdir(parents=True, exist_ok=True)
-    urls = w.sel_df["url"].to_numpy(dtype=object)[order]
-    n_items = task_count(len(urls), cfg.fetch_transport_batch_size, run.max_tasks)
-    bounds = [len(urls) * i // n_items for i in range(n_items + 1)]
-    items = [
-        {"chunk": i, "urls": urls[s:e].tolist(), "depths": depths[s:e].tolist()}
-        for i, (s, e) in enumerate(zip(bounds, bounds[1:]))
-    ]
-    w.metrics["fetch_tasks"] = len(items)
-    tee = make_fetch_process_tee(run.process_fetched, str(processed_dir), run.transport_ref)
+    processed_dir, selected_dir, delta_dir = (
+        w.wdir / "processed", w.wdir / "selected", w.wdir / "delta"
+    )
+    for d in (processed_dir, selected_dir, delta_dir):
+        d.mkdir(parents=True, exist_ok=True)
+    n_items = task_count(w.n_selected, cfg.fetch_transport_batch_size, run.max_tasks)
+    w.sel_sorted, items = _fetch_items(w.selected, w.n, n_items)
+    tee = make_fetch_process_tee(
+        run.process_fetched, str(processed_dir), str(selected_dir), run.transport_ref
+    )
     # E2 — bandwidth split: the budget's binding consequence is the
     # concurrent-fetcher cap (FetcherManager.scala:66); apply it as the
     # number of fetch tasks in flight (results identical, parallelism
@@ -1075,25 +1067,33 @@ def _fetch_candidates(run: _Run, w: _Wave) -> None:
         run.scope,
         make_propose(),
     ]
-    n_parts = len(items)
+    claim = None
+    if n_items == 1:
+        claim = functools.partial(
+            claim_partition, 0, run.seen, w.n, cfg, str(delta_dir), w.lenient_robots
+        )
+    w.metrics["fetch_tasks"] = n_items
+    w.metrics["claim_tasks"] = 0 if claim is not None else n_items
     w.mark("fetch_prep")  # sel hashing + work items
     in_flight: list = []
     for item in items:
         if max_fetchers and len(in_flight) >= max_fetchers:
             _, in_flight = ray.wait(in_flight, num_returns=1, fetch_local=False)
-        refs = _fetch_task.options(num_returns=n_parts).remote(
-            pa.Table.from_pylist([item]), stages, n_parts
-        )
-        refs = [refs] if n_parts == 1 else refs
-        w.cand_refs.append(refs)
+        if claim is None:
+            refs = _fetch_task.options(num_returns=n_items).remote(item, stages, n_items)
+            w.cand_refs.append(refs)
+        else:
+            refs = w.claim_refs = [_fetch_task.remote(item, stages, 1, claim)]
         in_flight.append(refs[0])
     # every processed-checkpoint part is on disk before the wave's metrics
     # read them; fetch_local=False: the candidate parts stay in the object
     # store where the claims will run
-    ray.wait([r[0] for r in w.cand_refs], num_returns=n_parts, fetch_local=False)
+    firsts = [r[0] for r in w.cand_refs] or w.claim_refs
+    ray.wait(firsts, num_returns=len(firsts), fetch_local=False)
     if not any(processed_dir.glob("*.parquet")):
-        # nothing fetched (no work item, or every fetch missed): keep the
-        # checkpoint readable — one empty part in the processed schema
+        # nothing fetched (an empty work item, or every fetch missed):
+        # keep the checkpoint readable — one empty part in the processed
+        # schema
         pq.write_table(
             run.process_fetched(empty_fetched_table()),
             processed_dir / "part-empty.parquet",
@@ -1132,33 +1132,35 @@ def _fetch_status(w: _Wave) -> int:
 
 def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
     """Claim (F1) and the frontier delta checkpoint (O(changed), never a
-    rewrite). Claim task i takes hash partition i of every fetch task's
-    candidates — the reduce side of a hash shuffle whose map side is the
-    fetch tasks, so no two claimants share a url — and claims (lenient
-    robots on the new urls only), prioritizes, and writes its own delta
-    part under a partition-derived name
-    (retry-safe tee — see _claim_chunk). The claims are dispatched first:
-    everything the driver does until their ray.get (the
-    fetch-status read, the novel filter, the flips write) depends only on
-    the candidate tables and the processed checkpoint, so it overlaps the
-    claims instead of serializing behind them. Status flips (selected ->
-    Processed, rejected -> Disallowed; both politeness-bounded) append as a
-    tiny flips file — the reference analog is the batched
-    ``UPDATE pages SET status`` (SlickPageRepository.scala:37-51)."""
+    rewrite). In a wave of two or more fetch tasks, claim task i takes
+    hash partition i of every fetch task's candidates — the reduce side of
+    a hash shuffle whose map side is the fetch tasks, so no two claimants
+    share a url — and claims (lenient robots on the new urls only),
+    prioritizes, and writes its own delta part under a partition-derived
+    name (retry-safe tee — see stages/transform.claim_partition). A wave
+    of one fetch task already claimed in it, with the same function, and
+    submits no claim round. The claims are dispatched first: everything
+    the driver does until their ray.get (the fetch-status read, the novel
+    filter, the flips write) depends only on the candidate tables and the
+    processed checkpoint, so it overlaps the claims instead of
+    serializing behind them. Status flips (selected -> Processed, rejected
+    -> Disallowed; both politeness-bounded) append as a tiny flips file —
+    the reference analog is the batched ``UPDATE pages SET status``
+    (SlickPageRepository.scala:37-51)."""
     delta_dir = w.wdir / "delta"
-    delta_dir.mkdir(parents=True, exist_ok=True)
-    claim_refs = [
-        _claim_chunk.remote(
-            i,
-            run.seen,
-            w.n,
-            run.cfg,
-            str(delta_dir),
-            w.lenient_robots,
-            *[refs[i] for refs in w.cand_refs],
-        )
-        for i in range(len(w.cand_refs))
-    ]
+    if w.cand_refs:
+        w.claim_refs = [
+            _claim_chunk.remote(
+                i,
+                run.seen,
+                w.n,
+                run.cfg,
+                str(delta_dir),
+                w.lenient_robots,
+                *[refs[i] for refs in w.cand_refs],
+            )
+            for i in range(len(w.cand_refs))
+        ]
     n_processed = _fetch_status(w)
     w.mark("extract_write")
     # cross-wave novel-content filter (optional, stages/novel.py)
@@ -1175,7 +1177,7 @@ def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
         w.mark("novel_filter")
     flips_path = w.wdir / "flips.parquet"
     _write_flips(flips_path, w.sel_sorted, w.disallowed)
-    w.claims = ray.get(claim_refs)
+    w.claims = ray.get(w.claim_refs)
     w.n_new = sum(n for n, _ in w.claims)
     if not any(delta_dir.glob("*.parquet")):
         # zero-claim wave: keep the dir readable in the chain union
@@ -1187,8 +1189,8 @@ def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
 def _update_ledger(run: _Run, w: _Wave) -> None:
     """Host ledger update: exact arithmetic, no frontier rescan."""
     led = run.host_ledger
-    sel_counts = w.sel_df["host"].value_counts()
-    led.apply(sel_counts.index.to_numpy(dtype=object), -sel_counts.to_numpy())
+    sel_counts = partial_host_counts(w.selected)
+    led.apply(sel_counts["host"].to_pylist(), -sel_counts["n"].to_numpy())
     # apply() sums repeated hosts: one -1 per reject, and the claim tasks'
     # per-host counts, which may share hosts
     led.apply(w.rejects.column("host").to_pylist(), np.full(w.rejects.num_rows, -1))
@@ -1234,8 +1236,6 @@ def _finish_wave(run: _Run, w: _Wave, done_msg: str | None = None) -> None:
     """Write the wave's manifest (every wave, the drain wave included,
     completes here)."""
     run.total_fetched += w.n_selected
-    if w.sel_write_ref is not None:
-        ray.get(w.sel_write_ref)
     lineage = {
         key: _file_lineage(w.wdir / sub)
         for key, sub in (

@@ -146,57 +146,52 @@ def empty_fetched_table() -> pa.Table:
     )
 
 
-def make_fetch_process_tee(process_fn, processed_dir: str, transport_ref):
-    """FUSED wave stage: url chunk -> fetch -> ``process_fn`` (parse +
-    extract, A7/B1-B3) -> WRITE this chunk's processed-checkpoint part ->
-    emit only the candidate columns (``links``, ``child_depth``)
-    downstream. A work item is a url chunk (``chunk``, ``urls``,
-    ``depths``), fetched by the ``FetchTransport`` whose factory
-    ``transport_ref`` holds, built once per worker process
-    (stages/transport.py).
+def make_fetch_process_tee(process_fn, processed_dir: str, selected_dir: str, transport_ref):
+    """FUSED wave stage: url chunk -> WRITE this chunk's slice of the
+    wave's selected manifest -> fetch -> ``process_fn`` (parse + extract,
+    A7/B1-B3) -> WRITE this chunk's processed-checkpoint part -> emit only
+    the candidate columns (``links``, ``child_depth``) downstream. A work
+    item is one chunk of the wave's ranked selected rows: a ``chunk``
+    index column, then the manifest columns (wave, host, rank_in_host,
+    global_rank, url, priority, depth). Its urls are fetched by the
+    ``FetchTransport`` whose factory ``transport_ref`` holds, built once
+    per worker process (stages/transport.py).
 
     This is the tee that lets one task per work item run fetch AND the
     candidate chain with no mid-wave barrier: writing the full processed
     parquet, waiting, and re-reading the link columns would cost two
     serialized phases plus a decompress round-trip on the wave's dominant
-    payload. Here the checkpoint is a side effect.
+    payload. Here the checkpoints are side effects.
 
-    Retry/lineage safety: the part name is a pure function of the work item
-    (``t<chunk index>``), so a re-executed task overwrites its own part with
-    identical content instead of duplicating rows — the property that makes
-    side-effect writes inside a retried task sound. Rows with no links are
-    dropped from the emitted table (their checkpoint rows are already on
-    disk)."""
-    return functools.partial(_fetch_process_write, process_fn, processed_dir, transport_ref)
+    Retry/lineage safety: both part names are pure functions of the work
+    item (``selected/part-<chunk>.parquet``, ``processed/t<chunk>.parquet``),
+    so a re-executed task overwrites its own parts with identical content
+    instead of duplicating rows — the property that makes side-effect
+    writes inside a retried task sound. Rows with no links are dropped
+    from the emitted table (their checkpoint rows are already on disk)."""
+    return functools.partial(
+        _fetch_process_write, process_fn, processed_dir, selected_dir, transport_ref
+    )
 
 
 def _fetch_process_write(
-    process_fn, processed_dir: str, transport_ref, batch: pa.Table
+    process_fn, processed_dir: str, selected_dir: str, transport_ref, item: pa.Table
 ) -> pa.Table:
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    outs = []
-    for item in batch.to_pylist():
-        fetched = _transport(transport_ref).fetch(
-            item["urls"], np.asarray(item["depths"], dtype=np.int32)
+    if not item.num_rows:  # a wave whose page budget was already spent
+        return process_fn(empty_fetched_table()).select(["links", "child_depth"])
+    chunk = item.column("chunk")[0].as_py()
+    item = item.drop_columns(["chunk"])
+    pq.write_table(item, Path(selected_dir) / f"part-{chunk}.parquet")
+    fetched = _transport(transport_ref).fetch(
+        item.column("url").to_pylist(), item.column("depth").to_numpy()
+    )
+    processed = process_fn(fetched)
+    if processed.num_rows:
+        pq.write_table(
+            processed, Path(processed_dir) / f"t{chunk:05d}.parquet", compression="zstd"
         )
-        processed = process_fn(fetched)
-        if processed.num_rows:
-            pq.write_table(
-                processed,
-                Path(processed_dir) / f"t{int(item['chunk']):05d}.parquet",
-                compression="zstd",
-            )
-        links = processed.select(["links", "child_depth"])
-        has_links = pa.compute.greater(
-            pa.compute.list_value_length(links.column("links")), 0
-        )
-        outs.append(links.filter(has_links))
-    if not outs:
-        return pa.table(
-            {
-                "links": pa.array([], pa.list_(pa.string())),
-                "child_depth": pa.array([], pa.int32()),
-            }
-        )
-    return pa.concat_tables(outs)
+    links = processed.select(["links", "child_depth"])
+    return links.filter(pc.greater(pc.list_value_length(links.column("links")), 0))

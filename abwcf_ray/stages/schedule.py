@@ -22,7 +22,10 @@ strictly stronger than salting an exchange).
 
 The merge has one venue: a single driver-side vectorized pass over the
 collected partials, at most Σ_h k_h rows per task (SCALE.md §5 gives the
-memory ceiling).
+memory ceiling). It runs only when two or more partials have rows: a lone
+partial is already the exact top-k. Each selected row carries its
+``rank_in_host``; :func:`rank_selected_arrow` adds the global rank on the
+driver, with one sort over the selected rows.
 
 :func:`task_count` is the crawl's one fan-out rule: every task round of a
 wave (selection here; fetch, claim, compaction, the host-histogram rescan,
@@ -40,6 +43,16 @@ import pyarrow.compute as pc
 import ray
 
 _SELECT_COLS = ["url", "host", "depth", "priority"]
+RANK_IN_HOST = "rank_in_host"
+_SELECTED_SCHEMA = pa.schema(
+    [
+        ("url", pa.string()),
+        ("host", pa.string()),
+        ("depth", pa.int32()),
+        ("priority", pa.int64()),
+        (RANK_IN_HOST, pa.int32()),
+    ]
+)
 
 
 def budget_for_delay(delay_ms: int, wave_duration_s: float) -> int:
@@ -85,9 +98,12 @@ def topk_per_host_arrow(t: pa.Table, payload: dict, default_k: int = 1) -> pa.Ta
     string kernels straight off the arrow buffers (measured 4.8x the
     pandas object-dtype sort at 600k rows single-threaded). UTF-8 byte
     order equals codepoint order, so the url tiebreak is identical to the
-    Python string comparison the oracle uses."""
+    Python string comparison the oracle uses. Each kept row carries its
+    ordinal within its host by (priority desc, url asc) as an int32
+    ``rank_in_host`` column."""
+    schema = t.schema.append(pa.field(RANK_IN_HOST, pa.int32()))
     if t.num_rows == 0:
-        return t
+        return schema.empty_table()
     import polars as pl
 
     ldf = (
@@ -98,10 +114,11 @@ def topk_per_host_arrow(t: pa.Table, payload: dict, default_k: int = 1) -> pa.Ta
     out = ldf.to_arrow()
     k = _k_for_hosts(payload, out.column("host"), default_k)
     r = out.column("_r").to_numpy()
-    out = out.filter(pa.array(r < k)).drop_columns(["_r"])
+    out = out.filter(pa.array(r < k))
+    out = out.rename_columns([RANK_IN_HOST if c == "_r" else c for c in out.column_names])
     # polars large_string round-trip -> normalize back to the frontier's
     # string type so downstream schema stays stable
-    return out.cast(t.schema)
+    return out.cast(schema)
 
 
 def _reject_keys(rej: pa.Table) -> pa.Table:
@@ -124,10 +141,6 @@ def _unique_rejects(tables: list[pa.Table]) -> pa.Table:
     t = pa.concat_tables(tables, promote_options="default")
     _, first = np.unique(t.column("url_hash").to_numpy(), return_index=True)
     return t.take(pa.array(first))
-
-
-def _empty_selected() -> pd.DataFrame:
-    return pd.DataFrame({c: pd.Series([], dtype=object) for c in _SELECT_COLS})
 
 
 def apply_stages(t: pa.Table, stages) -> pa.Table:
@@ -192,19 +205,19 @@ def file_groups(paths: list[str], k: int) -> list[list[str]]:
     return out
 
 
-@ray.remote(num_returns=3)
+@ray.remote
 def _select_partial(paths, stages, columns, sched: dict):
     """One selection task: scan a group of files through ``stages``, keep
     the group's partial top-k per host of the rows not flagged
-    ``rejected``, and split the flagged ones off as reject keys.
-    Returns (partial rows, partial, reject keys)."""
+    ``rejected``, with their within-host ranks, and split the flagged ones
+    off as reject keys. Returns (partial, reject keys)."""
     t = scan_parts(paths, stages, columns)
     if "rejected" in t.schema.names:
         rej = t.column("rejected")
     else:
         rej = pa.array(np.zeros(t.num_rows, dtype=bool))
     kept = topk_per_host_arrow(t.filter(pc.invert(rej)).select(_SELECT_COLS), sched)
-    return kept.num_rows, kept, _reject_keys(t.filter(rej))
+    return kept, _reject_keys(t.filter(rej))
 
 
 def select_wave(
@@ -214,7 +227,7 @@ def select_wave(
     *,
     columns: list[str] | None = None,
     n_tasks: int | None = None,
-) -> tuple[pd.DataFrame, pa.Table]:
+) -> tuple[pa.Table, pa.Table]:
     """Parquet files of frontier rows -> the wave's fetch set with exact
     per-host top-k under the politeness budget.
 
@@ -225,39 +238,64 @@ def select_wave(
     ``HostsState.sched_payload`` object ref (sorted host hashes +
     precomputed budgets, zero-copy numpy).
 
-    Returns ``(selected, rejects)``: ``selected`` is an unranked pandas
-    frame. Rows flagged by an optional bool ``rejected`` column (the
-    strict robots filter's known-rule rejects, C2) bypass the ranking;
+    Returns ``(selected, rejects)``: ``selected`` is an Arrow table of
+    (url, host, depth, priority, rank_in_host), in no particular row
+    order, where ``rank_in_host`` is the row's ordinal within its host by
+    (priority desc, url asc) — :func:`rank_selected_arrow` adds the global
+    rank. Rows flagged by an optional bool ``rejected`` column (the strict
+    robots filter's known-rule rejects, C2) bypass the ranking;
     ``rejects`` is their ``(url_hash, host)`` table, unique by hash and
     sorted by it.
 
     Two levels: (1) plain Ray tasks, one per contiguous group of
     ``sources`` (``min(#files, n_tasks)`` groups; without ``n_tasks``,
     :func:`default_task_count` of the sources' rows), each scanning its
-    files through ``stages`` and keeping its partial top-k (a superset of its
-    contribution) and its reject keys; then (2) the exact per-host merge,
-    one vectorized arrow top-k on the driver over the collected partials
-    (politeness-bounded: each holds at most Σ_h k_h rows, ~96 B/row;
-    measured 0.75 s at 300k partial rows and ~1.5 s at 940k). The partial
-    counts travel as their own task returns, so an empty wave fetches no
-    partial."""
+    files through ``stages`` and keeping its partial top-k (a superset of
+    its contribution) and its reject keys, all fetched by one ``ray.get``;
+    then (2) the exact per-host merge, one vectorized arrow top-k on the
+    driver over the collected partials (politeness-bounded: each holds at
+    most Σ_h k_h rows, ~96 B/row; measured 0.75 s at 300k partial rows and
+    ~1.5 s at 940k). When only one partial has rows it is already the
+    exact top-k, ranks included, and the driver merges nothing."""
     if n_tasks is None:
         n_tasks = default_task_count(sources)
     groups = file_groups(sources, n_tasks)
-    tasks = [_select_partial.remote(g, stages, columns, sched_ref) for g in groups]
-    counts = ray.get([t[0] for t in tasks])
-    rejects = _unique_rejects(ray.get([t[2] for t in tasks]))
-    partials = [t[1] for t, n in zip(tasks, counts) if n]
+    outs = ray.get([_select_partial.remote(g, stages, columns, sched_ref) for g in groups])
+    rejects = _unique_rejects([rej for _, rej in outs])
+    partials = [kept for kept, _ in outs if kept.num_rows]
+    if len(partials) == 1:
+        return partials[0], rejects
     if not partials:
-        return _empty_selected(), rejects
-    t = pa.concat_tables(ray.get(partials), promote_options="default").combine_chunks()
-    merged = topk_per_host_arrow(t, ray.get(sched_ref))
-    return merged.to_pandas().reset_index(drop=True), rejects
+        return _SELECTED_SCHEMA.empty_table(), rejects
+    t = pa.concat_tables(partials, promote_options="default").drop_columns([RANK_IN_HOST])
+    merged = topk_per_host_arrow(t.combine_chunks(), ray.get(sched_ref))
+    return merged, rejects
+
+
+def rank_selected_arrow(selected: pa.Table, budget: int | None = None) -> pa.Table:
+    """The wave's global order, in Arrow: ``selected`` sorted by (priority
+    desc, url asc) with a ``global_rank`` int32 column, cut to its first
+    ``budget`` rows when a page budget binds. The cut drops the lowest
+    global ranks, which are also each host's lowest, so the
+    ``rank_in_host`` values :func:`select_wave` gave the kept rows still
+    hold. One sort over the selected rows — no more than the merge sorts.
+    Equals :func:`rank_selected` (tested in tests/test_schedule_seen.py)."""
+    order = pc.sort_indices(
+        selected, sort_keys=[("priority", "descending"), ("url", "ascending")]
+    )
+    if budget is not None and budget < len(order):
+        order = order[: max(0, int(budget))]
+    out = selected.take(order)
+    return out.append_column(
+        "global_rank", pa.array(np.arange(out.num_rows, dtype=np.int32))
+    )
 
 
 def rank_selected(selected_df: pd.DataFrame) -> pd.DataFrame:
     """Canonical ordering columns for the fetch manifest / golden fixtures:
-    per-host rank and global rank, both by (priority desc, url asc)."""
+    per-host rank and global rank, both by (priority desc, url asc)
+    (pandas form — kept as the readable reference; the waves rank with
+    :func:`select_wave`'s ``rank_in_host`` and :func:`rank_selected_arrow`)."""
     df = selected_df.sort_values(
         ["priority", "url"], ascending=[False, True], kind="mergesort"
     ).reset_index(drop=True)

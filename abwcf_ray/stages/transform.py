@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import re
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -607,14 +608,11 @@ def explode_links(batch: pa.Table) -> pa.Table:
 def partial_host_counts(batch: pa.Table) -> pa.Table:
     """Per-batch (host, n) partials — the shuffle-free replacement for
     ``groupby(host).count()``: hosts ≪ rows, so partials collected on the
-    driver and merged in pandas cost O(#hosts), not an all-to-all sort
+    driver and merged there cost O(#hosts), not an all-to-all sort
     (SURVEY.md 'pre-aggregate inside map_batches before a groupby')."""
-    vc = batch.column("host").to_pandas().value_counts()
+    vc = pc.value_counts(batch.column("host"))
     return pa.table(
-        {
-            "host": pa.array(vc.index.astype(str), pa.string()),
-            "n": pa.array(vc.to_numpy(dtype=np.int64), pa.int64()),
-        }
+        {"host": vc.field("values").cast(pa.string()), "n": vc.field("counts")}
     )
 
 
@@ -744,3 +742,41 @@ def claim_parts(parts: list[pa.Table], seen_set, wave: int, lenient) -> pa.Table
     t = lenient(t.filter(pa.array(~seen_set.contains(h, before_wave=wave))))
     seen_set.add(t.column("url_hash").to_numpy(), wave)
     return t
+
+
+def claim_partition(
+    part: int,
+    seen_set,
+    wave: int,
+    cfg: CrawlConfig,
+    delta_dir: str,
+    lenient,
+    *blocks: pa.Table,
+) -> tuple[int, dict[str, int]]:
+    """Claim + prioritize + WRITE one delta part for hash partition
+    ``part`` of the wave's candidates (``blocks``: part ``part`` of every
+    fetch task, :func:`split_by_hash` — or, in a wave of one fetch task,
+    that task's whole candidate table, since a one-way split is the
+    identity). Returns the claimed-row count and its per-host counts (the
+    next wave's host-ledger increments — ``ray.get`` yields one result per
+    task, so a retried task cannot count twice). No other claim sees these
+    urls, so the claim is one probe and one add per seen shard, with the
+    ``lenient`` robots stage (C1) in between (:func:`claim_parts`).
+
+    The delta part ``part-<part>.parquet`` is written HERE (the same
+    retry-safe side-effect tee as the fused fetch stage): its name is a
+    pure function of ``part`` and the retried probe ignores this wave's
+    adds, so a re-executed task overwrites its own part with identical
+    content. The claimed rows never travel driver-ward."""
+    import pyarrow.parquet as pq
+
+    tables = [b for b in blocks if b.num_rows]
+    if not tables:
+        return 0, {}
+    out = make_prioritize_stage(cfg)(claim_parts(tables, seen_set, wave, lenient))
+    status = pa.array([STATUS_DISCOVERED] * out.num_rows, pa.string())
+    out = out.append_column("status", status).select(FRONTIER_SCHEMA.names)
+    if out.num_rows:
+        pq.write_table(out, Path(delta_dir) / f"part-{part:05d}.parquet")
+    counts = partial_host_counts(out)
+    return out.num_rows, dict(zip(counts["host"].to_pylist(), counts["n"].to_pylist()))

@@ -173,7 +173,9 @@ def test_manifest_lineage(ray_run):
 def test_small_wave_runs_one_fetch_task(ray_run):
     """A wave's fetch runs min(ceil(n_selected / fetch_transport_batch_size),
     2·CPUs) url chunks, at least one: a wave of at most
-    ``fetch_transport_batch_size`` selected urls is one fetch task."""
+    ``fetch_transport_batch_size`` selected urls is one fetch task, which
+    claims itself (no claim round), and a wave of two or more fetch tasks
+    runs as many claim tasks."""
     import ray
 
     out, _ = ray_run
@@ -184,13 +186,15 @@ def test_small_wave_runs_one_fetch_task(ray_run):
     assert any(m["n_selected"] <= b for m in fetching)
     for m in fetching:
         assert m["fetch_tasks"] == max(1, min(-(-m["n_selected"] // b), cap)), m["wave"]
+        want_claims = 0 if m["fetch_tasks"] == 1 else m["fetch_tasks"]
+        assert m["claim_tasks"] == want_claims, m["wave"]
 
 
 def test_page_budget_trim_matches_oracle(ray_session, corpus, oracle, tmp_path):
     """A page budget that ends inside a wave trims that wave to its lowest
-    global ranks: the trimmed selected manifest, re-ranked by the same
-    remote task as an untrimmed one, keeps the oracle's order, and the
-    crawl stops at the budget oracle-exact."""
+    global ranks: the trimmed selected manifest, written by the fetch
+    tasks with the ranks the driver gave the untrimmed set, keeps the
+    oracle's order, and the crawl stops at the budget oracle-exact."""
     from abwcf_ray.pipelines.crawl import run_crawl
 
     budget = len(oracle.order[0]) + len(oracle.order[1]) // 2
@@ -654,6 +658,10 @@ def test_bandwidth_budget_caps_fetchers(
         manifests = [_json.loads(m.read_text()) for m in sorted(out.glob("wave_*/manifest.json"))]
         assert manifests[0]["max_fetchers"] == 1
         assert max(m.get("fetch_tasks", 0) for m in manifests) > 1
+        # a wave of several fetch tasks claims in a round of as many tasks
+        for m in manifests:
+            if m.get("fetch_tasks", 0) > 1:
+                assert m["claim_tasks"] == m["fetch_tasks"], m["wave"]
         spans = sorted(
             tuple(map(float, f.read_text().split())) for f in spans_dir.iterdir()
         )
@@ -1069,8 +1077,10 @@ def test_compaction_part_count_is_bounded(ray_session, corpus, tmp_path):
 
 def test_one_cpu_small_waves_run_one_task_per_round(ray_session, corpus, tmp_path, monkeypatch):
     """On a one-CPU cluster every round of a small wave is one task: each
-    wave of at most ``ROWS_PER_TASK`` eligible rows selects in one task, and
-    every compaction runs one task."""
+    wave of at most ``ROWS_PER_TASK`` eligible rows selects in one task,
+    each wave of at most ``fetch_transport_batch_size`` selected urls
+    fetches in one task that also claims (no claim round), and every
+    compaction runs one task."""
     import ray
 
     from abwcf_ray.pipelines.crawl import run_crawl
@@ -1082,8 +1092,32 @@ def test_one_cpu_small_waves_run_one_task_per_round(ray_session, corpus, tmp_pat
     manifests = [json.loads(m.read_text()) for m in sorted(tmp_path.glob("wave_*/manifest.json"))]
     assert all(m["n_eligible"] <= ROWS_PER_TASK for m in manifests)
     assert [m["select_tasks"] for m in manifests] == [1] * len(manifests)
+    small = [m for m in manifests if 0 < m["n_selected"] <= cfg.fetch_transport_batch_size]
+    assert small
+    assert {(m["fetch_tasks"], m["claim_tasks"]) for m in small} == {(1, 0)}
     compactions = [m["compact_tasks"] for m in manifests if "compact_tasks" in m]
     assert compactions and set(compactions) == {1}
+
+
+def test_resume_after_one_task_wave(ray_session, corpus, oracle, tmp_path, monkeypatch):
+    """A run stopped after a wave whose one fetch task claimed (no claim
+    round) resumes from that wave's checkpoint to the oracle's result, and
+    the resumed waves claim in their fetch tasks too."""
+    import ray
+
+    from abwcf_ray.pipelines.crawl import run_crawl
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    # every wave of this corpus fits one fetch task
+    cfg = CrawlConfig(**{**CFG.__dict__, "fetch_transport_batch_size": 4096})
+    run_crawl(CrawlConfig(**{**cfg.__dict__, "max_waves": 2}), corpus, tmp_path, log=lambda *_: None)
+    stopped = json.loads((tmp_path / "wave_0001" / "manifest.json").read_text())
+    assert (stopped["fetch_tasks"], stopped["claim_tasks"]) == (1, 0)
+    summary = run_crawl(cfg, corpus, tmp_path, resume=True, log=lambda *_: None)
+    _assert_matches_oracle(tmp_path, summary, oracle)
+    manifests = [json.loads(m.read_text()) for m in sorted(tmp_path.glob("wave_*/manifest.json"))]
+    assert len(manifests) > 2
+    assert all(m["claim_tasks"] == 0 for m in manifests if m["n_selected"])
 
 
 def _small_row_target_run(corpus, out: Path, cfg: CrawlConfig, monkeypatch, resume=False):

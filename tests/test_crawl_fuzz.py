@@ -6,7 +6,9 @@ Each example draws a small corpus (``generate_corpus``), the crawl fields
 ``max_crawl_depth``, ``max_content_length``, ``priority_fn``), and the
 engine-only fields the result must not depend on
 (``fetch_transport_batch_size``, ``frontier_compact_every``,
-``frontier_compact_max_flips``, ``seen_shards`` and the fan-out row target
+``frontier_compact_max_flips``, ``seen_shards``,
+``total_bandwidth_budget_bps`` — none, or a budget that allows one fetch
+task in flight —, ``dedup_content`` and the fan-out row target
 ``schedule.ROWS_PER_TASK``). It may stop the crawl after a drawn wave and
 resume it. The finished crawl must pass the benchmark gate's four checks
 (per-wave order, final frontier, seen set, extracted text) against the
@@ -56,6 +58,10 @@ def crawl_examples(draw):
         frontier_compact_every=draw(st.integers(1, 8)),
         frontier_compact_max_flips=draw(st.sampled_from([16_000_000, 10, 100])),
         seen_shards=draw(st.sampled_from([None, 1, 2, 3])),
+        total_bandwidth_budget_bps=draw(
+            st.sampled_from([None, CrawlConfig.min_bandwidth_per_fetcher_bps])
+        ),
+        dedup_content=draw(st.booleans()),
     )
     rows_per_task = draw(st.sampled_from([4096, 16, 256]))
     stop = None

@@ -9,6 +9,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abwcf_ray.config import CrawlConfig
 from abwcf_ray.stages.schedule import budget_for_delay, rank_selected, select_wave, task_count
@@ -59,6 +61,7 @@ def test_partial_topk_is_exact(ray_session, tmp_path, n_files):
     files = _write_parts(t, n_files, tmp_path)
     got = (
         select_wave(files, [], ray.put(sched_payload_from_delays(delays, cfg.wave_duration_s)))[0]
+        .to_pandas()
         .sort_values(["priority", "url"], ascending=[False, True])
         .reset_index(drop=True)
     )
@@ -102,7 +105,7 @@ def test_select_wave_merge_paths_agree(ray_session, tmp_path):
     files = _write_parts(t, 6, tmp_path)
     key = ["priority", "url"]
     driver, driver_rej = select_wave(files, [], ray.put(payload))
-    driver = driver.sort_values(key, ascending=[False, True]).reset_index(drop=True)
+    driver = driver.to_pandas().sort_values(key, ascending=[False, True]).reset_index(drop=True)
     one_pass = (
         topk_per_host(t.filter(pa.array(~rejected)).to_pandas(), payload)
         .sort_values(key, ascending=[False, True])
@@ -125,6 +128,65 @@ def test_rank_selected_deterministic():
     r1, r2 = rank_selected(df.sample(frac=1, random_state=0)), rank_selected(df)
     pd.testing.assert_frame_equal(r1, r2)
     assert (r1.groupby("host")["rank_in_host"].apply(lambda s: (s.values == np.arange(len(s))).all())).all()
+
+
+@st.composite
+def _selected_sets(draw):
+    """Frontier rows over a few shared hosts with many tied priorities,
+    a per-host budget, a page budget that often binds, and a file count
+    (one file: the lone partial skips the merge)."""
+    n_hosts = draw(st.integers(1, 4))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_hosts - 1),
+                st.text(alphabet="abé中", min_size=1, max_size=3),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=40,
+            unique_by=lambda r: (r[0], r[1]),
+        )
+    )
+    delays = [draw(st.sampled_from([2000, 5000, 10000])) for _ in range(n_hosts)]
+    budget = draw(st.integers(0, len(rows) + 2))
+    return rows, delays, budget, draw(st.integers(1, 3))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(example=_selected_sets())
+def test_arrow_ranks_match_reference(ray_session, example):
+    """The engine's ranks — ``rank_in_host`` from select_wave's top-k and
+    ``global_rank`` plus the page-budget trim from rank_selected_arrow —
+    equal the pandas reference rank_selected over the reference top-k,
+    ranked, trimmed to the budget and ranked again, as the manifest used
+    to be written."""
+    import tempfile
+
+    import ray
+
+    from abwcf_ray.stages.schedule import rank_selected_arrow, topk_per_host
+
+    rows, delays, budget, n_files = example
+    t = pa.table(
+        {
+            "url": pa.array([f"https://h{h}.example/{p}" for h, p, _ in rows]),
+            "host": pa.array([f"https://h{h}.example" for h, _, _ in rows]),
+            "depth": pa.array(np.zeros(len(rows), dtype=np.int32), pa.int32()),
+            "priority": pa.array([pr for _, _, pr in rows], pa.int64()),
+        }
+    )
+    payload = sched_payload_from_delays(
+        {f"https://h{h}.example": d for h, d in enumerate(delays)}, 10.0
+    )
+    with tempfile.TemporaryDirectory() as d:
+        files = _write_parts(t, n_files, Path(d))
+        sel, _ = select_wave(files, [], ray.put(payload), n_tasks=n_files)
+    cols = ["url", "host", "priority", "rank_in_host", "global_rank"]
+    got = rank_selected_arrow(sel, budget).to_pandas()[cols]
+    ref = rank_selected(rank_selected(topk_per_host(t.to_pandas(), payload)).iloc[:budget])
+    pd.testing.assert_frame_equal(got, ref[cols], check_dtype=False)
+    assert (got["rank_in_host"].dtype, got["global_rank"].dtype) == (np.int32, np.int32)
 
 
 def test_seen_set_protocol(ray_session):
@@ -304,6 +366,97 @@ def test_claim_chunk_retry_rewrites_part_and_counts(ray_session, tmp_path):
     seen.shutdown()
 
 
+def test_fused_fetch_claim_retry_rewrites_parts_and_counts(ray_session, tmp_path):
+    """A one-task wave's fetch task claims its own candidates. Run twice
+    for the same wave and chunk (a simulated Ray retry), it rewrites its
+    processed, selected and delta parts byte for byte and returns the same
+    claim count and per-host counts; the second run's probe ignores the
+    first run's same-wave adds, so it claims the same rows, and the seen
+    set after both runs equals the seen set after one."""
+    import functools
+    from collections import Counter
+
+    import pyarrow.parquet as pq
+    import ray
+
+    from abwcf_ray.functions.hashing import hash64
+    from abwcf_ray.pipelines.crawl import (
+        _fetch_items,
+        _fetch_task,
+        _seed_frontier,
+        make_fetch_process_tee,
+    )
+    from abwcf_ray.sources.corpus import build_hashed_layout, generate_corpus
+    from abwcf_ray.stages.schedule import rank_selected_arrow, topk_per_host_arrow
+    from abwcf_ray.stages.transform import (
+        claim_partition,
+        explode_links,
+        make_normalize_stage,
+        make_prioritize_stage,
+        make_process_fetched_stage,
+        make_propose,
+        make_scope_filter_stage,
+    )
+    from abwcf_ray.stages.transport import CorpusTransport
+    from abwcf_ray.state.seen import SeenSet
+
+    corpus = generate_corpus(tmp_path / "corpus", n_pages=120, seed=5, num_buckets=2)
+    build_hashed_layout(corpus)
+    cfg = CrawlConfig()
+    frontier = _seed_frontier(cfg, corpus.seeds, make_prioritize_stage(cfg))
+    payload = {"hash": np.empty(0, np.uint64), "k": np.empty(0, np.int64)}
+    selected = topk_per_host_arrow(
+        frontier.drop_columns(["status"]), payload, default_k=100
+    )
+    _, items = _fetch_items(rank_selected_arrow(selected), 0, 1)
+    wdir = tmp_path / "wave_0000"
+    dirs = {sub: wdir / sub for sub in ("processed", "selected", "delta")}
+    for d in dirs.values():
+        d.mkdir(parents=True)
+    transport = ray.put(functools.partial(CorpusTransport, corpus.hashed_dir))
+    tee = make_fetch_process_tee(
+        make_process_fetched_stage(cfg), str(dirs["processed"]), str(dirs["selected"]), transport
+    )
+    stages = [
+        tee,
+        explode_links,
+        make_normalize_stage(cfg),
+        make_scope_filter_stage(cfg),
+        make_propose(),
+    ]
+    seen = SeenSet(2)
+    seen.add_urls(frontier.column("url").to_pylist(), wave=-1)
+    claim = functools.partial(
+        claim_partition, 0, seen, 0, cfg, str(dirs["delta"]), _claim_lenient({})
+    )
+
+    def run():
+        out = ray.get(_fetch_task.remote(items[0], stages, 1, claim))
+        return out, {p.relative_to(wdir): p.read_bytes() for p in wdir.rglob("*.parquet")}
+
+    (n1, counts1), files1 = run()
+    size1 = seen.size()
+    (n2, counts2), files2 = run()
+    assert sorted(str(p) for p in files1) == [
+        "delta/part-00000.parquet", "processed/t00000.parquet", "selected/part-0.parquet"
+    ]
+    assert files1 == files2
+    assert n1 == n2 > 0 and counts1 == counts2
+    assert seen.size() == size1 == frontier.num_rows + n1
+    delta = pq.read_table(dirs["delta"] / "part-00000.parquet")
+    assert delta.num_rows == n1
+    assert counts1 == Counter(delta.column("host").to_pylist())
+    h = hash64(delta.column("url"))
+    assert not seen.contains(h, before_wave=0).any()
+    assert seen.contains(h, before_wave=1).all()
+    sel = pq.read_table(dirs["selected"] / "part-0.parquet")
+    assert sel.column_names == [
+        "wave", "host", "rank_in_host", "global_rank", "url", "priority", "depth"
+    ]
+    assert sorted(sel.column("url").to_pylist()) == sorted(frontier.column("url").to_pylist())
+    seen.shutdown()
+
+
 @pytest.mark.parametrize("backend", ["exact", "cuckoo"])
 def test_partitioned_claim(ray_session, tmp_path, backend):
     """F1 by hash partition: two fetch tasks' candidates, overlapping at
@@ -413,7 +566,8 @@ def test_exact_shard_contains_merges_only_earlier_waves():
 def test_topk_arrow_matches_pandas():
     """topk_per_host_arrow (the hot polars stage) and topk_per_host (the
     pandas reference) must select the identical rows, including priority
-    ties broken by url and hosts absent from the payload (default k)."""
+    ties broken by url and hosts absent from the payload (default k); the
+    arrow form also gives each row its rank within its host."""
     import ray
 
     from abwcf_ray.stages.schedule import topk_per_host, topk_per_host_arrow
@@ -451,6 +605,8 @@ def test_topk_arrow_matches_pandas():
         .sort_values(["host", "priority", "url"], ascending=[True, False, True])
         .reset_index(drop=True)
     )
+    # ... and each kept row's rank within its host, in that order
+    want["rank_in_host"] = want.groupby("host").cumcount().astype(np.int32)
     pd.testing.assert_frame_equal(got, want)
 
 

@@ -306,7 +306,7 @@ def test_skew_politeness_topk(skew_ds, skew_df, ray_session, tmp_path):
     exp = topk_per_host(
         frontier.to_pandas(), payload
     ).sort_values(["host", "url"]).reset_index(drop=True)
-    got = sel.sort_values(["host", "url"]).reset_index(drop=True)
+    got = sel.to_pandas().sort_values(["host", "url"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(
         got[["url", "host", "priority"]],
         exp[["url", "host", "priority"]].reset_index(drop=True),

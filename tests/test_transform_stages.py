@@ -264,7 +264,7 @@ def test_wave_stages_pickle_by_reference(ray_session, tmp_path):
         ],
         "_fetch_task": [
             crawl.make_fetch_process_tee(
-                crawl.make_process_fetched_stage(cfg), str(tmp_path), hashes
+                crawl.make_process_fetched_stage(cfg), str(tmp_path), str(tmp_path), hashes
             ),
             crawl.explode_links,
             crawl.make_normalize_stage(cfg),

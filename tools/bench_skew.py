@@ -88,7 +88,7 @@ def main() -> int:
         sel_rows = 0
         for _ in range(3):
             t0 = time.perf_counter()
-            sel, _ = select_wave(files, [], payload)
+            sel = select_wave(files, [], payload)[0].to_pandas()
             reps.append(round(time.perf_counter() - t0, 3))
             sel_rows = len(sel)
         tmp.cleanup()
