@@ -29,10 +29,9 @@ of the stages below in sequence:
                 -> lenient (C1) on the new rows only, the survivors added
                 to the seen set (F1) -> prioritize (B7) -> the delta
                 part. A wave of one fetch task claims inside it (a one-way
-                hash exchange is the identity), so it runs two task
-                rounds: select, then fetch-and-claim. A wave of two or
-                more fetch tasks returns each task's candidates split by
-                url hash, and claim task i takes part i of every fetch task
+                hash exchange is the identity). A wave of two or more
+                fetch tasks returns each task's candidates split by url
+                hash, and claim task i takes part i of every fetch task
     frontier' = DELTA checkpoint: new rows append as ``delta/`` part files
                 and status changes (politeness-bounded) append as a tiny
                 ``flips.parquet`` — O(changed) per wave, never a frontier
@@ -53,8 +52,31 @@ has two or more tasks), compaction the frontier's rows (capped at
 the CPUs), the host-histogram rescan and the resume loads the manifest's
 ``n_frontier``, the novel filter the wave's processed rows. The rounds
 that read parquet rows aim at ``schedule.ROWS_PER_TASK`` rows a task;
-every cap but compaction's is twice the CPUs. So a small wave runs two
-rounds of one task each (plus a compaction round when one is due).
+every cap but compaction's is twice the CPUs.
+
+A wave has one of two shapes, decided on the driver from numbers it
+already holds:
+
+- **one task** (``_select_fetch_claim``): the selection round is one task
+  (one file group) and the politeness bound Σ_h min(c_h, k_h) — eligible
+  rows c_h from the host ledger, budgets k_h from the scheduler payload,
+  default 1 — fits one fetch task. The ledger is exact, so the wave
+  selects at most that many urls, and its fetch would be one task anyway.
+  One ``_fetch_task`` then selects, ranks, fetches, runs the candidate
+  chain and claims; it returns the reject keys, the selected url hashes,
+  the per-host selected counts and the claim's counts, never the
+  selected rows. The wave makes one task round trip (manifest
+  ``task_rounds`` 1);
+- **rounds**: a selection round (``select_wave``, merged on the driver),
+  the rank on the driver, a fetch round and, with two or more fetch
+  tasks, a claim round (``task_rounds`` 2 or 3).
+
+A compaction round runs after either when one is due. The wave's small
+payloads (the flips, the robots rules and recheck set, the scheduler
+payload, compaction's status arrays, the transport factory) travel by
+value in the task specs below Ray's inline-argument limit, and are
+``ray.put`` once per wave above it (stages/payload.py): a small wave makes
+no object-store round trip for them.
 
 The steady-state wave contains NO all-to-all exchange and NO O(frontier)
 write (see stages/schedule, stages/fetch, state/seen docstrings for each
@@ -64,11 +86,12 @@ it when called.
 
 :func:`run_crawl` is a loop over named step functions sharing one
 ``_Run`` (cross-wave state) and one ``_Wave`` per wave: open (resume or
-seed, then warm-up), host prep, select, rank, fetch and candidates (and
-the claim, in a one-task wave), claim and frontier write, ledger update,
-compaction, and the finish step (the manifest, which records the rounds'
-``select_tasks``, ``fetch_tasks`` and ``claim_tasks``) that every wave, the
-drain wave included, ends with.
+seed, then warm-up), host prep, then either the one-task wave or select,
+rank, fetch and candidates (and the claim, in a wave of one fetch task),
+then claim and frontier write, ledger update, compaction, and the finish
+step (the manifest, which records the rounds' ``select_tasks``,
+``fetch_tasks``, ``claim_tasks`` and ``task_rounds``, and the wave's
+``fetch_bound``) that every wave, the drain wave included, ends with.
 
 Control returns to the driver only at wave boundaries. The frontier chain
 is parquet-checkpointed per wave, and the hosts table by each wave whose
@@ -91,11 +114,11 @@ from __future__ import annotations
 import functools
 import json
 import time
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -110,11 +133,15 @@ from abwcf_ray.stages.fetch import (
     plan_pruned_fetch,  # noqa: F401 — a stub the benchmark's tracer wraps by name
 )
 from abwcf_ray.stages import schedule
+from abwcf_ray.stages.payload import ship
 from abwcf_ray.stages.schedule import (
+    _unique_rejects,
     apply_stages,
     file_groups,
+    k_for_hashes,
     rank_selected_arrow,
     scan_parts,
+    select_partial,
     select_wave,
     task_count,
 )
@@ -123,7 +150,9 @@ from abwcf_ray.stages.transform import (
     STATUS_DISALLOWED,
     STATUS_DISCOVERED,
     STATUS_PROCESSED,
+    claim_partition,
     explode_links,
+    host_count_dict,
     make_eligible_filter,
     make_lenient_robots_filter,
     make_normalize_stage,
@@ -133,8 +162,9 @@ from abwcf_ray.stages.transform import (
     make_scope_filter_stage,
     make_strict_robots_filter,
     make_update_status,
+    partial_host_counts,
+    split_by_hash,
 )
-from abwcf_ray.stages.transform import claim_partition, partial_host_counts, split_by_hash
 from abwcf_ray.stages.transport import CorpusTransport
 from abwcf_ray.state.hosts import HostsState, RobotsFetchSim
 from abwcf_ray.state.seen import SeenSet
@@ -234,6 +264,15 @@ class _HostLedger:
         """(host strings with count > 0, Σ eligible counts) — one mask."""
         mask = self.c > 0
         return self.host[mask], int(self.c[mask].sum())
+
+    def fetch_bound(self, sched: dict) -> int:
+        """Σ_h min(c_h, k_h) over the eligible hosts, with k_h from the
+        scheduler payload ``sched`` (default 1): no selection from these
+        counts can take more rows. The ledger is exact, so the wave's
+        selected count is at most this; strict-robots rejects and the page
+        budget only lower it."""
+        mask = self.c > 0
+        return int(np.minimum(self.c[mask], k_for_hashes(sched, self.h[mask])).sum())
 
     def has_negative(self) -> bool:
         return bool(len(self.c)) and bool((self.c < 0).any())
@@ -431,7 +470,7 @@ def _compact_frontier(chain: _FrontierChain, dest: Path, n_tasks: int) -> int:
     stages = []
     if len(chain.cum_processed) or len(chain.cum_disallowed):
         stages.append(
-            make_update_status(ray.put(chain.cum_processed), ray.put(chain.cum_disallowed))
+            make_update_status(ship(chain.cum_processed), ship(chain.cum_disallowed))
         )
     dest.mkdir(parents=True, exist_ok=True)
     groups = file_groups(chain.sources(), n_tasks)
@@ -479,9 +518,12 @@ def _seed_frontier(cfg: CrawlConfig, seeds: list[str], prioritize) -> pa.Table:
         }
     )
     t = make_scope_filter_stage(cfg)(make_normalize_stage(cfg)(t))
-    # first-discovery-wins dedup, deterministic because seeds are ordered
-    keep = ~pd.Series(t.column("url").to_pylist()).duplicated()
-    t = t.filter(pa.array(keep.to_numpy()))
+    # first-discovery-wins dedup, deterministic because seeds are ordered:
+    # np.unique's return_index is each url's first occurrence
+    urls = np.asarray(t.column("url").to_pylist(), dtype=object)
+    keep = np.zeros(len(urls), dtype=bool)
+    keep[np.unique(urls, return_index=True)[1]] = True
+    t = t.filter(pa.array(keep))
     t = prioritize(t)
     status = pa.array([STATUS_DISCOVERED] * t.num_rows, pa.string())
     return pa.table(
@@ -546,18 +588,61 @@ def _rank_write_selected(*args, **kwargs):
 _scan_task = ray.remote(scan_parts)
 
 
+@dataclass(frozen=True)
+class _Selection:
+    """A one-task wave's selection, run at the head of its one fetch task:
+    the selection task's body over the wave's one file group (the
+    eligible filter and strict robots in ``stages``, then the per-host
+    top-k under ``sched``), the reject keys, the rank with the page
+    ``budget`` cut, and the one work item."""
+
+    paths: list
+    stages: list
+    sched: object
+    budget: int
+    wave: int
+
+    def run(self) -> tuple[pa.Table | None, tuple]:
+        """(the work item, or None when nothing is selected; (reject keys,
+        sorted selected url hashes, per-host selected counts,
+        n_selected))."""
+        kept, rejects = select_partial(self.paths, self.stages, None, self.sched)
+        rejects = _unique_rejects([rejects])
+        if not kept.num_rows:
+            return None, (rejects, np.empty(0, np.uint64), {}, 0)
+        ranked = rank_selected_arrow(kept, self.budget)
+        sel_sorted, (item,) = _fetch_items(ranked, self.wave, 1)
+        return item, (rejects, sel_sorted, host_count_dict(ranked), ranked.num_rows)
+
+
 @ray.remote
-def _fetch_task(item: pa.Table, stages, n_parts: int, claim=None):
+def _fetch_task(item, stages, n_parts: int, claim=None):
     """One fetch work item through ``stages`` (the fused tee and the
     candidate chain). Without ``claim``, returns the candidates as
     ``n_parts`` hash partitions, one object per claim task
     (``num_returns=n_parts``). In a wave of one fetch task the hash
     exchange is the identity, so ``claim`` — ``claim_partition`` bound to
     partition 0 — claims the candidates here and the task returns its
-    result: the wave runs no claim round."""
+    result: the wave runs no claim round.
+
+    In a one-task wave ``item`` is the wave's :class:`_Selection`: the
+    task selects, ranks and cuts its work item first, so the whole wave —
+    select, rank, fetch, the candidate chain and the claim — is this one
+    task, and the selected rows never reach the driver. It returns
+    ``(reject keys, sorted selected url hashes, per-host selected counts,
+    n_selected, claim result)``; the claim result is None when nothing was
+    selected, and then the task returns before it fetches. Every step is
+    a function of the wave's immutable inputs and every write a
+    deterministic part name, so a retried task rewrites the same bytes."""
+    head = None
+    if isinstance(item, _Selection):
+        item, head = item.run()
+        if item is None:
+            return (*head, None)
     cands = apply_stages(item, stages)
     if claim is not None:
-        return claim(cands)
+        out = claim(cands)
+        return out if head is None else (*head, out)
     parts = split_by_hash(cands, n_parts)
     return parts[0] if n_parts == 1 else parts
 
@@ -619,9 +704,10 @@ class _Run:
     # the current hosts checkpoint, relative to ``out``: written at seed and
     # by the waves whose host prep fetched robots, named by every manifest
     hosts_checkpoint: str = ""
-    # ray.put of the fetch transport's factory (cfg.fetch_transport, or a
-    # CorpusTransport over the hashed layout)
-    transport_ref: object = None
+    # (per-run token, shipped factory) of the fetch transport
+    # (cfg.fetch_transport, or a CorpusTransport over the hashed layout):
+    # every worker builds the transport once per token
+    transport: object = None
     process_fetched: object = None
     normalize: object = None
     scope: object = None
@@ -639,17 +725,28 @@ class _Wave:
     step_times: dict = field(default_factory=dict)
     _last: float = 0.0
     eligible_files: list = field(default_factory=list)
+    # the selection round's file groups
+    select_groups: list = field(default_factory=list)
+    # the wave's stages and payloads, each by value or as a ray.put ref
     eligible: object = None
     strict_robots: object = None
     lenient_robots: object = None
-    sched_ref: object = None
+    sched: object = None
+    # the whole wave runs as one task (_select_fetch_claim)
+    one_task: bool = False
+    # task rounds run: select, fetch and claim (1 for a one-task wave)
+    rounds: int = 0
+    # nothing selected: the wave drains the frontier
+    drained: bool = False
     # selected rows (Arrow): unranked from _select, then ranked and trimmed
-    # to the page budget by _rank_selected
+    # to the page budget by _rank_selected (a one-task wave never holds them)
     selected: pa.Table | None = None
     rejects: pa.Table | None = None
     disallowed: np.ndarray | None = None
     n_selected: int = 0
     sel_sorted: np.ndarray | None = None
+    # per-host selected counts, for the host ledger
+    sel_counts: dict = field(default_factory=dict)
     cand_refs: list = field(default_factory=list)
     # refs of the claims' results: the claim tasks', or, in a wave of one
     # fetch task, that task's own
@@ -681,13 +778,17 @@ def run_crawl(
             break
         w = _start_wave(run, n)
         _prep_hosts(run, w)
-        _select(run, w)
-        if w.n_selected == 0:
+        if w.one_task:
+            _select_fetch_claim(run, w)
+        else:
+            _select(run, w)
+        if w.drained:
             _drain(run, w)
             _finish_wave(run, w, f"[crawl] wave {n}: frontier drained, stopping")
             break
-        _rank_selected(run, w)
-        _fetch_candidates(run, w)
+        if not w.one_task:
+            _rank_selected(run, w)
+            _fetch_candidates(run, w)
         _claim_and_write_frontier(run, w)
         _update_ledger(run, w)
         _compact_if_due(run, w)
@@ -763,7 +864,7 @@ def _open_run(
         if not layout_is_valid(corpus):
             build_hashed_layout(corpus)
         factory = functools.partial(CorpusTransport, corpus.hashed_dir, cfg.max_content_length)
-    run.transport_ref = ray.put(factory)
+    run.transport = (uuid.uuid4().hex, ship(factory))
     _warm_up(run)
     return run
 
@@ -919,15 +1020,18 @@ def _start_wave(run: _Run, n: int) -> _Wave:
 
 
 def _prep_hosts(run: _Run, w: _Wave) -> None:
-    """Host histogram, robots for unknown/expired hosts (C3/C4/A3), and
-    the wave's broadcast robots filters and scheduler payload."""
+    """Host histogram, robots for unknown/expired hosts (C3/C4/A3), the
+    wave's broadcast robots filters and scheduler payload — each inline in
+    the task specs, or one ``ray.put`` when too large (stages/payload.py)
+    — and the wave's shape: it runs as one task when its selection round
+    is one task and its politeness bound fits one fetch task."""
     cfg, hosts_state = run.cfg, run.hosts_state
     # logical frontier = base ∪ deltas, minus rows flipped since the last
     # compaction (broadcast sorted hashes, politeness-bounded); the
     # eligible scan reads only parts that can hold Discovered rows —
     # O(Discovered) once the base has a status-split compaction
     w.eligible_files = run.chain.eligible_sources()
-    w.eligible = make_eligible_filter(ray.put(run.chain.flips_merged()))
+    w.eligible = make_eligible_filter(ship(run.chain.flips_merged()))
     if run.host_ledger is None:
         # shuffle-free host histogram: per-file-group partials, driver merge
         n_tasks = task_count(run.prev_frontier_rows, schedule.ROWS_PER_TASK, run.max_tasks)
@@ -953,18 +1057,25 @@ def _prep_hosts(run: _Run, w: _Wave) -> None:
         # keeps naming the last checkpoint
         run.hosts_checkpoint = f"{w.wdir.name}/hosts.parquet"
         hosts_state.checkpoint(run.out / run.hosts_checkpoint)
-    hosts_ref = ray.put(hosts_state.rules_payload(w.now_s))
+    rules = ship(hosts_state.rules_payload(w.now_s))
     # strict robots re-evaluates only the rows of the hosts fetched just
     # now: a host's rules change only here, so every other row of a live
     # host keeps the answer it got under the same rules — strict at an
     # earlier wave, or lenient when it was claimed. The set is a function
     # of the hosts checkpoint, so a resume recomputes it exactly.
     recheck = np.sort(hash64(need)) if need else np.empty(0, np.uint64)
-    w.strict_robots = make_strict_robots_filter(hosts_ref, ray.put(recheck))
-    w.lenient_robots = make_lenient_robots_filter(hosts_ref)
-    w.sched_ref = ray.put(hosts_state.sched_payload(w.now_s, cfg.wave_duration_s))
+    w.strict_robots = make_strict_robots_filter(rules, ship(recheck))
+    w.lenient_robots = make_lenient_robots_filter(rules)
+    sched = hosts_state.sched_payload(w.now_s, cfg.wave_duration_s)
+    w.sched = ship(sched)
+    n_tasks = task_count(n_eligible, schedule.ROWS_PER_TASK, run.max_tasks)
+    w.select_groups = file_groups(w.eligible_files, n_tasks)
+    # one selection task, and no selection can outgrow one fetch task
+    bound = run.host_ledger.fetch_bound(sched)
+    w.one_task = len(w.select_groups) == 1 and bound <= cfg.fetch_transport_batch_size
     w.metrics.update(
         n_eligible=n_eligible,
+        fetch_bound=bound,
         n_hosts_eligible=len(hosts_needed),
         n_robots_fetched=n_robots,
     )
@@ -972,24 +1083,63 @@ def _prep_hosts(run: _Run, w: _Wave) -> None:
 
 
 def _select(run: _Run, w: _Wave) -> None:
-    """Strict robots (C2) + politeness selection (D1/D2): one task per
-    file group runs the eligible filter and strict robots, keeps its
-    partial top-k per host and splits the flagged rejects off; the driver
-    merges the politeness-bounded partials when more than one has rows
-    (stages/schedule.select_wave). The round is sized by the host ledger's
-    eligible rows. The selected rows carry their within-host ranks."""
-    n_tasks = task_count(w.metrics["n_eligible"], schedule.ROWS_PER_TASK, run.max_tasks)
-    w.metrics["select_tasks"] = len(file_groups(w.eligible_files, n_tasks))
+    """Strict robots (C2) + politeness selection (D1/D2) of a wave that
+    runs in rounds: one task per file group runs the eligible filter and
+    strict robots, keeps its partial top-k per host and splits the flagged
+    rejects off; the driver merges the politeness-bounded partials when
+    more than one has rows (stages/schedule.select_wave). The round is
+    sized by the host ledger's eligible rows. The selected rows carry
+    their within-host ranks. A one-task wave selects inside its fetch task
+    instead (:func:`_select_fetch_claim`)."""
+    w.metrics["select_tasks"] = len(w.select_groups)
+    w.rounds += 1
     w.selected, w.rejects = select_wave(
         w.eligible_files,
         [w.eligible, w.strict_robots],
-        w.sched_ref,
-        n_tasks=n_tasks,
+        w.sched,
+        n_tasks=len(w.select_groups),
     )
     w.n_selected = w.selected.num_rows
+    w.drained = w.n_selected == 0
     w.disallowed = w.rejects.column("url_hash").to_numpy()
     w.metrics["n_disallowed"] = int(len(w.disallowed))
     w.mark("select")
+
+
+def _select_fetch_claim(run: _Run, w: _Wave) -> None:
+    """A one-task wave (its one file group selects in one task, and its
+    politeness bound fits one fetch task): one ``_fetch_task`` whose head
+    is the wave's :class:`_Selection` runs selection, strict robots, the
+    rank and budget cut, the fetch, the candidate chain and the claim, and
+    writes the wave's selected, processed and delta parts. The driver
+    gets back only the reject keys, the selected url hashes (the flips),
+    the per-host selected counts (the ledger), ``n_selected`` and the
+    claim's counts: the wave makes one task round trip. An empty selection
+    comes back before any fetch, and the wave drains."""
+    cfg = run.cfg
+    for sub in ("processed", "selected"):
+        (w.wdir / sub).mkdir(parents=True, exist_ok=True)
+    w.metrics["select_tasks"] = 1
+    w.rounds += 1
+    selection = _Selection(
+        w.select_groups[0],
+        [w.eligible, w.strict_robots],
+        w.sched,
+        cfg.max_pages - run.total_fetched,
+        w.n,
+    )
+    ref = _fetch_task.remote(selection, _fetch_stages(run, w), 1, _claim_in_task(run, w))
+    w.mark("fetch_prep")
+    w.rejects, w.sel_sorted, w.sel_counts, w.n_selected, claim = ray.get(ref)
+    w.disallowed = w.rejects.column("url_hash").to_numpy()
+    w.metrics["n_disallowed"] = int(len(w.disallowed))
+    w.drained = claim is None
+    if not w.drained:
+        _record_max_fetchers(cfg, w)
+        w.metrics.update(fetch_tasks=1, claim_tasks=0)
+        w.claims = [claim]
+        _keep_processed_readable(run, w)
+    w.mark("fetch_candidates")
 
 
 def _drain(run: _Run, w: _Wave) -> None:
@@ -1016,6 +1166,54 @@ def _rank_selected(run: _Run, w: _Wave) -> None:
     selected manifest (see _fetch_candidates)."""
     w.selected = rank_selected_arrow(w.selected, run.cfg.max_pages - run.total_fetched)
     w.n_selected = w.selected.num_rows
+    w.sel_counts = host_count_dict(w.selected)
+
+
+def _record_max_fetchers(cfg: CrawlConfig, w: _Wave) -> int | None:
+    """E2 — bandwidth split: the budget's binding consequence is the
+    concurrent-fetcher cap (FetcherManager.scala:66); the wave applies it
+    as the number of fetch tasks in flight (results identical,
+    parallelism bounded; see CrawlConfig.total_bandwidth_budget_bps). The
+    cap is recorded in the manifest of every wave that fetches."""
+    if not cfg.total_bandwidth_budget_bps:
+        return None
+    w.metrics["max_fetchers"] = max(
+        1,
+        int(cfg.total_bandwidth_budget_bps)
+        // max(1, int(cfg.min_bandwidth_per_fetcher_bps)),
+    )
+    return w.metrics["max_fetchers"]
+
+
+def _fetch_stages(run: _Run, w: _Wave) -> list:
+    """A fetch task's stages: the fused tee, then the candidate chain."""
+    tee = make_fetch_process_tee(
+        run.process_fetched,
+        str(w.wdir / "processed"),
+        str(w.wdir / "selected"),
+        run.transport,
+    )
+    return [tee, explode_links, run.normalize, run.scope, make_propose()]
+
+
+def _claim_in_task(run: _Run, w: _Wave):
+    """The claim a wave of one fetch task runs inside that task: hash
+    partition 0 of the wave's candidates, which is all of them."""
+    return functools.partial(
+        claim_partition, 0, run.seen, w.n, run.cfg, str(w.wdir / "delta"), w.lenient_robots
+    )
+
+
+def _keep_processed_readable(run: _Run, w: _Wave) -> None:
+    """Nothing fetched (an empty work item, or every fetch missed): keep
+    the processed checkpoint readable — one empty part in the processed
+    schema."""
+    processed_dir = w.wdir / "processed"
+    if not any(processed_dir.glob("*.parquet")):
+        pq.write_table(
+            run.process_fetched(empty_fetched_table()),
+            processed_dir / "part-empty.parquet",
+        )
 
 
 def _fetch_candidates(run: _Run, w: _Wave) -> None:
@@ -1038,42 +1236,16 @@ def _fetch_candidates(run: _Run, w: _Wave) -> None:
     its candidates split by url hash into one part per claim task, and
     claims in a round of as many tasks (see _claim_and_write_frontier)."""
     cfg = run.cfg
-    processed_dir, selected_dir, delta_dir = (
-        w.wdir / "processed", w.wdir / "selected", w.wdir / "delta"
-    )
-    for d in (processed_dir, selected_dir, delta_dir):
-        d.mkdir(parents=True, exist_ok=True)
+    for sub in ("processed", "selected"):
+        (w.wdir / sub).mkdir(parents=True, exist_ok=True)
     n_items = task_count(w.n_selected, cfg.fetch_transport_batch_size, run.max_tasks)
     w.sel_sorted, items = _fetch_items(w.selected, w.n, n_items)
-    tee = make_fetch_process_tee(
-        run.process_fetched, str(processed_dir), str(selected_dir), run.transport_ref
-    )
-    # E2 — bandwidth split: the budget's binding consequence is the
-    # concurrent-fetcher cap (FetcherManager.scala:66); apply it as the
-    # number of fetch tasks in flight (results identical, parallelism
-    # bounded; see CrawlConfig.total_bandwidth_budget_bps)
-    max_fetchers = None
-    if cfg.total_bandwidth_budget_bps:
-        max_fetchers = max(
-            1,
-            int(cfg.total_bandwidth_budget_bps)
-            // max(1, int(cfg.min_bandwidth_per_fetcher_bps)),
-        )
-        w.metrics["max_fetchers"] = max_fetchers
-    stages = [
-        tee,
-        explode_links,
-        run.normalize,
-        run.scope,
-        make_propose(),
-    ]
-    claim = None
-    if n_items == 1:
-        claim = functools.partial(
-            claim_partition, 0, run.seen, w.n, cfg, str(delta_dir), w.lenient_robots
-        )
+    max_fetchers = _record_max_fetchers(cfg, w)
+    stages = _fetch_stages(run, w)
+    claim = _claim_in_task(run, w) if n_items == 1 else None
     w.metrics["fetch_tasks"] = n_items
     w.metrics["claim_tasks"] = 0 if claim is not None else n_items
+    w.rounds += 1
     w.mark("fetch_prep")  # sel hashing + work items
     in_flight: list = []
     for item in items:
@@ -1090,14 +1262,7 @@ def _fetch_candidates(run: _Run, w: _Wave) -> None:
     # store where the claims will run
     firsts = [r[0] for r in w.cand_refs] or w.claim_refs
     ray.wait(firsts, num_returns=len(firsts), fetch_local=False)
-    if not any(processed_dir.glob("*.parquet")):
-        # nothing fetched (an empty work item, or every fetch missed):
-        # keep the checkpoint readable — one empty part in the processed
-        # schema
-        pq.write_table(
-            run.process_fetched(empty_fetched_table()),
-            processed_dir / "part-empty.parquet",
-        )
+    _keep_processed_readable(run, w)
     w.mark("fetch_candidates")
 
 
@@ -1149,6 +1314,7 @@ def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
     (SlickPageRepository.scala:37-51)."""
     delta_dir = w.wdir / "delta"
     if w.cand_refs:
+        w.rounds += 1
         w.claim_refs = [
             _claim_chunk.remote(
                 i,
@@ -1177,8 +1343,10 @@ def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
         w.mark("novel_filter")
     flips_path = w.wdir / "flips.parquet"
     _write_flips(flips_path, w.sel_sorted, w.disallowed)
-    w.claims = ray.get(w.claim_refs)
+    if w.claim_refs:
+        w.claims = ray.get(w.claim_refs)
     w.n_new = sum(n for n, _ in w.claims)
+    delta_dir.mkdir(exist_ok=True)
     if not any(delta_dir.glob("*.parquet")):
         # zero-claim wave: keep the dir readable in the chain union
         pq.write_table(FRONTIER_SCHEMA.empty_table(), delta_dir / "part-empty.parquet")
@@ -1189,8 +1357,7 @@ def _claim_and_write_frontier(run: _Run, w: _Wave) -> None:
 def _update_ledger(run: _Run, w: _Wave) -> None:
     """Host ledger update: exact arithmetic, no frontier rescan."""
     led = run.host_ledger
-    sel_counts = partial_host_counts(w.selected)
-    led.apply(sel_counts["host"].to_pylist(), -sel_counts["n"].to_numpy())
+    led.apply(list(w.sel_counts), -np.fromiter(w.sel_counts.values(), np.int64))
     # apply() sums repeated hosts: one -1 per reject, and the claim tasks'
     # per-host counts, which may share hosts
     led.apply(w.rejects.column("host").to_pylist(), np.full(w.rejects.num_rows, -1))
@@ -1249,6 +1416,7 @@ def _finish_wave(run: _Run, w: _Wave, done_msg: str | None = None) -> None:
     # n_new == lineage["frontier_delta"] rows (footer-checked in tests)
     run.prev_frontier_rows += w.n_new
     w.metrics.update(
+        task_rounds=w.rounds,
         n_selected=w.n_selected,
         n_new=w.n_new,
         n_frontier=run.prev_frontier_rows,

@@ -24,25 +24,28 @@ from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
-import ray
 
 from abwcf_ray.functions.hashing import hash64
+from abwcf_ray.stages.payload import resolve
 
 FETCH_COLUMNS = ["url", "status", "content_type", "location", "x_robots_tag", "html"]
 
-# per-worker cache: transport_ref -> the transport its factory built
+# per-worker cache: the run's transport token -> the transport its factory
+# built
 _TRANSPORT_CACHE: dict = {}
 
 
-def _transport(transport_ref):
-    """The fetch transport of ``transport_ref`` (a ``ray.put`` factory),
-    built once per worker process, so its connection pools and layout
-    index survive across fetch tasks."""
-    t = _TRANSPORT_CACHE.get(transport_ref)
+def _transport(transport):
+    """The fetch transport of ``transport``: a ``(token, factory)`` pair,
+    the factory by value or as an object ref (stages/payload.py), or a bare
+    factory ref. It is built once per worker process and token (or ref), so
+    its connection pools and layout index survive across fetch tasks."""
+    token, factory = transport if isinstance(transport, tuple) else (transport, transport)
+    t = _TRANSPORT_CACHE.get(token)
     if t is None:
         if len(_TRANSPORT_CACHE) >= 4:
             _TRANSPORT_CACHE.pop(next(iter(_TRANSPORT_CACHE)))
-        t = _TRANSPORT_CACHE[transport_ref] = ray.get(transport_ref)()
+        t = _TRANSPORT_CACHE[token] = resolve(factory)()
     return t
 
 
@@ -146,7 +149,7 @@ def empty_fetched_table() -> pa.Table:
     )
 
 
-def make_fetch_process_tee(process_fn, processed_dir: str, selected_dir: str, transport_ref):
+def make_fetch_process_tee(process_fn, processed_dir: str, selected_dir: str, transport):
     """FUSED wave stage: url chunk -> WRITE this chunk's slice of the
     wave's selected manifest -> fetch -> ``process_fn`` (parse + extract,
     A7/B1-B3) -> WRITE this chunk's processed-checkpoint part -> emit only
@@ -154,8 +157,8 @@ def make_fetch_process_tee(process_fn, processed_dir: str, selected_dir: str, tr
     item is one chunk of the wave's ranked selected rows: a ``chunk``
     index column, then the manifest columns (wave, host, rank_in_host,
     global_rank, url, priority, depth). Its urls are fetched by the
-    ``FetchTransport`` whose factory ``transport_ref`` holds, built once
-    per worker process (stages/transport.py).
+    ``FetchTransport`` that ``transport``'s factory builds, once per worker
+    process and run (:func:`_transport`, stages/transport.py).
 
     This is the tee that lets one task per work item run fetch AND the
     candidate chain with no mid-wave barrier: writing the full processed
@@ -170,12 +173,12 @@ def make_fetch_process_tee(process_fn, processed_dir: str, selected_dir: str, tr
     writes inside a retried task sound. Rows with no links are dropped
     from the emitted table (their checkpoint rows are already on disk)."""
     return functools.partial(
-        _fetch_process_write, process_fn, processed_dir, selected_dir, transport_ref
+        _fetch_process_write, process_fn, processed_dir, selected_dir, transport
     )
 
 
 def _fetch_process_write(
-    process_fn, processed_dir: str, selected_dir: str, transport_ref, item: pa.Table
+    process_fn, processed_dir: str, selected_dir: str, transport, item: pa.Table
 ) -> pa.Table:
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -185,7 +188,7 @@ def _fetch_process_write(
     chunk = item.column("chunk")[0].as_py()
     item = item.drop_columns(["chunk"])
     pq.write_table(item, Path(selected_dir) / f"part-{chunk}.parquet")
-    fetched = _transport(transport_ref).fetch(
+    fetched = _transport(transport).fetch(
         item.column("url").to_pylist(), item.column("depth").to_numpy()
     )
     processed = process_fn(fetched)

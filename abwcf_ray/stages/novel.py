@@ -25,7 +25,9 @@ Retry/idempotence: ``SeenSet.contains(before_wave=wave)`` ignores this
 wave's own adds and ``add`` is an idempotent hash-set union, so a re-run of
 the same wave reproduces exactly the same novel set; the emit tasks key
 part names to their inputs. The winner-url array is wave-bounded (≤ the
-politeness budget), the same size class as the wave's selection broadcast.
+politeness budget), the same size class as the wave's selection broadcast,
+and travels inline in the emit tasks' specs unless it is too large to
+(stages/payload.py).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import pyarrow.parquet as pq
 import ray
 
 from abwcf_ray.functions.hashing import hash64
+from abwcf_ray.stages.payload import ship
 from abwcf_ray.stages.schedule import default_task_count, file_groups
 
 
@@ -105,6 +108,6 @@ def novel_extracted(
     # a re-run of the wave reproduces the identical novel set
     novel = ~content_seen.contains(hashes, before_wave=wave)
     content_seen.add(hashes[novel], wave)
-    winners = ray.put(np.sort(hash64(best["url"].to_numpy()[novel].tolist())))
+    winners = ship(np.sort(hash64(best["url"].to_numpy()[novel].tolist())))
     counts = ray.get([_emit.remote(g, str(novel_dir), winners) for g in groups])
     return sum(c[0] for c in counts), sum(c[1] for c in counts)

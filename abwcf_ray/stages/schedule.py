@@ -25,7 +25,10 @@ collected partials, at most Σ_h k_h rows per task (SCALE.md §5 gives the
 memory ceiling). It runs only when two or more partials have rows: a lone
 partial is already the exact top-k. Each selected row carries its
 ``rank_in_host``; :func:`rank_selected_arrow` adds the global rank on the
-driver, with one sort over the selected rows.
+driver, with one sort over the selected rows. A crawl wave with one
+selection task and a small politeness bound runs :func:`select_partial`,
+the rank and its fetch in one task, with no merge and no selection round
+trip.
 
 :func:`task_count` is the crawl's one fan-out rule: every task round of a
 wave (selection here; fetch, claim, compaction, the host-histogram rescan,
@@ -41,6 +44,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
+
+from abwcf_ray.stages.payload import resolve
 
 _SELECT_COLS = ["url", "host", "depth", "priority"]
 RANK_IN_HOST = "rank_in_host"
@@ -65,13 +70,19 @@ def budget_for_delay(delay_ms: int, wave_duration_s: float) -> int:
 
 def _k_for_hosts(payload: dict, hosts, default_k: int = 1) -> np.ndarray:
     """Vectorized k_h lookup: hash64 the batch's hosts and searchsorted into
-    the payload's sorted (hash, k) columns (``HostsState.sched_payload``:
-    budgets precomputed ONCE on the driver; the arrays are zero-copy views
-    of the node-local object store, one shared copy per node — the old
-    host->k Python dict was rebuilt and held per worker PROCESS)."""
+    the payload's sorted (hash, k) columns (:func:`k_for_hashes`)."""
     from abwcf_ray.functions.hashing import hash64
 
-    hh = hash64(hosts)
+    return k_for_hashes(payload, hash64(hosts), default_k)
+
+
+def k_for_hashes(payload: dict, hh: np.ndarray, default_k: int = 1) -> np.ndarray:
+    """k_h of each host hash in ``hh``: searchsorted into the payload's
+    sorted (hash, k) columns (``HostsState.sched_payload``:
+    budgets precomputed ONCE on the driver, numpy columns inline in the
+    task spec or zero-copy views of the node-local object store — the old
+    host->k Python dict was rebuilt and held per worker PROCESS); a host
+    absent from the payload gets ``default_k``."""
     ph = payload["hash"]
     if not len(ph):
         return np.full(len(hh), default_k, dtype=np.int64)
@@ -205,25 +216,30 @@ def file_groups(paths: list[str], k: int) -> list[list[str]]:
     return out
 
 
-@ray.remote
-def _select_partial(paths, stages, columns, sched: dict):
-    """One selection task: scan a group of files through ``stages``, keep
-    the group's partial top-k per host of the rows not flagged
-    ``rejected``, with their within-host ranks, and split the flagged ones
-    off as reject keys. Returns (partial, reject keys)."""
+def select_partial(paths, stages, columns, sched: dict) -> tuple[pa.Table, pa.Table]:
+    """The body of one selection task: scan a group of files through
+    ``stages``, keep the group's partial top-k per host of the rows not
+    flagged ``rejected``, with their within-host ranks, and split the
+    flagged ones off as reject keys. Returns (partial, reject keys).
+    ``sched`` is the scheduler payload, by value or as an object ref. A
+    one-task crawl wave runs it inside its fetch task
+    (pipelines/crawl._fetch_task)."""
     t = scan_parts(paths, stages, columns)
     if "rejected" in t.schema.names:
         rej = t.column("rejected")
     else:
         rej = pa.array(np.zeros(t.num_rows, dtype=bool))
-    kept = topk_per_host_arrow(t.filter(pc.invert(rej)).select(_SELECT_COLS), sched)
+    kept = topk_per_host_arrow(t.filter(pc.invert(rej)).select(_SELECT_COLS), resolve(sched))
     return kept, _reject_keys(t.filter(rej))
+
+
+_select_partial = ray.remote(select_partial)
 
 
 def select_wave(
     sources: list[str],
     stages,
-    sched_ref: "ray.ObjectRef",
+    sched,
     *,
     columns: list[str] | None = None,
     n_tasks: int | None = None,
@@ -234,9 +250,9 @@ def select_wave(
     ``sources`` are parquet files, read with ``columns``; ``stages`` are
     per-batch arrow callables applied to each task's table before the
     top-k (the crawl passes the eligible filter, then strict robots), so
-    their rows must carry (url, host, depth, priority). ``sched_ref`` is a
-    ``HostsState.sched_payload`` object ref (sorted host hashes +
-    precomputed budgets, zero-copy numpy).
+    their rows must carry (url, host, depth, priority). ``sched`` is a
+    ``HostsState.sched_payload`` (sorted host hashes + precomputed budgets,
+    numpy), by value or as an object ref (stages/payload.py).
 
     Returns ``(selected, rejects)``: ``selected`` is an Arrow table of
     (url, host, depth, priority, rank_in_host), in no particular row
@@ -256,11 +272,16 @@ def select_wave(
     driver over the collected partials (politeness-bounded: each holds at
     most Σ_h k_h rows, ~96 B/row; measured 0.75 s at 300k partial rows and
     ~1.5 s at 940k). When only one partial has rows it is already the
-    exact top-k, ranks included, and the driver merges nothing."""
+    exact top-k, ranks included, and the driver merges nothing.
+
+    The crawl calls this for a wave that runs in rounds. A wave whose
+    selection is one task and whose politeness bound fits one fetch task
+    runs :func:`select_partial` inside that fetch task instead
+    (pipelines/crawl._Selection), with the same result."""
     if n_tasks is None:
         n_tasks = default_task_count(sources)
     groups = file_groups(sources, n_tasks)
-    outs = ray.get([_select_partial.remote(g, stages, columns, sched_ref) for g in groups])
+    outs = ray.get([_select_partial.remote(g, stages, columns, sched) for g in groups])
     rejects = _unique_rejects([rej for _, rej in outs])
     partials = [kept for kept, _ in outs if kept.num_rows]
     if len(partials) == 1:
@@ -268,7 +289,7 @@ def select_wave(
     if not partials:
         return _SELECTED_SCHEMA.empty_table(), rejects
     t = pa.concat_tables(partials, promote_options="default").drop_columns([RANK_IN_HOST])
-    merged = topk_per_host_arrow(t.combine_chunks(), ray.get(sched_ref))
+    merged = topk_per_host_arrow(t.combine_chunks(), resolve(sched))
     return merged, rejects
 
 

@@ -28,6 +28,7 @@ from abwcf_ray.functions.hashing import hash64
 from abwcf_ray.functions.htmlx import header_nofollow, parse_document
 from abwcf_ray.functions.robots import _pattern_to_regex, _pattern_to_rust
 from abwcf_ray.functions.urlnorm import normalize_url, resolve_location
+from abwcf_ray.stages.payload import resolve
 
 CANDIDATE_SCHEMA = pa.schema([("url", pa.string()), ("depth", pa.int32())])
 FRONTIER_SCHEMA = pa.schema(
@@ -244,12 +245,16 @@ def _scope_filter(max_len: int, must, must_not, batch: pa.Table) -> pa.Table:
 # --------------------------------------------------------------------------
 # C1 / C2 — robots filters (broadcast hosts join)
 # --------------------------------------------------------------------------
-# Per-worker-process cache of broadcast hosts payloads and their rule
-# indexes — the rebuild of the per-node Caffeine caches (reference.conf:
+# Per-worker-process cache of rule indexes built from the hosts rules
+# payloads — the rebuild of the per-node Caffeine caches (reference.conf:
 # 40-51, 69-80). The filter stages are plain task functions (not actor
 # pools): Ray worker processes are long-lived, so the first batch in a
-# process pays one local-object-store ray.get and every later batch hits
-# this cache. This avoids per-wave actor-pool startup, which dominated wave
+# process builds the index and every later batch hits this cache. The cache
+# keys on the payload's content key (``HostsState.rules_payload``: a
+# version the hosts table bumps when its rules or its live set change), so
+# an unchanged table reuses its index across waves; a payload shipped as an
+# object ref (stages/payload.py: one too large to travel inline) keys on
+# the ref. This avoids per-wave actor-pool startup, which dominated wave
 # latency.
 #
 # Evaluation is a sort-based join, not a hash join or a loop over hosts:
@@ -297,10 +302,9 @@ def _match_targets(urls: pa.Array) -> pa.Array:
 
 
 class _HostRulesIndex:
-    """Derived, per-worker view of one broadcast hosts rules payload
+    """Derived, per-worker view of one hosts rules payload
     (``state.hosts.HostsState.rules_payload``: sorted hash/mode numpy
-    columns — zero-copy from the node's object store — plus the ALLOW_SOME
-    subset's serialized rules).
+    columns plus the ALLOW_SOME subset's serialized rules).
 
     The ALLOW_SOME rules become one flat table sorted by host hash —
     ``r_hash``, ``r_pat`` (an id into ``patterns``) and ``r_score`` =
@@ -393,23 +397,28 @@ class _HostRulesIndex:
         return np.array([py.match(t) is not None for t in targets.to_pylist()], dtype=bool)
 
 
-def _rules_state(hosts_ref) -> _HostRulesIndex:
-    state = _RULES_STATE.get(hosts_ref)
+def _rules_state(hosts) -> _HostRulesIndex:
+    """The rule index of the rules payload ``hosts`` (by value or an object
+    ref), cached per worker process by the payload's ``key`` — or by the
+    ref; a payload without a key is indexed afresh."""
+    key = hosts if isinstance(hosts, ray.ObjectRef) else hosts.get("key")
+    state = _RULES_STATE.get(key) if key is not None else None
     if state is None:
-        if len(_RULES_STATE) >= 8:  # keep only recent waves' payloads
-            _RULES_STATE.pop(next(iter(_RULES_STATE)))
-        state = _HostRulesIndex(ray.get(hosts_ref))
-        _RULES_STATE[hosts_ref] = state
+        state = _HostRulesIndex(resolve(hosts))
+        if key is not None:
+            if len(_RULES_STATE) >= 8:  # keep only recent payloads
+                _RULES_STATE.pop(next(iter(_RULES_STATE)))
+            _RULES_STATE[key] = state
     return state
 
 
 def _allowed_mask(
-    hosts_ref, batch: pa.Table, unknown_allow: bool, return_unknown: bool = False
+    hosts, batch: pa.Table, unknown_allow: bool, return_unknown: bool = False
 ):
-    """Robots answer per row of ``batch`` (url, host) under the payload
-    ``hosts_ref``; a host not in the payload gets ``unknown_allow``. With
-    ``return_unknown``, also the mask of those rows."""
-    index = _rules_state(hosts_ref)
+    """Robots answer per row of ``batch`` (url, host) under the rules
+    payload ``hosts``; a host not in the payload gets ``unknown_allow``.
+    With ``return_unknown``, also the mask of those rows."""
+    index = _rules_state(hosts)
     hh = hash64(batch.column("host"))
     modes = index.modes(hh)
     allowed = index.allowed(batch.column("url").combine_chunks(), hh, modes, unknown_allow)
@@ -418,19 +427,20 @@ def _allowed_mask(
     return allowed
 
 
-def make_lenient_robots_filter(hosts_ref):
+def make_lenient_robots_filter(hosts):
     """C1 (LenientRobotsFilter.scala:66-118): drop candidates disallowed by
-    known host rules; unknown hosts pass (fail-open, :82-86)."""
-    return functools.partial(_lenient_robots, hosts_ref)
+    known host rules; unknown hosts pass (fail-open, :82-86). ``hosts`` is
+    the rules payload, by value or an object ref (stages/payload.py)."""
+    return functools.partial(_lenient_robots, hosts)
 
 
-def _lenient_robots(hosts_ref, batch: pa.Table) -> pa.Table:
+def _lenient_robots(hosts, batch: pa.Table) -> pa.Table:
     if batch.num_rows == 0:
         return batch
-    return batch.filter(pa.array(_allowed_mask(hosts_ref, batch, True)))
+    return batch.filter(pa.array(_allowed_mask(hosts, batch, True)))
 
 
-def make_strict_robots_filter(hosts_ref, recheck_ref=None):
+def make_strict_robots_filter(hosts, recheck=None):
     """C2 (StrictRobotsFilter.scala:72-133): evaluated just before fetch.
     Allowed rows pass with ``rejected=False``; urls rejected BY KNOWN RULES
     (-> status=Disallowed in the frontier, :128-131) pass with
@@ -443,22 +453,23 @@ def make_strict_robots_filter(hosts_ref, recheck_ref=None):
     host-prep every eligible host is known, so this path is a safety net,
     not steady-state behavior.
 
-    ``recheck_ref`` holds the sorted host hashes whose robots this wave's
-    host prep fetched: only their rows are evaluated, and a row of any
-    other known host passes unrejected (its answer cannot have changed,
-    see the section comment above). None evaluates every row."""
-    return functools.partial(_strict_robots, hosts_ref, recheck_ref)
+    ``recheck`` holds the sorted host hashes whose robots this wave's host
+    prep fetched: only their rows are evaluated, and a row of any other
+    known host passes unrejected (its answer cannot have changed, see the
+    section comment above). None evaluates every row. Both payloads may be
+    given by value or as object refs (stages/payload.py)."""
+    return functools.partial(_strict_robots, hosts, recheck)
 
 
-def _strict_robots(hosts_ref, recheck_ref, batch: pa.Table) -> pa.Table:
+def _strict_robots(hosts, recheck, batch: pa.Table) -> pa.Table:
     if batch.num_rows == 0:
         return batch.append_column("rejected", pa.array([], pa.bool_()))
-    index = _rules_state(hosts_ref)
+    index = _rules_state(hosts)
     hh = hash64(batch.column("host"))
     modes = index.modes(hh)
     unknown = modes == _UNKNOWN
     mask = ~unknown  # a known host's row passes unless it is checked
-    check = mask if recheck_ref is None else mask & _member(ray.get(recheck_ref), hh)
+    check = mask if recheck is None else mask & _member(resolve(recheck), hh)
     check = np.flatnonzero(check)
     if len(check):
         urls = batch.column("url").combine_chunks().take(pa.array(check))
@@ -616,19 +627,23 @@ def partial_host_counts(batch: pa.Table) -> pa.Table:
     )
 
 
-def make_update_status(
-    processed_ref: "ray.ObjectRef",
-    disallowed_ref: "ray.ObjectRef",
-):
+def host_count_dict(batch: pa.Table) -> dict[str, int]:
+    """``partial_host_counts`` of ``batch`` as a host -> rows dict."""
+    counts = partial_host_counts(batch)
+    return dict(zip(counts["host"].to_pylist(), counts["n"].to_pylist()))
+
+
+def make_update_status(processed, disallowed):
     """Rewrites frontier statuses from broadcast SORTED hash arrays of
-    processed / disallowed urls. Used only for frontier COMPACTION (fold
+    processed / disallowed urls (each by value or an object ref,
+    stages/payload.py). Used only for frontier COMPACTION (fold
     the accumulated per-wave status flips into a materialized frontier) and
     for the lazy `frontier_dataset` reader — the steady-state wave never
     rewrites the frontier (it appends a delta + a flips file instead; see
     pipelines/crawl.py). The reference analog is the batched
     ``UPDATE pages SET status`` (SlickPageRepository.scala:37-51,
     Batcher.scala:14-62)."""
-    return functools.partial(_update_status, processed_ref, disallowed_ref)
+    return functools.partial(_update_status, processed, disallowed)
 
 
 def _member(sorted_hashes: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -640,11 +655,10 @@ def _member(sorted_hashes: np.ndarray, h: np.ndarray) -> np.ndarray:
     return (pos < len(sorted_hashes)) & (sorted_hashes[posc] == h)
 
 
-def _update_status(processed_ref, disallowed_ref, batch: pa.Table) -> pa.Table:
+def _update_status(processed, disallowed, batch: pa.Table) -> pa.Table:
     if batch.num_rows == 0:
         return batch
-    processed = ray.get(processed_ref)
-    disallowed = ray.get(disallowed_ref)
+    processed, disallowed = resolve(processed), resolve(disallowed)
     h = hash64(batch.column("url"))
     status = np.asarray(batch.column("status").to_pylist(), dtype=object)
     if len(processed):
@@ -656,23 +670,24 @@ def _update_status(processed_ref, disallowed_ref, batch: pa.Table) -> pa.Table:
     )
 
 
-def make_eligible_filter(flips_ref: "ray.ObjectRef"):
+def make_eligible_filter(flips):
     """status == Discovered minus rows flipped since the last compaction.
 
     The frontier checkpoint is a CHAIN (base + per-wave deltas) whose rows
     are immutable; per-wave status flips (politeness-bounded) live in a
-    broadcast sorted hash array instead of a rewritten table. This filter
+    broadcast sorted hash array (``flips``, by value or an object ref,
+    stages/payload.py) instead of a rewritten table. This filter
     is the read-side overlay: a row is eligible iff it was written as
     Discovered and no later wave flipped it. Flips never revert, so the
     subtraction is exact."""
-    return functools.partial(_eligible, flips_ref)
+    return functools.partial(_eligible, flips)
 
 
-def _eligible(flips_ref, batch: pa.Table) -> pa.Table:
+def _eligible(flips, batch: pa.Table) -> pa.Table:
     t = batch.filter(pc.equal(batch["status"], STATUS_DISCOVERED))
     if t.num_rows == 0:
         return t
-    flips = ray.get(flips_ref)
+    flips = resolve(flips)
     if len(flips):
         member = _member(flips, hash64(t.column("url")))
         if member.any():
@@ -777,6 +792,6 @@ def claim_partition(
     status = pa.array([STATUS_DISCOVERED] * out.num_rows, pa.string())
     out = out.append_column("status", status).select(FRONTIER_SCHEMA.names)
     if out.num_rows:
+        Path(delta_dir).mkdir(parents=True, exist_ok=True)
         pq.write_table(out, Path(delta_dir) / f"part-{part:05d}.parquet")
-    counts = partial_host_counts(out)
-    return out.num_rows, dict(zip(counts["host"].to_pylist(), counts["n"].to_pylist()))
+    return out.num_rows, host_count_dict(out)

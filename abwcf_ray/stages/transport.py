@@ -36,8 +36,10 @@ wave cuts its selected ``(url, depth)`` rows, in url-hash order, into
 ``schedule.task_count(n_selected, fetch_transport_batch_size, 2·CPUs)``
 chunks and runs one plain Ray task per chunk through the fused
 fetch->process->checkpoint tee (``stages/fetch.make_fetch_process_tee``).
-The factory is ``ray.put`` once per run and each worker process builds
-the transport from it once (``stages/fetch._transport``), so per-process
+The factory travels with a per-run token, inline in the task spec (or
+``ray.put`` once per run if it is too large to, stages/payload.py), and
+each worker process builds the transport from it once per run
+(``stages/fetch._transport``), so per-process
 state (connection pools, the layout's file index, token buckets) builds
 once in ``__init__``, not per chunk.
 """

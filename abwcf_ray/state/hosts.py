@@ -18,12 +18,15 @@ The rebuild keeps a ``hosts`` table maintained wave-over-wave:
                                         TTL = unreachable-rules-lifetime (1 h)
 - the table is COLUMNAR on the driver (parallel numpy arrays sorted by
   ``hash64(host)``): merge/expiry/lookup are vectorized, and the per-wave
-  broadcast payloads are numpy arrays — ``ray.get`` of a numpy array is a
-  ZERO-COPY read of the node-local object store, so every worker on a node
-  shares ONE copy of the (hash, mode, k) columns instead of each holding a
-  deserialized Python dict. Only the ALLOW_SOME rules strings (a small
-  fraction of hosts on the real web) are pickled per worker process, and
-  each worker compiles the rules once per wave (SCALE.md, robots row).
+  broadcast payloads are numpy arrays. A payload below Ray's inline limit
+  travels by value in the task spec; a larger one is ``ray.put`` once per
+  wave (stages/payload.py), and ``ray.get`` of a numpy array is a ZERO-COPY
+  read of the node-local object store, so every worker on a node shares ONE
+  copy of the (hash, mode, k) columns. Only the ALLOW_SOME rules strings (a
+  small fraction of hosts on the real web) are pickled per worker process,
+  and each worker compiles the rules once per rules ``key`` — the table's
+  version, bumped when its rules or its live set change — not once per
+  wave (SCALE.md, robots row).
 
 Host identity follows the repo-wide hash convention (the seen set stores
 ``hash64(url)``): two distinct hosts colliding under xxh3-64 would share
@@ -32,6 +35,7 @@ rules; at 10^8 hosts the collision probability is ~3e-4 per corpus.
 
 from __future__ import annotations
 
+import uuid
 from pathlib import Path
 
 import numpy as np
@@ -285,9 +289,16 @@ class HostsState:
 
     def __init__(self, cfg: CrawlConfig):
         self.cfg = cfg
+        # (token, version) names the table's content: the token is unique
+        # to this object and the version is bumped by every change, so no
+        # two tables share a rules key, in a worker that serves many runs
+        # either
+        self._token = uuid.uuid4().hex
+        self._version = 0
         self._clear()
 
     def _clear(self) -> None:
+        self._version += 1
         self._hash = np.empty(0, np.uint64)
         self._host = np.empty(0, object)
         self._mode = np.empty(0, np.uint8)
@@ -406,6 +417,7 @@ class HostsState:
         else:
             self._hash, self._host, self._mode = sh, host, mode
             self._rules, self._delay, self._valid = rules, delay, valid
+        self._version += 1
 
     # -- broadcast payloads for the filter / scheduler stages ---------------
     def _live(self, now_s: float) -> np.ndarray:
@@ -416,13 +428,16 @@ class HostsState:
 
     def rules_payload(self, now_s: float) -> dict:
         """Payload for the robots filters: sorted live (hash, mode) numpy
-        columns (zero-copy per node via the object store) + the serialized
-        rules strings of the ALLOW_SOME subset only (pickled per worker,
-        cached per wave in ``stages.transform._RULES_STATE``)."""
+        columns + the serialized rules strings of the ALLOW_SOME subset
+        only, and its content ``key``, on which every worker caches the
+        rule index it builds (``stages.transform._RULES_STATE``). For one
+        version the live set is the entries valid past ``now_s``, the ones
+        with the largest ``valid_until_s``, so its size names it."""
         live = self._live(now_s)
         h, m = self._hash[live], self._mode[live]
         some = m == MODE_SOME
         return {
+            "key": (self._token, self._version, len(h)),
             "hash": h,
             "mode": m,
             "some_hash": h[some],
@@ -432,8 +447,7 @@ class HostsState:
     def sched_payload(self, now_s: float, wave_duration_s: float) -> dict:
         """Payload for the politeness scheduler: sorted live host hashes +
         PRECOMPUTED budgets k_h (one vectorized pass on the driver instead
-        of a host->k dict built in every worker process). Pure numpy —
-        ``ray.get`` is zero-copy, one shared copy per node."""
+        of a host->k dict built in every worker process). Pure numpy."""
         live = self._live(now_s)
         return {
             "hash": self._hash[live],

@@ -1080,7 +1080,11 @@ def test_one_cpu_small_waves_run_one_task_per_round(ray_session, corpus, tmp_pat
     wave of at most ``ROWS_PER_TASK`` eligible rows selects in one task,
     each wave of at most ``fetch_transport_batch_size`` selected urls
     fetches in one task that also claims (no claim round), and every
-    compaction runs one task."""
+    compaction runs one task. A wave whose politeness bound
+    (``fetch_bound``, never below its selected count) fits one fetch task
+    runs as one task: one round, selection included; the others run a
+    selection round, a fetch round and, with two or more fetch tasks, a
+    claim round."""
     import ray
 
     from abwcf_ray.pipelines.crawl import run_crawl
@@ -1097,6 +1101,16 @@ def test_one_cpu_small_waves_run_one_task_per_round(ray_session, corpus, tmp_pat
     assert {(m["fetch_tasks"], m["claim_tasks"]) for m in small} == {(1, 0)}
     compactions = [m["compact_tasks"] for m in manifests if "compact_tasks" in m]
     assert compactions and set(compactions) == {1}
+    b = cfg.fetch_transport_batch_size
+    within = [m for m in manifests if m["fetch_bound"] <= b]
+    assert within
+    for m in manifests:
+        assert m["n_selected"] <= m["fetch_bound"], m["wave"]
+        if m["fetch_bound"] <= b:
+            shape = (m["task_rounds"], m.get("fetch_tasks", 0), m.get("claim_tasks", 0))
+            assert shape in ((1, 1, 0), (1, 0, 0)), m["wave"]  # (1, 0, 0): drain
+        else:
+            assert m["task_rounds"] == 2 + (m["claim_tasks"] > 0), m["wave"]
 
 
 def test_resume_after_one_task_wave(ray_session, corpus, oracle, tmp_path, monkeypatch):
@@ -1112,12 +1126,13 @@ def test_resume_after_one_task_wave(ray_session, corpus, oracle, tmp_path, monke
     cfg = CrawlConfig(**{**CFG.__dict__, "fetch_transport_batch_size": 4096})
     run_crawl(CrawlConfig(**{**cfg.__dict__, "max_waves": 2}), corpus, tmp_path, log=lambda *_: None)
     stopped = json.loads((tmp_path / "wave_0001" / "manifest.json").read_text())
-    assert (stopped["fetch_tasks"], stopped["claim_tasks"]) == (1, 0)
+    assert (stopped["task_rounds"], stopped["fetch_tasks"], stopped["claim_tasks"]) == (1, 1, 0)
     summary = run_crawl(cfg, corpus, tmp_path, resume=True, log=lambda *_: None)
     _assert_matches_oracle(tmp_path, summary, oracle)
     manifests = [json.loads(m.read_text()) for m in sorted(tmp_path.glob("wave_*/manifest.json"))]
     assert len(manifests) > 2
     assert all(m["claim_tasks"] == 0 for m in manifests if m["n_selected"])
+    assert {m["task_rounds"] for m in manifests} == {1}
 
 
 def _small_row_target_run(corpus, out: Path, cfg: CrawlConfig, monkeypatch, resume=False):
@@ -1147,6 +1162,8 @@ def test_small_row_target_spreads_rounds(
     ]
     assert max(m["select_tasks"] for m in manifests) > 1
     assert max(m.get("compact_tasks", 0) for m in manifests) > 1
+    # a wave that selects in two or more tasks keeps its separate rounds
+    assert all(m["task_rounds"] >= 2 for m in manifests if m["select_tasks"] > 1)
 
     out = tmp_path / "resumed"
     _small_row_target_run(
@@ -1155,3 +1172,76 @@ def test_small_row_target_spreads_rounds(
     monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
     summary = _small_row_target_run(corpus, out, cfg, monkeypatch, resume=True)
     _assert_matches_oracle(out, summary, oracle)
+
+
+def _count_puts(monkeypatch):
+    """Wrap ``ray.put`` and the wave start: returns the list of the wave
+    each put was made in (-1 before the first wave)."""
+    import ray
+
+    from abwcf_ray.pipelines import crawl
+
+    puts: list[int] = []
+    wave = [-1]
+    real_put, real_start = ray.put, crawl._start_wave
+
+    def put(*args, **kwargs):
+        puts.append(wave[0])
+        return real_put(*args, **kwargs)
+
+    def start_wave(run, n):
+        wave[0] = n
+        return real_start(run, n)
+
+    monkeypatch.setattr(ray, "put", put)
+    monkeypatch.setattr(crawl, "_start_wave", start_wave)
+    return puts
+
+
+def test_small_waves_put_nothing_in_the_object_store(ray_session, corpus, tmp_path, monkeypatch):
+    """A default one-CPU crawl's wave payloads (flips, robots rules, the
+    strict recheck set, the scheduler payload, compaction's status arrays,
+    the fetch transport's factory) are small enough to travel inline in
+    the task specs: the crawl makes no ``ray.put`` at all, from the run's
+    start to its last manifest."""
+    import ray
+
+    from abwcf_ray.pipelines.crawl import run_crawl
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    puts = _count_puts(monkeypatch)
+    cfg = CrawlConfig(max_waves=3, frontier_compact_every=2)
+    run_crawl(cfg, corpus, tmp_path, log=lambda *_: None)
+    manifests = [json.loads(m.read_text()) for m in sorted(tmp_path.glob("wave_*/manifest.json"))]
+    assert len(manifests) == 3 and any("compact_tasks" in m for m in manifests)
+    assert puts == []
+
+
+def test_payloads_over_the_inline_limit_are_put_once_per_wave(
+    ray_session, corpus, oracle, tmp_path, monkeypatch
+):
+    """With the inline limit at 0 every payload goes through the object
+    store: the crawl is still oracle-exact, the transport factory is put
+    once per run, and each wave puts each of its payloads once — the
+    eligible flips, the robots rules, the recheck set and the scheduler
+    payload, plus compaction's two status arrays — however many tasks its
+    rounds run."""
+    import dataclasses
+
+    from abwcf_ray.pipelines.crawl import run_crawl
+    from abwcf_ray.stages import payload, schedule
+
+    monkeypatch.setattr(payload, "INLINE_LIMIT", 0)
+    # small row and chunk targets: the rounds run several tasks
+    monkeypatch.setattr(schedule, "ROWS_PER_TASK", 64)
+    cfg = dataclasses.replace(CFG, fetch_transport_batch_size=16)
+    puts = _count_puts(monkeypatch)
+    summary = run_crawl(cfg, corpus, tmp_path, log=lambda *_: None)
+    monkeypatch.undo()
+    _assert_matches_oracle(tmp_path, summary, oracle)
+    manifests = [json.loads(m.read_text()) for m in sorted(tmp_path.glob("wave_*/manifest.json"))]
+    assert max(m["select_tasks"] for m in manifests) > 1
+    assert max(m.get("fetch_tasks", 0) for m in manifests) > 1
+    assert puts.count(-1) == 1
+    for m in manifests:
+        assert puts.count(m["wave"]) == 4 + 2 * ("compact_tasks" in m), m["wave"]

@@ -8,8 +8,10 @@ engine-only fields the result must not depend on
 (``fetch_transport_batch_size``, ``frontier_compact_every``,
 ``frontier_compact_max_flips``, ``seen_shards``,
 ``total_bandwidth_budget_bps`` — none, or a budget that allows one fetch
-task in flight —, ``dedup_content`` and the fan-out row target
-``schedule.ROWS_PER_TASK``). It may stop the crawl after a drawn wave and
+task in flight —, ``dedup_content``, the fan-out row target
+``schedule.ROWS_PER_TASK`` and the payloads' inline limit
+``payload.INLINE_LIMIT``: Ray's, or 0, which puts every payload in the
+object store). It may stop the crawl after a drawn wave and
 resume it. The finished crawl must pass the benchmark gate's four checks
 (per-wave order, final frontier, seen set, extracted text) against the
 oracle, and every crawl runs under a wall-clock timeout, so a hang fails
@@ -33,6 +35,7 @@ from hypothesis import strategies as st
 from abwcf_ray.config import CrawlConfig
 from abwcf_ray.pipelines.oracle import run_oracle
 from abwcf_ray.sources.corpus import generate_corpus
+from abwcf_ray.stages.payload import INLINE_LIMIT
 
 EXAMPLES = int(os.environ.get("ABWCF_FUZZ_EXAMPLES", "10"))
 FUZZ_SEED = os.environ.get("ABWCF_FUZZ_SEED")
@@ -67,7 +70,8 @@ def crawl_examples(draw):
     stop = None
     if max_waves >= 2:
         stop = draw(st.one_of(st.none(), st.integers(0, max_waves - 2)))
-    return corpus, cfg, rows_per_task, stop
+    inline_limit = draw(st.sampled_from([INLINE_LIMIT, 0]))
+    return corpus, cfg, rows_per_task, stop, inline_limit
 
 
 def _within(seconds: float, fn, *args, **kwargs):
@@ -95,10 +99,10 @@ def check_example(example, corpus_root, out) -> None:
     """Crawl ``example`` (stopping and resuming if it says so) into ``out``
     and assert the gate's four checks against the oracle."""
     from abwcf_ray.pipelines.crawl import run_crawl
-    from abwcf_ray.stages import schedule
+    from abwcf_ray.stages import payload, schedule
     from perfbench.gate import check
 
-    (n_pages, corpus_seed), cfg, rows_per_task, stop = example
+    (n_pages, corpus_seed), cfg, rows_per_task, stop, inline_limit = example
     corpus = generate_corpus(
         corpus_root / f"c{n_pages}_{corpus_seed}", n_pages=n_pages, seed=corpus_seed,
         num_buckets=4,
@@ -111,7 +115,10 @@ def check_example(example, corpus_root, out) -> None:
         "extracted": sorted(res.extracted),
     }
     quiet = {"log": lambda *_: None}
-    with mock.patch.object(schedule, "ROWS_PER_TASK", rows_per_task):
+    with (
+        mock.patch.object(schedule, "ROWS_PER_TASK", rows_per_task),
+        mock.patch.object(payload, "INLINE_LIMIT", inline_limit),
+    ):
         if stop is not None:
             _within(
                 CRAWL_TIMEOUT_S, run_crawl, dataclasses.replace(cfg, max_waves=stop + 1),

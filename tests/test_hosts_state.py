@@ -269,3 +269,29 @@ def test_merge_fetched_rejects_unknown_mode():
     )
     with pytest.raises(ValueError, match="unknown robots mode"):
         state.merge_fetched(bad)
+
+
+def test_rules_payload_key_names_the_live_rules():
+    """The rules payload's ``key`` is what worker processes cache their
+    rule index on: it holds while the table and its live set are
+    unchanged, and it changes with a merge, an expiry, a restore, or
+    another table. A worker reuses its index for an equal key."""
+    from abwcf_ray.functions.robots import parse_robots_txt
+    from abwcf_ray.stages import transform
+
+    rules = parse_robots_txt(b"User-agent: *\nDisallow: /x\n")
+    state = HostsState(CFG)
+    state.set_entry("https://a", HostEntry(rules, 100.0))
+    state.set_entry("https://b", HostEntry(rules, 50.0))
+    key = state.rules_payload(10.0)["key"]
+    assert state.rules_payload(40.0)["key"] == key  # same live set
+    assert state.rules_payload(60.0)["key"] != key  # b expired
+    index = transform._rules_state(state.rules_payload(10.0))
+    assert transform._rules_state(state.rules_payload(20.0)) is index
+    state.set_entry("https://c", HostEntry(rules, 100.0))
+    assert state.rules_payload(10.0)["key"] != key
+    assert transform._rules_state(state.rules_payload(10.0)) is not index
+    other = HostsState(CFG)
+    other.set_entry("https://a", HostEntry(rules, 100.0))
+    other.set_entry("https://b", HostEntry(rules, 50.0))
+    assert other.rules_payload(10.0)["key"] != key

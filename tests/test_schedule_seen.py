@@ -457,6 +457,115 @@ def test_fused_fetch_claim_retry_rewrites_parts_and_counts(ray_session, tmp_path
     seen.shutdown()
 
 
+def test_one_task_wave_retry_rewrites_parts_and_returns(ray_session, tmp_path):
+    """A one-task wave selects, ranks, fetches and claims in one task.
+    Run twice for the same wave (a simulated Ray retry), its selected,
+    processed and delta parts are byte-identical, both runs return the
+    same reject keys, selected hashes, per-host selected counts,
+    ``n_selected`` and claim counts, and the second run's probe ignores
+    the first run's same-wave adds, so it claims the same urls. The
+    payloads travel by value, as in a small wave."""
+    import functools
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray
+
+    from abwcf_ray.functions.hashing import hash64
+    from abwcf_ray.functions.robots import parse_robots_txt
+    from abwcf_ray.pipelines.crawl import (
+        _fetch_task,
+        _seed_frontier,
+        _Selection,
+        make_fetch_process_tee,
+    )
+    from abwcf_ray.sources.corpus import build_hashed_layout, generate_corpus
+    from abwcf_ray.stages.transform import (
+        claim_partition,
+        explode_links,
+        make_eligible_filter,
+        make_lenient_robots_filter,
+        make_normalize_stage,
+        make_prioritize_stage,
+        make_process_fetched_stage,
+        make_propose,
+        make_scope_filter_stage,
+        make_strict_robots_filter,
+    )
+    from abwcf_ray.stages.transport import CorpusTransport
+    from abwcf_ray.state.hosts import rules_payload_from_dict
+    from abwcf_ray.state.seen import SeenSet
+
+    corpus = generate_corpus(tmp_path / "corpus", n_pages=120, seed=5, num_buckets=2)
+    build_hashed_layout(corpus)
+    cfg = CrawlConfig()
+    frontier = _seed_frontier(cfg, corpus.seeds, make_prioritize_stage(cfg))
+    frontier_path = tmp_path / "frontier.parquet"
+    pq.write_table(frontier, frontier_path)
+    hosts = sorted(set(frontier.column("host").to_pylist()))
+    # the first host disallows everything, so its rows are the rejects
+    none = parse_robots_txt(b"User-agent: *\nDisallow: /\n")
+    rules = rules_payload_from_dict(
+        {h: (none.mode, none.serialize_rules(), 0) if h == hosts[0] else ("ALLOW_ALL", "", 0)
+         for h in hosts}
+    )
+    selection = _Selection(
+        [str(frontier_path)],
+        [make_eligible_filter(np.empty(0, np.uint64)), make_strict_robots_filter(rules)],
+        sched_payload_from_delays({h: 10 for h in hosts}, 1.0),
+        1000,
+        0,
+    )
+    wdir = tmp_path / "wave_0000"
+    dirs = {sub: wdir / sub for sub in ("processed", "selected", "delta")}
+    for sub in ("processed", "selected"):
+        dirs[sub].mkdir(parents=True)
+    transport = ("run-token", functools.partial(CorpusTransport, corpus.hashed_dir))
+    stages = [
+        make_fetch_process_tee(
+            make_process_fetched_stage(cfg), str(dirs["processed"]), str(dirs["selected"]),
+            transport,
+        ),
+        explode_links,
+        make_normalize_stage(cfg),
+        make_scope_filter_stage(cfg),
+        make_propose(),
+    ]
+    seen = SeenSet(2)
+    seen.add_urls(frontier.column("url").to_pylist(), wave=-1)
+    claim = functools.partial(
+        claim_partition, 0, seen, 0, cfg, str(dirs["delta"]), make_lenient_robots_filter(rules)
+    )
+
+    def run():
+        out = ray.get(_fetch_task.remote(selection, stages, 1, claim))
+        return out, {p.relative_to(wdir): p.read_bytes() for p in wdir.rglob("*.parquet")}
+
+    out1, files1 = run()
+    size1 = seen.size()
+    out2, files2 = run()
+    assert sorted(str(p) for p in files1) == [
+        "delta/part-00000.parquet", "processed/t00000.parquet", "selected/part-0.parquet"
+    ]
+    assert files1 == files2
+    rejects1, sel1, counts1, n_sel1, (n_new1, claimed1) = out1
+    rejects2, sel2, counts2, n_sel2, (n_new2, claimed2) = out2
+    assert rejects1.equals(rejects2) and np.array_equal(sel1, sel2)
+    assert (counts1, n_sel1, n_new1, claimed1) == (counts2, n_sel2, n_new2, claimed2)
+    # the first host's rows are the rejects, the rest is selected
+    first = frontier.filter(pc.equal(frontier.column("host"), hosts[0]))
+    assert sorted(rejects1.column("url_hash").to_pylist()) == sorted(
+        hash64(first.column("url")).tolist()
+    )
+    assert n_sel1 == frontier.num_rows - first.num_rows == len(sel1) == sum(counts1.values())
+    assert np.array_equal(sel1, np.sort(sel1)) and hosts[0] not in counts1
+    sel = pq.read_table(dirs["selected"] / "part-0.parquet")
+    assert np.array_equal(np.sort(hash64(sel.column("url"))), sel1)
+    # the retry's probe ignored the first run's adds: same claim, no growth
+    assert n_new1 > 0 and seen.size() == size1 == frontier.num_rows + n_new1
+    seen.shutdown()
+
+
 @pytest.mark.parametrize("backend", ["exact", "cuckoo"])
 def test_partitioned_claim(ray_session, tmp_path, backend):
     """F1 by hash partition: two fetch tasks' candidates, overlapping at

@@ -244,7 +244,9 @@ def test_wave_stages_pickle_by_reference(ray_session, tmp_path):
     standard library's pickle refuses nested functions, so this fails for
     any stage that is a closure. The stages are built through the names
     ``pipelines/crawl.py`` calls, with a default config and real object
-    refs, as each wave builds them."""
+    refs, as a wave builds them when its payloads are too large to travel
+    inline, and with the payloads by value, as a small wave builds
+    them."""
     import pickle
 
     import numpy as np
@@ -274,6 +276,19 @@ def test_wave_stages_pickle_by_reference(ray_session, tmp_path):
         "_compact_group": [crawl.make_update_status(hashes, hashes)],
         "_claim_chunk": [crawl.make_lenient_robots_filter(hosts_ref), cfg],
     }
+    # a one-task wave's fetch task takes its selection by value, with the
+    # payloads inline
+    inline = np.empty(0, np.uint64)
+    payload = rules_payload_from_dict({})
+    shipped["_fetch_task"].append(
+        crawl._Selection(
+            ["part-0.parquet"],
+            [crawl.make_eligible_filter(inline), crawl.make_strict_robots_filter(payload, inline)],
+            {"hash": inline, "k": np.empty(0, np.int64)},
+            10,
+            0,
+        )
+    )
     for stages in shipped.values():
         for stage in stages:
             pickle.loads(pickle.dumps(stage))  # raises on a closure
